@@ -2,8 +2,9 @@
 
 Models systems as availability block diagrams or unavailability fault
 trees over components with exponential failure/repair rates, evaluates
-them with exact closed forms (including inclusion-exclusion over minimal
-cut sets), and cross-checks every closed form against exhaustive
+them with exact closed forms (pivotal decomposition on components shared
+by several leaves, with inclusion-exclusion over minimal cut sets past
+its pivot limit), and cross-checks every closed form against exhaustive
 enumeration and alternating-renewal Monte-Carlo simulation.
 """
 

@@ -8,13 +8,17 @@ Component level, for exponential failure/repair rates (lam, mu):
     point unavailability     Q(t) = Q - Q * exp(-(lam + mu) t)
     reliability (no repair)  R(t) = exp(-lam t)
 
-System level, assuming mutually independent component events: series and
-AND multiply, parallel and OR complement-multiply, and the remaining gates
-(NAND, NOR, XOR, NOT) follow their set definitions.  When the same
-component feeds several leaves the events are dependent and the
-compositional recursion is unsound; coherent structures then go through
-minimal cut sets and the probabilistic inclusion-exclusion expansion,
-everything else is referred to the oracle module.
+System level, one walker (compose) evaluates a structure in its native
+polarity assuming independent leaves: series and AND multiply, parallel
+and OR complement-multiply, and NAND, NOR, XOR and NOT follow their set
+definitions.  Leaves naming the same component are one event, so such
+models go through pivotal (Shannon) decomposition on the repeated events
+(Barlow & Proschan, 1975): P(S) = p_x P(S | x) + (1 - p_x) P(S | not x),
+each side folded and decomposed again until no leaf repeats.  This is
+exact for every gate, in steady state and at a point in time.  A
+decomposition past PIVOT_LIMIT pivots falls back, for coherent
+structures, to inclusion-exclusion over the minimal cut sets; whatever
+neither route can take is referred to the oracle module.
 
 Steady-state quantities involve no exponential, so with rational rates
 they are computed in exact rational arithmetic.  Point quantities are
@@ -26,18 +30,20 @@ otherwise prone to cancellation; the result is rounded once at the end.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cutsets import CutSetCollection, expand_to_cutsets, is_coherent, minimize
+from .cutsets import CutSetCollection, ExpansionLimitError, expand_to_cutsets, is_coherent, minimize
 from .model import (
     And,
     Basic,
     BlockExpr,
-    GateExpr,
+    Expr,
     Nand,
     Nor,
+    Not,
     Or,
     Parallel,
     RatePair,
@@ -45,6 +51,7 @@ from .model import (
     SystemModel,
     Unit,
     Xor,
+    iter_leaves,
     validate,
 )
 
@@ -55,6 +62,7 @@ __all__ = [
     "CutSetLimitError",
     "METHOD_CLOSED_FORM",
     "METHOD_COMPOSITIONAL",
+    "METHOD_PIVOTAL",
     "METHOD_INCLUSION_EXCLUSION",
     "steady_availability",
     "steady_unavailability",
@@ -80,11 +88,15 @@ Number = Union[Fraction, float]
 
 METHOD_CLOSED_FORM = "closed-form"
 METHOD_COMPOSITIONAL = "compositional"
+METHOD_PIVOTAL = "pivotal-decomposition"
 METHOD_INCLUSION_EXCLUSION = "inclusion-exclusion"
+
+# Most pivots one pivotal decomposition may take before it falls back or is refused.
+PIVOT_LIMIT = 4096
 
 
 class RequiresOracleError(Exception):
-    """The requested closed-form analysis is unsound for this model."""
+    """Pivotal decomposition passed PIVOT_LIMIT and inclusion-exclusion does not apply."""
 
 
 class CutSetLimitError(Exception):
@@ -173,42 +185,32 @@ def reliability_exp(failure_rate: Number, t: float) -> Probability:
 
 def series_steady(rates: Sequence[RatePair]) -> Probability:
     """Product of member availabilities; the empty series is the sure event."""
-    value: Number = Fraction(1)
-    for r in rates:
-        value = value * steady_availability(r).value
-    return Probability(value)
+    return Probability(math.prod((steady_availability(r).value for r in rates), start=Fraction(1)))
 
 
 def parallel_steady(rates: Sequence[RatePair]) -> Probability:
     """1 - product of member unavailabilities; empty parallel never works."""
-    value: Number = Fraction(1)
-    for r in rates:
-        value = value * steady_unavailability(r).value
-    return Probability(1 - value)
+    return Probability(1 - math.prod((steady_unavailability(r).value for r in rates), start=Fraction(1)))
 
 
 def series_parallel_steady(groups: Sequence[Sequence[RatePair]]) -> Probability:
     """Series of parallel stages: prod_i (1 - prod_j (1 - A_ij))."""
     if not groups:
         raise ValueError("series-parallel structure needs at least one stage")
-    value: Number = Fraction(1)
     for i, stage in enumerate(groups):
         if not stage:
             raise ValueError(f"stage {i} of series-parallel structure is empty")
-        value = value * parallel_steady(stage).value
-    return Probability(value)
+    return Probability(math.prod((parallel_steady(s).value for s in groups), start=Fraction(1)))
 
 
 def parallel_series_steady(groups: Sequence[Sequence[RatePair]]) -> Probability:
     """Parallel of series branches: 1 - prod_i (1 - prod_j A_ij)."""
     if not groups:
         raise ValueError("parallel-series structure needs at least one branch")
-    value: Number = Fraction(1)
     for i, branch in enumerate(groups):
         if not branch:
             raise ValueError(f"branch {i} of parallel-series structure is empty")
-        value = value * (1 - series_steady(branch).value)
-    return Probability(1 - value)
+    return Probability(1 - math.prod((1 - series_steady(b).value for b in groups), start=Fraction(1)))
 
 
 # --- fault tree gates, steady state ------------------------------------------
@@ -218,10 +220,7 @@ def and_gate_unavail(rates: Sequence[RatePair]) -> Probability:
     """All inputs down: prod lam_i / (lam_i + mu_i)."""
     if not rates:
         raise ValueError("AND gate needs at least one input")
-    value: Number = Fraction(1)
-    for r in rates:
-        value = value * steady_unavailability(r).value
-    return Probability(value)
+    return Probability(math.prod((steady_unavailability(r).value for r in rates), start=Fraction(1)))
 
 
 def or_gate_unavail(rates: Sequence[RatePair]) -> Probability:
@@ -235,10 +234,7 @@ def nor_gate_unavail(rates: Sequence[RatePair]) -> Probability:
     """No input down: prod (1 - Q_i)."""
     if not rates:
         raise ValueError("NOR gate needs at least one input")
-    value: Number = Fraction(1)
-    for r in rates:
-        value = value * (1 - steady_unavailability(r).value)
-    return Probability(value)
+    return Probability(math.prod((1 - steady_unavailability(r).value for r in rates), start=Fraction(1)))
 
 
 def nand_gate_unavail(negated: Sequence[RatePair], plain: Sequence[RatePair]) -> Probability:
@@ -249,12 +245,8 @@ def nand_gate_unavail(negated: Sequence[RatePair], plain: Sequence[RatePair]) ->
     """
     if not negated or not plain:
         raise ValueError("NAND gate needs at least one input in each group")
-    value: Number = Fraction(1)
-    for r in negated:
-        value = value * steady_availability(r).value
-    for r in plain:
-        value = value * steady_unavailability(r).value
-    return Probability(value)
+    up = math.prod((steady_availability(r).value for r in negated), start=Fraction(1))
+    return Probability(up * math.prod(steady_unavailability(r).value for r in plain))
 
 
 def xor_gate_unavail(a: RatePair, b: RatePair) -> Probability:
@@ -379,12 +371,94 @@ def _require_valid(model: SystemModel) -> None:
         raise ValueError("invalid model: " + "; ".join(str(d) for d in diags))
 
 
-def _failure_dual(block: BlockExpr) -> GateExpr:
-    """The unavailability fault tree equivalent to a block diagram.
+def compose(expr: Expr, leaf_p: Mapping[str, Number]) -> Number:
+    """Probability that expr holds, given each leaf's probability of being true.
 
-    A series works iff all members work, so it fails iff any member fails;
-    parallel dually.  The dual of any block diagram is a coherent tree.
+    Series is And and Parallel is Or; exact when no component repeats.
     """
+    if isinstance(expr, Unit):
+        return leaf_p[expr.component]
+    if isinstance(expr, Basic):
+        return leaf_p[expr.event]
+    if isinstance(expr, (Series, And)):
+        return math.prod(compose(child, leaf_p) for child in expr.children)
+    if isinstance(expr, (Parallel, Or, Nor)):
+        none = math.prod(1 - compose(child, leaf_p) for child in expr.children)
+        return none if isinstance(expr, Nor) else 1 - none
+    if isinstance(expr, Nand):
+        up = [1 - compose(child, leaf_p) for child in expr.negated]
+        return math.prod(up + [compose(child, leaf_p) for child in expr.plain])
+    if isinstance(expr, Xor):
+        ql, qr = compose(expr.left, leaf_p), compose(expr.right, leaf_p)
+        return (1 - ql) * qr + ql * (1 - qr)
+    return 1 - compose(expr.child, leaf_p)
+
+
+def _condition(expr: Expr, event: str, value: bool, shared: set, leaf_p: dict) -> Union[Expr, bool]:
+    """expr with the leaves naming event fixed to value, constants folded.
+
+    The result is a bool when the constant decides expr.  Otherwise each
+    part of it free of the shared leaves is folded into one pseudo-leaf:
+    such a part is independent of the rest, so compose evaluates it once
+    here instead of once per later branch.  The free children of one
+    n-ary gate fold together.  Pseudo-leaf probabilities go into leaf_p
+    under names ("#k") that no component identifier can take.
+    """
+
+    def fold(part: Expr) -> Expr:
+        if isinstance(part, (Unit, Basic)):
+            return part
+        name = f"#{len(leaf_p)}"
+        leaf_p[name] = compose(part, leaf_p)
+        return Basic(name)
+
+    def walk(node: Expr) -> Union[Expr, bool, None]:  # None when node holds no shared leaf
+        if isinstance(node, (Unit, Basic)):
+            leaf = node.component if isinstance(node, Unit) else node.event
+            return value if leaf == event else (node if leaf in shared else None)
+        if isinstance(node, Not):
+            child = walk(node.child)
+            if isinstance(child, bool):
+                return not child
+            return None if child is None else Not(child)
+        if isinstance(node, Xor):
+            left, right = walk(node.left), walk(node.right)
+            if left is None and right is None:
+                return None
+            left = fold(node.left) if left is None else left
+            right = fold(node.right) if right is None else right
+            if isinstance(left, bool):
+                left, right = right, left
+            if not isinstance(right, bool):
+                return Xor(left, right)
+            if isinstance(left, bool):
+                return left != right
+            return Not(left) if right else left
+        if isinstance(node, Nand):
+            return walk(And((Nor(node.negated), And(node.plain))))
+        # An AND-like gate is decided by a false input, an OR-like one by a true one.
+        stop = not isinstance(node, (Series, And))
+        kept, loose = [], []
+        for child in node.children:
+            part = walk(child)
+            if part is stop:
+                return stop != isinstance(node, Nor)
+            if part is None:
+                loose.append(child)
+            elif not isinstance(part, bool):
+                kept.append(part)
+        if len(loose) == len(node.children):
+            return None
+        if len(loose) > 1:  # a NOR's inputs group under an OR
+            loose = [(Or if isinstance(node, Nor) else type(node))(tuple(loose))]
+        kept += [fold(child) for child in loose]
+        return type(node)(tuple(kept)) if kept else (not stop) != isinstance(node, Nor)
+
+    return walk(expr)
+
+
+def _failure_dual(block: BlockExpr) -> Expr:
+    """The coherent fault tree that occurs iff the block diagram is down."""
     if isinstance(block, Unit):
         return Basic(block.component)
     if isinstance(block, Series):
@@ -392,140 +466,78 @@ def _failure_dual(block: BlockExpr) -> GateExpr:
     return And(tuple(_failure_dual(c) for c in block.children))
 
 
-def _steady_block(expr: BlockExpr, model: SystemModel) -> Number:
-    if isinstance(expr, Unit):
-        return steady_availability(model.components[expr.component].rates).value
-    if isinstance(expr, Series):
-        value: Number = Fraction(1)
-        for child in expr.children:
-            value = value * _steady_block(child, model)
-        return value
-    value = Fraction(1)
-    for child in expr.children:
-        value = value * (1 - _steady_block(child, model))
-    return 1 - value
+def _inclusion_exclusion(model: SystemModel, leaf_p: Mapping[str, Number]) -> Number:
+    """P(body) by inclusion-exclusion over the minimal cut sets of a coherent structure."""
+    tree = model.body if model.is_fault_tree else _failure_dual(model.body)
+    down = leaf_p if model.is_fault_tree else {cid: 1 - p for cid, p in leaf_p.items()}
+    reason = "the tree is not coherent"
+    if is_coherent(tree):
+        try:
+            union = pie_probability(minimize(expand_to_cutsets(tree)), down).value
+            return union if model.is_fault_tree else 1 - union
+        except (ExpansionLimitError, CutSetLimitError) as exc:
+            reason = str(exc)
+    raise RequiresOracleError(
+        f"shared leaves: pivotal decomposition exceeds the {PIVOT_LIMIT}-pivot limit "
+        f"({reason}); use exhaustive enumeration or simulation"
+    )
 
 
-def _steady_gate(expr: GateExpr, model: SystemModel) -> Number:
-    if isinstance(expr, Basic):
-        return steady_unavailability(model.components[expr.event].rates).value
-    if isinstance(expr, And):
-        value: Number = Fraction(1)
-        for child in expr.children:
-            value = value * _steady_gate(child, model)
-        return value
-    if isinstance(expr, (Or, Nor)):
-        value = Fraction(1)
-        for child in expr.children:
-            value = value * (1 - _steady_gate(child, model))
-        return value if isinstance(expr, Nor) else 1 - value
-    if isinstance(expr, Nand):
-        value = Fraction(1)
-        for child in expr.negated:
-            value = value * (1 - _steady_gate(child, model))
-        for child in expr.plain:
-            value = value * _steady_gate(child, model)
-        return value
-    if isinstance(expr, Xor):
-        ql = _steady_gate(expr.left, model)
-        qr = _steady_gate(expr.right, model)
-        return (1 - ql) * qr + ql * (1 - qr)
-    return 1 - _steady_gate(expr.child, model)
+def _evaluate(model: SystemModel, leaf_p: dict, t: Optional[float] = None) -> AnalysisResult:
+    """Pivotal decomposition on repeated leaves, then compose on each branch.
+
+    While a leaf repeats, condition on the most repeated one (the first in
+    document order on ties).  Past PIVOT_LIMIT pivots, fall back to
+    inclusion-exclusion.  leaf_p gains entries for folded subtrees.
+    """
+    pivots = 0
+
+    def holds(tree: Union[Expr, bool]) -> Number:
+        nonlocal pivots
+        if isinstance(tree, bool):
+            return int(tree)
+        leaves = list(iter_leaves(tree))
+        if len(set(leaves)) == len(leaves):
+            return compose(tree, leaf_p)
+        pivots += 1
+        if pivots > PIVOT_LIMIT:
+            raise RequiresOracleError  # caught below: fall back to inclusion-exclusion
+        counts = Counter(leaves)
+        event = counts.most_common(1)[0][0]
+        shared = {e for e, n in counts.items() if n > 1}
+        up, down = (_condition(tree, event, v, shared, leaf_p) for v in (True, False))
+        p = leaf_p[event]
+        return p * holds(up) + (1 - p) * holds(down)
+
+    try:
+        value = holds(model.body)
+    except RequiresOracleError:
+        value, method = _inclusion_exclusion(model, leaf_p), METHOD_INCLUSION_EXCLUSION
+    else:
+        single = isinstance(model.body, (Unit, Basic))
+        method = METHOD_PIVOTAL if pivots else (METHOD_CLOSED_FORM if single else METHOD_COMPOSITIONAL)
+    return AnalysisResult(Probability(value), method, time=t)
 
 
 def evaluate_steady(model: SystemModel) -> AnalysisResult:
     """Steady-state availability (block body) or unavailability (tree body).
 
-    Dispatch: with all leaves distinct the structure is evaluated
-    compositionally (linear cost).  With repeated leaves a coherent
-    structure is expanded to minimal cut sets and evaluated by
-    inclusion-exclusion over the shared events; anything else needs the
-    oracle module.  Results are exact rationals.
+    Leaves take their exact steady probabilities, so the result is an
+    exact rational.  Repeated leaves are handled by pivotal decomposition,
+    with inclusion-exclusion past the pivot limit.
     """
     _require_valid(model)
-
-    if model.leaves_distinct:
-        if model.is_fault_tree:
-            value = _steady_gate(model.body, model)
-        else:
-            value = _steady_block(model.body, model)
-        method = METHOD_CLOSED_FORM if isinstance(model.body, (Unit, Basic)) else METHOD_COMPOSITIONAL
-        return AnalysisResult(Probability(value), method)
-
-    tree = model.body if model.is_fault_tree else _failure_dual(model.body)
-    if not is_coherent(tree):
-        raise RequiresOracleError(
-            "shared leaves in a non-coherent tree: closed forms do not apply; "
-            "use exhaustive enumeration or simulation"
-        )
-    mcs = minimize(expand_to_cutsets(tree))
-    unavail_probs = {
-        event: steady_unavailability(model.components[event].rates)
-        for cs in mcs.sets
-        for event in cs
-    }
-    union = pie_probability(mcs, unavail_probs).value
-    value = union if model.is_fault_tree else 1 - union
-    return AnalysisResult(Probability(value), METHOD_INCLUSION_EXCLUSION)
-
-
-def _point_block(expr: BlockExpr, model: SystemModel, t: float) -> float:
-    if isinstance(expr, Unit):
-        return inst_availability(model.components[expr.component].rates, t).value
-    if isinstance(expr, Series):
-        value = 1.0
-        for child in expr.children:
-            value *= _point_block(child, model, t)
-        return value
-    value = 1.0
-    for child in expr.children:
-        value *= 1.0 - _point_block(child, model, t)
-    return 1.0 - value
-
-
-def _point_gate(expr: GateExpr, model: SystemModel, t: float) -> float:
-    if isinstance(expr, Basic):
-        return inst_unavailability(model.components[expr.event].rates, t).value
-    if isinstance(expr, And):
-        value = 1.0
-        for child in expr.children:
-            value *= _point_gate(child, model, t)
-        return value
-    if isinstance(expr, (Or, Nor)):
-        value = 1.0
-        for child in expr.children:
-            value *= 1.0 - _point_gate(child, model, t)
-        return value if isinstance(expr, Nor) else 1.0 - value
-    if isinstance(expr, Nand):
-        value = 1.0
-        for child in expr.negated:
-            value *= 1.0 - _point_gate(child, model, t)
-        for child in expr.plain:
-            value *= _point_gate(child, model, t)
-        return value
-    if isinstance(expr, Xor):
-        ql = _point_gate(expr.left, model, t)
-        qr = _point_gate(expr.right, model, t)
-        return (1.0 - ql) * qr + ql * (1.0 - qr)
-    return 1.0 - _point_gate(expr.child, model, t)
+    leaf = steady_unavailability if model.is_fault_tree else steady_availability
+    return _evaluate(model, {cid: leaf(c.rates).value for cid, c in model.components.items()})
 
 
 def evaluate_point(model: SystemModel, t: float) -> AnalysisResult:
     """Availability (block body) or unavailability (tree body) at time t.
 
-    Leaf probabilities come from the point formulas; composition requires
-    independence, so every leaf must be a distinct component.
+    Leaves take their point probabilities (floats); repeated leaves are
+    handled as in evaluate_steady.
     """
     t = _check_time(t)
     _require_valid(model)
-    if not model.leaves_distinct:
-        raise RequiresOracleError(
-            "shared leaves: point-in-time composition needs independent leaves; "
-            "use simulation"
-        )
-    if model.is_fault_tree:
-        value = _point_gate(model.body, model, t)
-    else:
-        value = _point_block(model.body, model, t)
-    method = METHOD_CLOSED_FORM if isinstance(model.body, (Unit, Basic)) else METHOD_COMPOSITIONAL
-    return AnalysisResult(Probability(value), method, time=t)
+    leaf = inst_unavailability if model.is_fault_tree else inst_availability
+    return _evaluate(model, {cid: leaf(c.rates, t).value for cid, c in model.components.items()}, t)

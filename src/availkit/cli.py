@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Union
 from . import __version__
 from .analytic import (
     AnalysisResult,
-    CutSetLimitError,
     RequiresOracleError,
     evaluate_point,
     evaluate_steady,
@@ -223,22 +222,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- compare -------------------------------------------------------------------
 
 
-def _steady_leaf_probs(model: SystemModel, exact: bool = True) -> dict:
-    probs = {}
-    for event in basic_events(model):
-        rates = model.components[event].rates
-        p = steady_unavailability(rates) if model.is_fault_tree else steady_availability(rates)
-        probs[event] = p if exact else p.as_float()
-    return probs
-
-
-def _point_leaf_probs(model: SystemModel, t: float) -> dict:
-    probs = {}
-    for event in basic_events(model):
-        rates = model.components[event].rates
-        p = inst_unavailability(rates, t) if model.is_fault_tree else inst_availability(rates, t)
-        probs[event] = p
-    return probs
+def _leaf_probs(model: SystemModel, t: Optional[float]) -> dict:
+    """Each basic event's steady (t is None) or point probability, in native polarity."""
+    if t is None:
+        leaf = steady_unavailability if model.is_fault_tree else steady_availability
+        return {e: leaf(model.components[e].rates) for e in basic_events(model)}
+    leaf = inst_unavailability if model.is_fault_tree else inst_availability
+    return {e: leaf(model.components[e].rates, t) for e in basic_events(model)}
 
 
 def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict:
@@ -250,15 +240,12 @@ def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict
         analytic_value = result.probability.value
     except RequiresOracleError:
         analytic_note = "n/a (oracle only)"
-    except (CutSetLimitError, ExpansionLimitError) as exc:
-        analytic_note = f"n/a ({exc})"
 
     n_events = len(basic_events(model))
     exhaustive_value = None
     exhaustive_note = None
     if n_events <= EXHAUSTIVE_EVENT_LIMIT:
-        probs = _steady_leaf_probs(model) if t is None else _point_leaf_probs(model, t)
-        exhaustive_value = exhaustive_probability(model, probs).value
+        exhaustive_value = exhaustive_probability(model, _leaf_probs(model, t)).value
     else:
         exhaustive_note = f"n/a ({n_events} events exceed the {EXHAUSTIVE_EVENT_LIMIT}-event limit)"
 
@@ -432,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("analyze", help="closed-form steady-state and point analysis")
     p.add_argument("file", help="model file (.avm)")
     p.add_argument("--at", default=None, help="comma-separated time points")
-    p.add_argument("--exact", action="store_true", help="require exact rational output")
+    p.add_argument("--exact", action="store_true", help="steady-state result only; rejects --at")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_analyze)
 
@@ -477,7 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{exc}", file=sys.stderr)
         print("hint: run `availkit simulate` on this model", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except (NonCoherentError, ExpansionLimitError, CutSetLimitError) as exc:
+    except (NonCoherentError, ExpansionLimitError) as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
     except _CliError as exc:

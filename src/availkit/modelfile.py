@@ -53,9 +53,6 @@ from .model import (
 
 __all__ = ["SourceSpan", "ParseDiagnostic", "ModelFileError", "parse_model", "serialize_model"]
 
-FILE_EXTENSION = ".avm"
-
-
 @dataclass(frozen=True)
 class SourceSpan:
     """1-based line/column plus byte offset of a token in the input."""
@@ -358,10 +355,6 @@ def parse_model(text: str) -> SystemModel:
 # --- canonical serialization --------------------------------------------------
 
 
-def _rate_text(value: Fraction) -> str:
-    return str(value)
-
-
 def _block_lines(expr: BlockExpr, depth: int) -> list[str]:
     pad = "  " * depth
     if isinstance(expr, Unit):
@@ -410,8 +403,8 @@ def serialize_model(model: SystemModel) -> str:
     for comp in model.components.values():
         lines.append(
             f"component {comp.id} "
-            f"lambda={_rate_text(comp.rates.failure_rate)} "
-            f"mu={_rate_text(comp.rates.repair_rate)}"
+            f"lambda={comp.rates.failure_rate} "
+            f"mu={comp.rates.repair_rate}"
         )
     if model.is_fault_tree:
         lines.append("ft")

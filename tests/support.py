@@ -100,6 +100,45 @@ def random_model(rng: random.Random, kind: str, max_components: int = 6) -> ak.S
     return ak.SystemModel(f"random-{kind}", kept, body)
 
 
+def xor_parity_model(k: int) -> ak.SystemModel:
+    """XOR of two parity chains over the same k events.
+
+    The top event never occurs, but conditioning on any event only flips
+    a chain, so every other event stays repeated: pivotal decomposition
+    needs 2^k - 1 pivots.
+    """
+    names = [f"x{i}" for i in range(k)]
+
+    def chain(order: Sequence[str]) -> ak.GateExpr:
+        expr: ak.GateExpr = ak.Basic(order[0])
+        for name in order[1:]:
+            expr = ak.Xor(expr, ak.Basic(name))
+        return expr
+
+    comps = {c: ak.ComponentDef(c, ak.RatePair(1, 1)) for c in names}
+    return ak.SystemModel(f"parity-{k}", comps, ak.Xor(chain(names), chain(names[::-1])))
+
+
+def complete_graph_model(n: int, block: bool = False) -> ak.SystemModel:
+    """One term per vertex of K_n, each over the events of its n - 1 edges.
+
+    As a fault tree, the OR of those ANDs: n minimal cut sets, each edge
+    shared by two.  As a block diagram, the series of the matching
+    parallels, whose failure dual is that tree.  Every perfect matching of
+    pivoted-down edges ends a separate branch, so pivotal decomposition
+    needs at least (n - 1)!! pivots.
+    """
+    leaf = ak.Unit if block else ak.Basic
+    comps, rows = {}, []
+    for i in range(n):
+        names = [f"e{min(i, j)}_{max(i, j)}" for j in range(n) if j != i]
+        comps.update({c: ak.ComponentDef(c, ak.RatePair(1, 3)) for c in names})
+        row = tuple(leaf(c) for c in names)
+        rows.append(ak.Parallel(row) if block else ak.And(row))
+    body = ak.Series(tuple(rows)) if block else ak.Or(tuple(rows))
+    return ak.SystemModel(f"k{n}", comps, body)
+
+
 def steady_leaf_probs(model: ak.SystemModel) -> dict[str, ak.Probability]:
     """Exact leaf probabilities in the model's native polarity."""
     probs = {}

@@ -1,4 +1,4 @@
-"""Closed forms: frozen hand-derived values, algebraic properties, dispatch."""
+"""Closed forms: frozen hand-derived values, algebraic properties, pivotal decomposition."""
 
 import math
 import random
@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import availkit as ak
+from availkit import analytic
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from support import random_model, steady_leaf_probs
+from support import complete_graph_model, random_model, steady_leaf_probs, xor_parity_model
 
 R13 = ak.RatePair("0.1", "0.3")
 R25 = ak.RatePair("0.2", "0.5")
@@ -328,33 +329,104 @@ class TestEvaluateSteady:
         via_composition = ak.evaluate_steady(model).probability.value
         assert via_pie == via_enum == via_composition
 
-    def test_shared_leaf_coherent_ft_uses_pie(self):
+    def test_shared_leaf_coherent_ft_pivots(self):
         comps = {c: ak.ComponentDef(c, R13) for c in "ab"}
         body = ak.Or((ak.And((ak.Basic("a"), ak.Basic("b"))), ak.Basic("a")))
         model = ak.SystemModel("m", comps, body)
         result = ak.evaluate_steady(model)
-        assert result.method == "inclusion-exclusion"
-        # P(ab or a) = P(a) = 1/4
-        assert result.probability.value == Fraction(1, 4)
-        oracle = ak.exhaustive_probability(model, steady_leaf_probs(model))
-        assert result.probability.value == oracle.value
+        assert result.method == "pivotal-decomposition"
+        # P(ab or a) = P(a) = 1/4, also by inclusion-exclusion over the minimal cut sets
+        probs = steady_leaf_probs(model)
+        via_pie = ak.pie_probability(ak.minimize(ak.expand_to_cutsets(body)), probs).value
+        oracle = ak.exhaustive_probability(model, probs).value
+        assert result.probability.value == via_pie == oracle == Fraction(1, 4)
 
-    def test_shared_leaf_abd_uses_pie(self):
+    def test_shared_leaf_abd_pivots(self):
         comps = {c: ak.ComponentDef(c, R55) for c in "ab"}
         body = ak.Series((ak.Parallel((ak.Unit("a"), ak.Unit("b"))), ak.Unit("a")))
         model = ak.SystemModel("m", comps, body)
         result = ak.evaluate_steady(model)
-        assert result.method == "inclusion-exclusion"
+        assert result.method == "pivotal-decomposition"
         # available iff a up (a up implies the parallel stage up): 1/2
-        assert result.probability.value == Fraction(1, 2)
-        oracle = ak.exhaustive_probability(model, steady_leaf_probs(model))
-        assert result.probability.value == oracle.value
+        oracle = ak.exhaustive_probability(model, steady_leaf_probs(model)).value
+        assert result.probability.value == oracle == Fraction(1, 2)
 
-    def test_shared_leaf_noncoherent_requires_oracle(self):
+    def test_shared_leaf_noncoherent_exact(self):
         comps = {"a": ak.ComponentDef("a", R13)}
         model = ak.SystemModel("m", comps, ak.Xor(ak.Basic("a"), ak.Not(ak.Basic("a"))))
-        with pytest.raises(ak.RequiresOracleError):
-            ak.evaluate_steady(model)
+        result = ak.evaluate_steady(model)
+        assert result.method == "pivotal-decomposition"
+        oracle = ak.exhaustive_probability(model, steady_leaf_probs(model)).value
+        assert result.probability.value == oracle == Fraction(1)
+
+    def test_doubled_or_pivots_linearly(self, monkeypatch):
+        # each event feeds both OR gates; fixing one up decides the tree, so
+        # folding keeps the decomposition to k pivots instead of 2^k branches
+        k = 16
+        monkeypatch.setattr(analytic, "PIVOT_LIMIT", k)
+        comps = {f"x{i}": ak.ComponentDef(f"x{i}", ak.RatePair(1, 2)) for i in range(1, k + 1)}
+        events = tuple(ak.Basic(f"x{i}") for i in range(1, k + 1))
+        model = ak.SystemModel("m", comps, ak.And((ak.Or(events), ak.Or(events[::-1]))))
+        result = ak.evaluate_steady(model)
+        assert result.method == "pivotal-decomposition"
+        assert result.probability.value == 1 - Fraction(2, 3) ** k
+
+    def test_pivot_limit_refuses_parity(self, monkeypatch):
+        # an independent 1000-leaf OR beside the parity is folded into one
+        # leaf, also when it holds x0 and so becomes independent only after
+        # the first pivot; later pivots then scan at most the 26 parity
+        # leaves and that one pseudo-leaf
+        monkeypatch.setattr(analytic, "PIVOT_LIMIT", 64)
+        scanned = 0
+        iter_leaves = analytic.iter_leaves
+
+        def counting(expr):
+            nonlocal scanned
+            for leaf in iter_leaves(expr):
+                scanned += 1
+                yield leaf
+
+        monkeypatch.setattr(analytic, "iter_leaves", counting)
+        parity = xor_parity_model(13)
+        comps = dict(parity.components)
+        comps.update({f"y{i}": ak.ComponentDef(f"y{i}", R55) for i in range(1000)})
+        wide = tuple(ak.Basic(f"y{i}") for i in range(1000))
+        models = [parity] + [
+            ak.SystemModel("m", comps, ak.Or((parity.body, ak.Or(wide + extra))))
+            for extra in [(), (ak.Basic("x0"),)]
+        ]
+        for model in models:
+            scanned = 0
+            with pytest.raises(ak.RequiresOracleError, match="pivot"):
+                ak.evaluate_steady(model)
+            assert scanned <= len(list(iter_leaves(model.body))) + 64 * 27
+
+    def test_pivot_limit_falls_back_to_inclusion_exclusion(self):
+        # K_12: 12 minimal cut sets but at least 11!! = 10395 pivots
+        tree = complete_graph_model(12)
+        result = ak.evaluate_steady(tree)
+        assert result.method == "inclusion-exclusion"
+        probs = steady_leaf_probs(tree)
+        via_pie = ak.pie_probability(ak.minimize(ak.expand_to_cutsets(tree.body)), probs).value
+        assert result.probability.value == via_pie
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_fallback_matches_enumeration(self, monkeypatch, block):
+        monkeypatch.setattr(analytic, "PIVOT_LIMIT", 2)
+        model = complete_graph_model(5, block=block)
+        steady = ak.evaluate_steady(model)
+        assert steady.method == "inclusion-exclusion"
+        assert steady.probability.value == ak.exhaustive_probability(model, steady_leaf_probs(model)).value
+        leaf = ak.inst_availability if block else ak.inst_unavailability
+        probs = {c: leaf(comp.rates, 0.7) for c, comp in model.components.items()}
+        point = ak.evaluate_point(model, 0.7)
+        assert point.method == "inclusion-exclusion"
+        assert point.probability.value == pytest.approx(ak.exhaustive_probability(model, probs).value, abs=1e-12)
+
+    def test_fallback_refuses_too_many_cutsets(self, monkeypatch):
+        monkeypatch.setattr(analytic, "PIVOT_LIMIT", 2)
+        with pytest.raises(ak.RequiresOracleError, match="20-set limit"):
+            ak.evaluate_steady(complete_graph_model(21))
 
     def test_invalid_model_rejected(self):
         model = ak.SystemModel("m", {}, ak.Unit("ghost"))
@@ -364,7 +436,7 @@ class TestEvaluateSteady:
     def test_random_models_match_oracle(self):
         rng = random.Random(42)
         for _ in range(30):
-            kind = rng.choice(["abd", "coherent-ft"])
+            kind = rng.choice(["abd", "coherent-ft", "ft"])
             model = random_model(rng, kind)
             expected = ak.exhaustive_probability(model, steady_leaf_probs(model))
             got = ak.evaluate_steady(model)
@@ -411,11 +483,15 @@ class TestEvaluatePoint:
         point = ak.evaluate_point(dfh3_abd(), 200.0).probability.value
         assert abs(point - steady) < 1e-9
 
-    def test_shared_leaves_rejected(self):
+    def test_shared_leaves_match_enumeration(self):
         comps = {"a": ak.ComponentDef("a", R13)}
         model = ak.SystemModel("m", comps, ak.Parallel((ak.Unit("a"), ak.Unit("a"))))
-        with pytest.raises(ak.RequiresOracleError):
-            ak.evaluate_point(model, 1.0)
+        result = ak.evaluate_point(model, 1.0)
+        assert result.method == "pivotal-decomposition"
+        single = ak.inst_availability(R13, 1.0)
+        oracle = ak.exhaustive_probability(model, {"a": single}).value
+        assert result.probability.value == pytest.approx(oracle, abs=1e-12)
+        assert result.probability.value == pytest.approx(single.value, abs=1e-15)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -426,8 +502,6 @@ class TestEvaluatePoint:
     def test_matches_oracle_at_time(self, seed, t):
         rng = random.Random(seed)
         model = random_model(rng, rng.choice(["abd", "ft"]), max_components=4)
-        if not model.leaves_distinct:
-            return
         probs = {}
         for event in ak.basic_events(model):
             rates = model.components[event].rates

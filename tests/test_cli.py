@@ -7,6 +7,7 @@ import pytest
 import availkit as ak
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
+from support import xor_parity_model
 
 
 @pytest.fixture()
@@ -56,15 +57,25 @@ class TestAnalyze:
     def test_exact_with_at_exit_2(self, abd_file, capsys):
         assert main(["analyze", abd_file, "--exact", "--at", "5"]) == 2
 
-    def test_requires_oracle_exit_3(self, tmp_path, capsys):
+    def test_noncoherent_shared_leaf_exact(self, tmp_path, capsys):
         text = 'model "x" component a lambda=1 mu=1 ft xor { basic a; not { basic a } }'
         path = write_model(tmp_path, "xor.avm", text)
-        assert main(["analyze", path]) == 3
-        assert "simulate" in capsys.readouterr().err
+        assert main(["analyze", path, "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert row["exact"] == "1"
+        assert row["method"] == "pivotal-decomposition"
 
-    def test_pie_budget_exit_3(self, tmp_path, capsys):
-        # shared leaf forces the cut-set route; 32 minimal cut sets exceed the
-        # 20-set inclusion-exclusion budget
+    def test_requires_oracle_exit_3(self, tmp_path, capsys):
+        # every event stays repeated under conditioning: past the pivot limit
+        path = write_model(tmp_path, "parity.avm", ak.serialize_model(xor_parity_model(13)))
+        assert main(["analyze", path]) == 3
+        err = capsys.readouterr().err
+        assert "pivot" in err
+        assert "simulate" in err
+
+    def test_many_cutsets_shared_leaf_exact(self, tmp_path, capsys):
+        # 32 minimal cut sets, beyond inclusion-exclusion's 20-set limit;
+        # pivoting on the shared leaf s leaves independent OR stages
         comps = " ".join(
             f"component {c} lambda=1 mu=1"
             for c in [f"a{i}" for i in range(5)] + [f"b{i}" for i in range(5)] + ["s"]
@@ -72,8 +83,10 @@ class TestAnalyze:
         ors = "; ".join("or { basic a%d; basic b%d }" % (i, i) for i in range(5))
         text = f'model "big" {comps} ft and {{ {ors}; basic s; basic s }}'
         path = write_model(tmp_path, "big.avm", text)
-        assert main(["analyze", path]) == 3
-        assert "inclusion-exclusion" in capsys.readouterr().err
+        assert main(["analyze", path, "--exact", "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert row["exact"] == "243/2048"  # (3/4)^5 * 1/2
+        assert row["method"] == "pivotal-decomposition"
 
     def test_json_report(self, abd_file, capsys):
         assert main(["analyze", abd_file, "--json", "--at", "1,2"]) == 0
@@ -163,15 +176,26 @@ class TestCompare:
         assert row["analytic"] == row["exhaustive"]
         assert row["verdict"] == "PASS"
 
-    def test_noncoherent_shared_marks_oracle_only(self, tmp_path, capsys):
+    def test_noncoherent_shared_analytic_equals_exhaustive(self, tmp_path, capsys):
         text = 'model "x" component a lambda=1 mu=1 ft xor { basic a; not { basic a } }'
         path = write_model(tmp_path, "x.avm", text)
+        assert main(["compare", path, "--at", "0.5", "--trials", "20", "--horizon", "100", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        steady, point = report["results"]
+        assert steady["analytic_exact"] == "1"
+        assert steady["analytic"] == steady["exhaustive"] == point["analytic"] == point["exhaustive"] == "1"
+        assert report["verdict"] == "PASS"
+
+    def test_noncoherent_shared_marks_oracle_only(self, tmp_path, capsys):
+        # past the pivot limit, so only the oracles give a value
+        path = write_model(tmp_path, "parity.avm", ak.serialize_model(xor_parity_model(13)))
         assert main(["compare", path, "--trials", "20", "--horizon", "100", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         row = report["results"][0]
         assert row["analytic"] is None
         assert row["analytic_note"] == "n/a (oracle only)"
-        assert row["exhaustive"] is not None  # enumeration still applies
+        assert row["exhaustive"] == "0"  # enumeration still applies
+        assert report["verdict"] == "PASS"
 
     def test_shared_leaf_coherent_ft_pie_column(self, tmp_path, capsys):
         text = (
