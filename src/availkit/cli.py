@@ -65,6 +65,19 @@ def fmt12(value: Union[Fraction, float, None]) -> Optional[str]:
     return format(float(value), ".12g")
 
 
+def _exact_text(value: Fraction) -> str:
+    """str(value), also past Python's 4300-digit int-to-str limit.
+
+    Decimal prints an int of any size; raising the limit process-wide
+    instead would change it for every caller in the process.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+        return "/".join(str(Decimal(part)) for part in parts)
+
+
 def _fmt_time(t: Optional[float]) -> str:
     return "steady" if t is None else format(float(t), ".12g")
 
@@ -87,8 +100,8 @@ def _parse_times(raw: Optional[str]) -> list[float]:
             t = float(part)
         except ValueError:
             raise _CliError(f"bad time value {part!r} in --at") from None
-        if t < 0 or math.isnan(t):
-            raise _CliError(f"time values must be >= 0, got {part!r}")
+        if not (math.isfinite(t) and t >= 0):
+            raise _CliError(f"time values must be finite and >= 0, got {part!r}")
         times.append(t)
     return times
 
@@ -107,8 +120,8 @@ def _sim_config(args: argparse.Namespace, horizon_required: bool = False) -> Sim
     if args.trials < 1:
         raise _CliError(f"--trials must be >= 1, got {args.trials}")
     horizon = args.horizon
-    if horizon is not None and not horizon > 0:
-        raise _CliError(f"--horizon must be > 0, got {horizon}")
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        raise _CliError(f"--horizon must be finite and > 0, got {horizon}")
     if horizon_required and horizon is None:
         raise _CliError("--horizon is required for steady-state simulation")
     threads = args.threads if args.threads is not None else _default_threads()
@@ -143,7 +156,7 @@ def _analysis_row(quantity: str, result: AnalysisResult) -> dict:
         "quantity": quantity,
         "time": _fmt_time(result.time),
         "value": fmt12(prob.value),
-        "exact": str(prob.value) if prob.exact else None,
+        "exact": _exact_text(prob.value) if prob.exact else None,
         "method": result.method,
     }
 
@@ -277,7 +290,7 @@ def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict
         "quantity": quantity,
         "time": _fmt_time(t),
         "analytic": fmt12(analytic_value),
-        "analytic_exact": str(analytic_value) if isinstance(analytic_value, Fraction) else None,
+        "analytic_exact": _exact_text(analytic_value) if isinstance(analytic_value, Fraction) else None,
         "analytic_note": analytic_note,
         "exhaustive": fmt12(exhaustive_value),
         "exhaustive_note": exhaustive_note,
@@ -404,7 +417,7 @@ def _add_sim_flags(sub: argparse.ArgumentParser, trials_default: int) -> None:
     sub.add_argument("--horizon", type=float, default=None, help="long-run simulation horizon")
     sub.add_argument("--at", default=None, help="comma-separated time points")
     sub.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
-    sub.add_argument("--threads", type=int, default=None, help="trial-level threads (default $AVAILKIT_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=None, help="threads for steady-state (--horizon) simulation only; never changes results (default $AVAILKIT_THREADS or 1)")
     sub.add_argument("--json", action="store_true", help="machine-readable report")
 
 

@@ -11,14 +11,27 @@ Two independent routes:
   as an alternating renewal process (exponential up and down durations,
   starting up at t=0) and average the structure function over trials.
 
-Random number contract: streams come from the Philox-4x64 counter-based
-generator.  The key is the 64-bit seed; the starting counter block is
-(0, 0, trial_index, component_index), and the draw index advances the
-low counter words.  A 64-bit word w becomes the open-interval uniform
-u = ((w >> 11) + 0.5) * 2**-53 and a duration -ln(u) / rate; draws within
-a stream alternate up duration, down duration.  Streams never overlap,
-so results are bitwise identical for a fixed seed regardless of trial
-ordering or thread count.
+Random number contract: each (trial, component) pair owns one stream of
+the Philox-4x64-10 counter-based generator (Salmon et al., SC'11), keyed
+by (seed mod 2**64, 0).  Word j of the stream (j = 0, 1, ...) is lane
+j mod 4 of the block at counter (j div 4 + 1, 0, trial, component): the
+first block is at counter word 0 = 1, because numpy's Philox increments
+the counter before it generates a block, so the stream is exactly what
+np.random.Philox(key=seed, counter=[0, 0, trial, component]) yields.
+A word w becomes the open-interval uniform u = ((w >> 11) + 0.5) * 2**-53
+and a duration -ln(u) / rate.  A stream is drawn in rounds of 2n words,
+n = max(4, int(1.2 * target / mean cycle) + 8) in the first round and
+doubled in each later one, for as long as the sum of its durations so
+far is <= target (the time point, or the horizon).  Words are consumed
+in order across rounds, and within a round they alternate up duration,
+down duration.  Streams never overlap, so results are bitwise identical
+for a fixed seed regardless of trial ordering, blocking or thread count.
+
+Point estimates generate the words of every trial of a component in one
+numpy evaluation of Philox over the counter grid; steady-state estimates
+draw each stream from np.random.Philox, one trial per task on a thread
+pool of SimConfig.threads workers.  Every stream may draw at most
+STREAM_DRAW_LIMIT words.
 
 Exhaustive enumeration is single-threaded (the assignment space could be
 partitioned, but the supported sizes do not need it).
@@ -69,9 +82,21 @@ __all__ = [
 ]
 
 EXHAUSTIVE_EVENT_LIMIT = 20
+# random words one renewal stream may draw (32 MiB of them); the largest
+# stream in the tests and benchmark workloads draws 18016
+STREAM_DRAW_LIMIT = 1 << 22
+# random words generated at once by the point sampler, bounding its memory
+POINT_BLOCK_WORDS = 1 << 18
 
 _WORD_SHIFT = np.uint64(11)
 _U_SCALE = 2.0 ** -53
+
+_MASK64 = 2 ** 64 - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments per round
+_PHILOX_ROUNDS = 10
 
 
 def structure_holds(expr: Expr, truth: Mapping[str, bool]) -> bool:
@@ -234,7 +259,11 @@ class RenewalTrajectory:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation request: trial count, long-run horizon, seed, threads."""
+    """Simulation request: trial count, long-run horizon, seed, threads.
+
+    threads sets the thread pool of steady-state simulation only; no
+    result depends on it.
+    """
 
     trials: int
     horizon: Optional[float] = None
@@ -252,29 +281,121 @@ class Estimate:
 
 
 def _stream(seed: int, trial: int, component: int) -> np.random.Generator:
-    key = seed & (2 ** 64 - 1)
+    key = seed & _MASK64
     return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, trial, component]))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products m * x, from 32-bit limbs."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    lo_lo = m_lo * x_lo
+    lo_hi = m_lo * x_hi
+    hi_lo = m_hi * x_lo
+    mid = (lo_lo >> _SHIFT32) + (lo_hi & _LO32) + (hi_lo & _LO32)
+    hi = m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, (mid << _SHIFT32) | (lo_lo & _LO32)
+
+
+def _philox_words(seed: int, trials: np.ndarray, component: int, start: int, count: int) -> np.ndarray:
+    """Words start .. start + count - 1 of one component's stream in each trial.
+
+    Returns a (len(trials), count) uint64 array equal, row by row, to the
+    words np.random.Philox(key=seed, counter=[0, 0, trial, component])
+    yields after skipping `start` words.
+    """
+    first = start // 4
+    x0 = np.arange(first + 1, (start + count - 1) // 4 + 2, dtype=np.uint64)[None, :]
+    x1 = np.uint64(0)
+    x2 = trials.astype(np.uint64)[:, None]
+    x3 = np.uint64(component)
+    k0, k1 = seed & _MASK64, 0
+    # the (trial, block) grid fills in by broadcasting: after round 3 every word has its full shape
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(len(trials), -1)
+    offset = start - 4 * first
+    return words[:, offset:offset + count]
+
+
+def _first_round_cycles(lam: float, mu: float, target: float) -> int:
+    """Cycles in a stream's first round: 1.2 times the expected count, plus 8."""
+    return max(4, int(target / (1.0 / lam + 1.0 / mu) * 1.2) + 8)
+
+
+def _check_draws(drawn: int) -> None:
+    if drawn > STREAM_DRAW_LIMIT:
+        raise ValueError(
+            f"simulation refused: a renewal stream would draw {drawn} random words, "
+            f"over the per-stream limit of {STREAM_DRAW_LIMIT}; shorten the time or horizon"
+        )
+
+
+def _durations(words: np.ndarray, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Up and down durations from the even and odd words of the last axis."""
+    u = ((words >> _WORD_SHIFT).astype(np.float64) + 0.5) * _U_SCALE
+    return -np.log(u[..., 0::2]) / lam, -np.log(u[..., 1::2]) / mu
 
 
 def _sample_cycles(
     gen: np.random.Generator, lam: float, mu: float, target: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating exponential durations until their sum strictly exceeds target."""
-    mean_cycle = 1.0 / lam + 1.0 / mu
-    n = max(4, int(target / mean_cycle * 1.2) + 8)
+    n = _first_round_cycles(lam, mu, target)
+    drawn = 0
     ups: list[np.ndarray] = []
     downs: list[np.ndarray] = []
     span = 0.0
     while span <= target:
-        words = gen.integers(0, 1 << 64, size=2 * n, dtype=np.uint64)
-        u = ((words >> _WORD_SHIFT).astype(np.float64) + 0.5) * _U_SCALE
-        up = -np.log(u[0::2]) / lam
-        down = -np.log(u[1::2]) / mu
+        drawn += 2 * n
+        _check_draws(drawn)
+        up, down = _durations(gen.integers(0, 1 << 64, size=2 * n, dtype=np.uint64), lam, mu)
         ups.append(up)
         downs.append(down)
         span += float(up.sum() + down.sum())
         n *= 2
     return np.concatenate(ups), np.concatenate(downs)
+
+
+def _up_at(seed: int, component: int, lam: float, mu: float, t: float, trials: np.ndarray) -> np.ndarray:
+    """Whether one component is up at t, in each of the given trials.
+
+    Draws the rounds _sample_cycles draws, for all these trials at once and at
+    most POINT_BLOCK_WORDS words at a time; only the streams whose span is
+    still <= t draw another round.  A later round's first duration is added
+    to the stream's last boundary before the cumulative sum, so every
+    boundary is the same float as in np.cumsum over all rounds.  The state
+    is the parity of the number of boundaries <= t.
+    """
+    n = _first_round_cycles(lam, mu, t)
+    drawn = 0
+    span = np.zeros(trials.size)
+    last = np.zeros(trials.size)  # each stream's latest boundary
+    passed = np.zeros(trials.size, dtype=np.int64)  # boundaries <= t
+    active = np.arange(trials.size)  # positions in trials of the streams still drawing
+    while active.size:
+        _check_draws(drawn + 2 * n)
+        rows_per_block = max(1, POINT_BLOCK_WORDS // (2 * n))
+        for lo in range(0, active.size, rows_per_block):
+            rows = active[lo:lo + rows_per_block]
+            up, down = _durations(_philox_words(seed, trials[rows], component, drawn, 2 * n), lam, mu)
+            span[rows] += up.sum(axis=1) + down.sum(axis=1)
+            steps = np.empty((rows.size, 2 * n))
+            steps[:, 0::2] = up
+            steps[:, 1::2] = down
+            steps[:, 0] += last[rows]
+            bounds = np.cumsum(steps, axis=1)
+            last[rows] = bounds[:, -1]
+            passed[rows] += np.count_nonzero(bounds <= t, axis=1)
+        drawn += 2 * n
+        n *= 2
+        active = active[span[active] <= t]
+    return passed % 2 == 0
 
 
 def sample_trajectory(
@@ -365,26 +486,24 @@ def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estim
     the structure function is evaluated on the component states at t.
     For block diagrams the mean estimates availability at t; for fault
     trees it estimates the top event probability (unavailability) at t.
+    Trials are drawn in batches, not on threads, so cfg.threads is unused.
     """
     _check_sim_model(model, cfg)
     t = float(t)
-    if t < 0 or math.isnan(t):
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     comps = _component_rates(model)
-    is_ft = model.is_fault_tree
-    body = model.body
-
-    def one_trial(trial: int) -> float:
-        truth = {}
+    widest = max(_first_round_cycles(lam, mu, t) for _, lam, mu in comps)
+    step = max(1, POINT_BLOCK_WORDS // (2 * widest))  # trials whose first rounds fill a block
+    values = np.empty(cfg.trials, dtype=np.float64)
+    for lo in range(0, cfg.trials, step):
+        trials = np.arange(lo, min(lo + step, cfg.trials))
+        leaves = {}
         for ci, (comp, lam, mu) in enumerate(comps):
-            gen = _stream(cfg.seed, trial, ci)
-            ups, downs = _sample_cycles(gen, lam, mu, t)
-            bounds = _boundaries(ups, downs)
-            up = int(np.searchsorted(bounds, t, side="right")) % 2 == 0
-            truth[comp] = (not up) if is_ft else up
-        return 1.0 if structure_holds(body, truth) else 0.0
-
-    return _estimate(_run_trials(one_trial, cfg.trials, cfg.threads))
+            up = _up_at(cfg.seed, ci, lam, mu, t, trials)
+            leaves[comp] = ~up if model.is_fault_tree else up
+        values[lo:lo + step] = _signal(model.body, leaves)
+    return _estimate(values)
 
 
 def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
@@ -396,8 +515,8 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     estimates steady availability; for fault trees, steady unavailability.
     """
     _check_sim_model(model, cfg)
-    if cfg.horizon is None or not cfg.horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {cfg.horizon}")
+    if cfg.horizon is None or not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     horizon = float(cfg.horizon)
     comps = _component_rates(model)
     is_ft = model.is_fault_tree

@@ -3,12 +3,16 @@ independent brute-force oracles (kept free of the code paths they check)."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
+import numpy as np
+
 import availkit as ak
+from availkit.oracle import _boundaries, _sample_cycles, _stream
 
 GATE_KINDS = ("and", "or", "nor", "nand", "xor", "not")
 
@@ -139,6 +143,26 @@ def complete_graph_model(n: int, block: bool = False) -> ak.SystemModel:
     return ak.SystemModel(f"k{n}", comps, body)
 
 
+def primes_in(lo: int, hi: int) -> list[int]:
+    """The primes p with lo <= p < hi, by a segmented sieve (lo >= 2)."""
+    flags = bytearray([1]) * (hi - lo)
+    for d in range(2, math.isqrt(hi - 1) + 1):
+        first = max(d * d, -(-lo // d) * d)
+        flags[first - lo::d] = bytes(len(range(first - lo, hi - lo, d)))
+    return [lo + i for i, flag in enumerate(flags) if flag]
+
+
+def prime_series_model(count: int, lo: int = 10 ** 6) -> ak.SystemModel:
+    """A series of `count` units with failure rates 1/p for distinct primes p >= lo.
+
+    Its steady availability is the product of p/(p + 1), whose numerator
+    is the product of the primes: about 6 * count digits for lo = 10^6.
+    """
+    primes = primes_in(lo, lo + 40 * count)[:count]
+    comps = {f"u{i}": ak.ComponentDef(f"u{i}", ak.RatePair(Fraction(1, p), 1)) for i, p in enumerate(primes)}
+    return ak.SystemModel(f"primes-{count}", comps, ak.Series(tuple(ak.Unit(c) for c in comps)))
+
+
 def steady_leaf_probs(model: ak.SystemModel) -> dict[str, ak.Probability]:
     """Exact leaf probabilities in the model's native polarity."""
     probs = {}
@@ -175,3 +199,27 @@ def brute_force_union_probability(cutsets: Iterable[frozenset], probs: dict) -> 
                 weight *= p if state[e] else 1 - p
             total += weight
     return total
+
+
+def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig) -> ak.Estimate:
+    """The per-trial point estimator that the batched one must equal exactly.
+
+    One np.random.Philox generator per (trial, component), drawn through
+    the steady-state sampler _sample_cycles; the state at t is read from
+    the boundaries with searchsorted and the structure with structure_holds.
+    """
+    comps = [
+        (c, float(model.components[c].rates.failure_rate), float(model.components[c].rates.repair_rate))
+        for c in ak.basic_events(model)
+    ]
+    values = np.empty(cfg.trials, dtype=np.float64)
+    for trial in range(cfg.trials):
+        truth = {}
+        for ci, (comp, lam, mu) in enumerate(comps):
+            ups, downs = _sample_cycles(_stream(cfg.seed, trial, ci), lam, mu, t)
+            up = int(np.searchsorted(_boundaries(ups, downs), t, side="right")) % 2 == 0
+            truth[comp] = (not up) if model.is_fault_tree else up
+        values[trial] = 1.0 if ak.structure_holds(model.body, truth) else 0.0
+    n = cfg.trials
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    return ak.Estimate(mean=float(values.mean()), std_error=se, trials=n)

@@ -1,13 +1,17 @@
 """CLI behavior: exit codes, golden output fragments, report stability."""
 
 import json
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 import availkit as ak
+from availkit import oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
-from support import xor_parity_model
+from support import prime_series_model, xor_parity_model
 
 
 @pytest.fixture()
@@ -15,6 +19,20 @@ def abd_file(tmp_path):
     path = tmp_path / "dfh3_abd.avm"
     path.write_text(ak.serialize_model(dfh3_abd()), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def primes_file(tmp_path):
+    # the exact steady value has more digits than Python's int-to-str limit
+    path = tmp_path / "primes.avm"
+    path.write_text(ak.serialize_model(prime_series_model(800)), encoding="utf-8")
+    return str(path)
+
+
+def parse_exact(text):
+    # int(Decimal(...)) is not subject to the int-to-str digit limit
+    num, den = text.split("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den)))
 
 
 @pytest.fixture()
@@ -88,6 +106,20 @@ class TestAnalyze:
         assert row["exact"] == "243/2048"  # (3/4)^5 * 1/2
         assert row["method"] == "pivotal-decomposition"
 
+    def test_non_finite_time_exit_2(self, abd_file, capsys):
+        assert main(["analyze", abd_file, "--at", "1,inf"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_exact_past_int_str_digit_limit(self, primes_file, capsys):
+        expected = ak.evaluate_steady(prime_series_model(800)).probability.value
+        assert expected.numerator.bit_length() * math.log10(2) > 4300
+        assert main(["analyze", primes_file, "--exact", "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert parse_exact(row["exact"]) == expected
+        assert main(["analyze", primes_file, "--exact"]) == 0
+        table_row = capsys.readouterr().out.splitlines()[-1].split()
+        assert table_row[3] == row["exact"]
+
     def test_json_report(self, abd_file, capsys):
         assert main(["analyze", abd_file, "--json", "--at", "1,2"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -135,6 +167,20 @@ class TestSimulate:
 
     def test_bad_flag_value_exit_2(self, abd_file, capsys):
         assert main(["simulate", abd_file, "--horizon", "-3"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--at", "inf"], ["--horizon", "inf"], ["--horizon", "10", "--at", "2,inf"]])
+    def test_non_finite_time_or_horizon_exit_2(self, abd_file, capsys, flags):
+        assert main(["simulate", abd_file, "--trials", "5"] + flags) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
+
+    def test_stream_draw_budget_exit_2(self, abd_file, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "STREAM_DRAW_LIMIT", 1000)
+        assert main(["simulate", abd_file, "--trials", "5", "--at", "100000"]) == 2
+        assert "per-stream limit of 1000" in capsys.readouterr().err
+        assert main(["simulate", abd_file, "--trials", "5", "--horizon", "100000"]) == 2
+        assert "per-stream limit of 1000" in capsys.readouterr().err
 
     def test_threads_default_from_env(self, abd_file, capsys, monkeypatch):
         monkeypatch.setenv("AVAILKIT_THREADS", "3")
@@ -209,6 +255,17 @@ class TestCompare:
         assert row["analytic"] == row["exhaustive"] == "0.333333333333"  # P(a down) = 1/3
         assert row["analytic_exact"] == "1/3"
 
+    @pytest.mark.parametrize("flags", [["--at", "inf"], ["--horizon", "inf"]])
+    def test_non_finite_time_or_horizon_exit_2(self, abd_file, capsys, flags):
+        assert main(["compare", abd_file, "--trials", "5"] + flags) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_analytic_exact_past_int_str_digit_limit(self, primes_file, capsys):
+        args = ["compare", primes_file, "--trials", "2", "--horizon", "1", "--json"]
+        assert main(args) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert parse_exact(row["analytic_exact"]) == ak.evaluate_steady(prime_series_model(800)).probability.value
+
     def test_point_rows_compared(self, abd_file, capsys):
         args = ["compare", abd_file, "--at", "0", "--trials", "30", "--horizon", "200", "--seed", "1", "--json"]
         assert main(args) == 0
@@ -278,6 +335,12 @@ class TestCasestudy:
         assert report["file"] == str(out_path)
         row = report["results"][0]
         assert row["analytic"] == row["exhaustive"]  # PIE route vs enumeration
+
+    @pytest.mark.parametrize("flags", [["--at", "inf"], ["--horizon", "inf"]])
+    def test_non_finite_time_or_horizon_exit_2(self, tmp_path, capsys, flags):
+        args = ["casestudy", "dfh3-abd", "--out", str(tmp_path / "abd.avm"), "--trials", "5"] + flags
+        assert main(args) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_unknown_name_exit_2(self, capsys):
         assert main(["casestudy", "nope"]) == 2

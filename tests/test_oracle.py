@@ -1,14 +1,19 @@
 """Exhaustive enumeration and renewal-process simulation oracles."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import availkit as ak
-from availkit.casestudies import dfh3_abd
+from availkit import oracle
+from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.oracle import ComponentState
-from support import random_model, steady_leaf_probs
+from support import random_model, reference_mc_point, steady_leaf_probs
 
 R13 = ak.RatePair("0.1", "0.3")
 R55 = ak.RatePair("0.5", "0.5")
@@ -232,3 +237,89 @@ class TestMonteCarlo:
         assert point == pytest.approx(point_enum, abs=1e-12)
         est_t = ak.mc_point_availability(model, t, ak.SimConfig(trials=4000, seed=43))
         assert abs(est_t.mean - point) <= 4 * est_t.std_error
+
+
+class TestPhilox:
+    # np.random.Philox reads counter entries of 2**63 and above through
+    # float64, so trial and component indices stay below that
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 64 - 1),
+        trials=st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=3),
+        component=st.integers(0, 2 ** 63 - 1),
+        start=st.integers(0, 70),
+        count=st.integers(1, 70),
+    )
+    def test_matches_numpy_philox(self, seed, trials, component, start, count):
+        # words start.. continue a stream that already gave `start` words,
+        # as a later round does: the draw crosses block and call boundaries
+        got = oracle._philox_words(seed, np.array(trials, dtype=np.uint64), component, start, count)
+        assert got.shape == (len(trials), count)
+        for row, trial in zip(got, trials):
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, trial, component]))
+            gen.integers(0, 1 << 64, size=start, dtype=np.uint64)
+            assert np.array_equal(row, gen.integers(0, 1 << 64, size=count, dtype=np.uint64))
+
+
+class TestBatchedPoint:
+    """The batched point estimator equals the per-trial reference exactly."""
+
+    @pytest.mark.parametrize(
+        "block_words, first_round",
+        [
+            (None, None),  # the module's own sizes
+            (64, None),  # blocks of a few trials split the trial range
+            (64, 1),  # rounds of 2, 4, 8, ... words: many rounds, split blocks
+        ],
+    )
+    def test_equals_per_trial_reference(self, monkeypatch, block_words, first_round):
+        if block_words is not None:
+            monkeypatch.setattr(oracle, "POINT_BLOCK_WORDS", block_words)
+        if first_round is not None:
+            # both estimators read the first round's size from this helper
+            monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: first_round)
+        rng = random.Random(31)
+        models = [dfh3_abd(), dfh3_ft()]
+        while len(models) < 14:
+            model = random_model(rng, ("abd", "coherent-ft", "ft")[len(models) % 3])
+            if not model.leaves_distinct:  # shared leaves in every random model
+                models.append(model)
+        for i, model in enumerate(models):
+            for t in (0.0, 0.4, 2.5, 9.0):
+                cfg = ak.SimConfig(trials=(2, 9, 41)[i % 3], seed=rng.randrange(2 ** 64))
+                got = ak.mc_point_availability(model, t, cfg)
+                assert got == reference_mc_point(model, t, cfg), (ak.serialize_model(model), t, cfg)
+
+
+class TestSimulationInputs:
+    SINGLE = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Unit("C"))
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_point_time_must_be_finite(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            ak.mc_point_availability(self.SINGLE, t, ak.SimConfig(trials=3, seed=1))
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_horizon_must_be_finite(self, horizon):
+        with pytest.raises(ValueError, match="finite"):
+            ak.mc_steady_availability(self.SINGLE, ak.SimConfig(trials=3, horizon=horizon, seed=1))
+
+    def test_stream_draw_budget(self, monkeypatch):
+        # R13's mean cycle is 40/3: t = 1000 asks for 2 * 98 words up front
+        monkeypatch.setattr(oracle, "STREAM_DRAW_LIMIT", 150)
+        cfg = ak.SimConfig(trials=3, horizon=1000.0, seed=1)
+        with pytest.raises(ValueError, match="limit of 150"):
+            ak.mc_point_availability(self.SINGLE, 1000.0, cfg)
+        with pytest.raises(ValueError, match="limit of 150"):
+            ak.mc_steady_availability(self.SINGLE, cfg)
+        assert ak.mc_point_availability(self.SINGLE, 100.0, cfg).trials == 3  # 2 * 17 words
+
+    def test_stream_draw_budget_counts_later_rounds(self, monkeypatch):
+        # rounds of 8, 16, 32, ... words: reaching t = 800 (about 60 cycles) needs a fourth round
+        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 4)
+        monkeypatch.setattr(oracle, "STREAM_DRAW_LIMIT", 8 + 16 + 32)
+        cfg = ak.SimConfig(trials=2, horizon=800.0, seed=1)
+        with pytest.raises(ValueError, match="limit of 56"):
+            ak.mc_point_availability(self.SINGLE, 800.0, cfg)
+        with pytest.raises(ValueError, match="limit of 56"):
+            ak.mc_steady_availability(self.SINGLE, cfg)
