@@ -64,14 +64,11 @@ from .model import (
 )
 from .modelfile import ModelFileError, ParseDiagnostic, SourceSpan, parse_model, serialize_model
 from .oracle import (
-    ComponentState,
     Estimate,
-    RenewalTrajectory,
     SimConfig,
     exhaustive_probability,
     mc_point_availability,
     mc_steady_availability,
-    sample_trajectory,
     structure_holds,
 )
 
@@ -127,13 +124,10 @@ __all__ = [
     "expand_to_cutsets",
     "minimize",
     # oracle
-    "ComponentState",
-    "RenewalTrajectory",
     "SimConfig",
     "Estimate",
     "structure_holds",
     "exhaustive_probability",
-    "sample_trajectory",
     "mc_point_availability",
     "mc_steady_availability",
     # modelfile

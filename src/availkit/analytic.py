@@ -150,8 +150,8 @@ def steady_unavailability(rates: RatePair) -> Probability:
 
 def _check_time(t: float) -> float:
     t = float(t)
-    if t < 0 or math.isnan(t):
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     return t
 
 

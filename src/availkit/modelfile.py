@@ -20,10 +20,11 @@ Grammar (whitespace insignificant, '#' comments run to end of line):
     NUMBER     := digits | digits '.' digits | digits '/' digits
 
 Numbers are exact: decimals are decimal fractions (0.1 is 1/10, never a
-binary float) and 'p/q' is a rational literal.  The serializer emits the
-canonical form (components in declaration order, two-space indentation,
-one construct per line, rates as exact rationals); parsing it back gives
-a structurally equal model, and serialization is idempotent.
+binary float) and 'p/q' is a rational literal.  Braces nest at most
+NESTING_LIMIT deep.  The serializer emits the canonical form (components
+in declaration order, two-space indentation, one construct per line,
+rates as exact rationals); parsing it back gives a structurally equal
+model, and serialization is idempotent.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ from .model import (
 )
 
 __all__ = ["SourceSpan", "ParseDiagnostic", "ModelFileError", "parse_model", "serialize_model"]
+
+# brace levels a model text may open; the parser and the deepest walk over
+# the model take about two stack frames per level, so this uses about half
+# of Python's default recursion limit of 1000 and leaves the rest to callers
+NESTING_LIMIT = 256
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -97,6 +104,7 @@ def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, line, line_start = 0, 1, 0
     n = len(text)
+    depth = 0
 
     def span_at(pos: int) -> SourceSpan:
         return SourceSpan(line=line, column=pos - line_start + 1, offset=pos)
@@ -140,6 +148,8 @@ def _lex(text: str) -> list[_Token]:
                 value = Fraction(literal)
             except ZeroDivisionError:
                 raise fail(start, f"zero denominator in rational literal {literal!r}") from None
+            except ValueError:  # past Python's int-string digit limit
+                raise fail(start, f"number literal too long to read ({len(literal)} characters)") from None
             tokens.append(_Token("number", literal, span_at(start), value=value))
             continue
         if c.isalpha() or c == "_":
@@ -149,6 +159,9 @@ def _lex(text: str) -> list[_Token]:
             tokens.append(_Token("ident", text[start:i], span_at(start)))
             continue
         if c in _SYMBOLS:
+            depth += (c == "{") - (c == "}")
+            if depth > NESTING_LIMIT:
+                raise fail(i, f"nesting deeper than {NESTING_LIMIT} levels")
             tokens.append(_Token("sym", c, span_at(i)))
             i += 1
             continue

@@ -2,10 +2,14 @@
 
 Two independent routes:
 
-* exhaustive_probability enumerates all joint up/down assignments of the
-  basic events and sums the structure-function indicator weighted by the
-  per-event Bernoulli probabilities.  It evaluates gate set definitions
-  literally, handles shared leaves, and is exact for rational inputs.
+* exhaustive_probability evaluates the structure function once over its
+  full truth table, all 2^n joint up/down assignments of the basic events
+  (event i is bit i of the row index), and contracts the table exactly,
+  one event at a time: with event i's probability a/D and the
+  denominators factored out, T <- a * T[bit i = 1] + (D - a) * T[bit i = 0]
+  over integers, giving the result as T / prod(D).  It evaluates gate set
+  definitions literally, handles shared leaves, and shares nothing with
+  the analytic engine but the lift of the inputs to rationals.
 
 * mc_point_availability / mc_steady_availability simulate each component
   as an alternating renewal process (exponential up and down durations,
@@ -32,16 +36,11 @@ numpy evaluation of Philox over the counter grid; steady-state estimates
 draw each stream from np.random.Philox, one trial per task on a thread
 pool of SimConfig.threads workers.  Every stream may draw at most
 STREAM_DRAW_LIMIT words.
-
-Exhaustive enumeration is single-threaded (the assignment space could be
-partitioned, but the supported sizes do not need it).
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +58,6 @@ from .model import (
     Not,
     Or,
     Parallel,
-    RatePair,
     Series,
     SystemModel,
     Unit,
@@ -70,13 +68,10 @@ from .model import (
 
 __all__ = [
     "EXHAUSTIVE_EVENT_LIMIT",
-    "ComponentState",
-    "RenewalTrajectory",
     "SimConfig",
     "Estimate",
     "structure_holds",
     "exhaustive_probability",
-    "sample_trajectory",
     "mc_point_availability",
     "mc_steady_availability",
 ]
@@ -92,6 +87,7 @@ _WORD_SHIFT = np.uint64(11)
 _U_SCALE = 2.0 ** -53
 
 _MASK64 = 2 ** 64 - 1
+_INT64_MAX = 2 ** 63 - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
@@ -106,48 +102,7 @@ def structure_holds(expr: Expr, truth: Mapping[str, bool]) -> bool:
     is "system available"; for a fault tree, truth maps events to
     "occurred" (component down) and the result is the top event.
     """
-    if isinstance(expr, (Unit, Basic)):
-        leaf = expr.component if isinstance(expr, Unit) else expr.event
-        return bool(truth[leaf])
-    if isinstance(expr, (Series, And)):
-        return all(structure_holds(c, truth) for c in expr.children)
-    if isinstance(expr, (Parallel, Or)):
-        return any(structure_holds(c, truth) for c in expr.children)
-    if isinstance(expr, Nor):
-        return not any(structure_holds(c, truth) for c in expr.children)
-    if isinstance(expr, Nand):
-        return all(not structure_holds(c, truth) for c in expr.negated) and all(
-            structure_holds(c, truth) for c in expr.plain
-        )
-    if isinstance(expr, Xor):
-        return structure_holds(expr.left, truth) != structure_holds(expr.right, truth)
-    if isinstance(expr, Not):
-        return not structure_holds(expr.child, truth)
-    raise TypeError(f"not a structure node: {expr!r}")
-
-
-def _compile(expr: Expr, index: Mapping[str, int], state: list[bool]) -> Callable[[], bool]:
-    """Bind the structure function to a mutable state list, once."""
-    if isinstance(expr, (Unit, Basic)):
-        i = index[expr.component if isinstance(expr, Unit) else expr.event]
-        return lambda: state[i]
-    if isinstance(expr, (Series, And, Parallel, Or, Nor)):
-        parts = [_compile(c, index, state) for c in expr.children]
-        if isinstance(expr, (Series, And)):
-            return lambda: all(p() for p in parts)
-        if isinstance(expr, Nor):
-            return lambda: not any(p() for p in parts)
-        return lambda: any(p() for p in parts)
-    if isinstance(expr, Nand):
-        neg = [_compile(c, index, state) for c in expr.negated]
-        pos = [_compile(c, index, state) for c in expr.plain]
-        return lambda: all(not p() for p in neg) and all(p() for p in pos)
-    if isinstance(expr, Xor):
-        left = _compile(expr.left, index, state)
-        right = _compile(expr.right, index, state)
-        return lambda: left() != right()
-    child = _compile(expr.child, index, state)
-    return lambda: not child()
+    return bool(_signal(expr, {leaf: np.array(bool(v)) for leaf, v in truth.items()}))
 
 
 def exhaustive_probability(
@@ -172,89 +127,32 @@ def exhaustive_probability(
         )
 
     exact = True
-    p_true: list[Fraction] = []
-    p_false: list[Fraction] = []
+    lifted: list[Fraction] = []
     for event in events:
         if event not in leaf_probs:
             raise KeyError(f"no probability for event {event!r}")
         value, value_exact = _exact_probability(leaf_probs[event], event)
         exact = exact and value_exact
-        p_true.append(value)
-        p_false.append(1 - value)
+        lifted.append(value)
 
-    index = {event: i for i, event in enumerate(events)}
-    state = [False] * n
-    holds = _compile(model.body, index, state)
-    total = Fraction(0)
-
-    def enumerate_from(i: int, weight: Fraction) -> None:
-        nonlocal total
-        if not weight:
-            return
-        if i == n:
-            if holds():
-                total += weight
-            return
-        state[i] = False
-        enumerate_from(i + 1, weight * p_false[i])
-        state[i] = True
-        enumerate_from(i + 1, weight * p_true[i])
-
-    enumerate_from(0, Fraction(1))
+    rows = np.arange(1 << n, dtype=np.int64)
+    table = _signal(model.body, {e: (rows >> i) & 1 == 1 for i, e in enumerate(events)})
+    # contract the highest bit first; every entry stays <= the product of the
+    # denominators so far, so int64 holds it until that product passes 2**63 - 1
+    weights = table.astype(np.int64)
+    scale = 1
+    for value in reversed(lifted):
+        a, d = value.numerator, value.denominator
+        scale *= d
+        if scale > _INT64_MAX and weights.dtype != object:
+            weights = weights.astype(object)
+        half = weights.size // 2
+        weights = a * weights[half:] + (d - a) * weights[:half]
+    total = Fraction(int(weights[0]), scale)
     return Probability(total if exact else float(total))
 
 
 # --- alternating renewal simulation -------------------------------------------
-
-
-class ComponentState(enum.Enum):
-    UP = "up"
-    DOWN = "down"
-
-
-@dataclass(frozen=True)
-class RenewalTrajectory:
-    """One simulated component history: alternating up and down durations.
-
-    Cycle k starts at S_k = sum of the first k-1 (up + down) pairs, with
-    S_1 = 0; the component is up on [S_k, S_k + T_k) and down on the rest
-    of the cycle.
-    """
-
-    up_durations: tuple[float, ...]
-    down_durations: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        ups = tuple(float(x) for x in self.up_durations)
-        downs = tuple(float(x) for x in self.down_durations)
-        object.__setattr__(self, "up_durations", ups)
-        object.__setattr__(self, "down_durations", downs)
-        if len(ups) != len(downs) or not ups:
-            raise ValueError("need equally many up and down durations, at least one cycle")
-        if any(d <= 0 for d in ups + downs):
-            raise ValueError("durations must be strictly positive")
-
-    @property
-    def cycle_starts(self) -> tuple[float, ...]:
-        starts = [0.0]
-        for up, down in zip(self.up_durations[:-1], self.down_durations[:-1]):
-            starts.append(starts[-1] + up + down)
-        return tuple(starts)
-
-    @property
-    def span(self) -> float:
-        return sum(self.up_durations) + sum(self.down_durations)
-
-    def state_at(self, t: float) -> ComponentState:
-        """State at time t: UP iff some cycle k has S_k <= t < S_k + T_k."""
-        if t < 0 or math.isnan(t):
-            raise ValueError(f"time must be >= 0, got {t}")
-        if t >= self.span:
-            raise ValueError(f"trajectory (span {self.span}) too short for t={t}")
-        starts = self.cycle_starts
-        k = bisect_right(starts, t) - 1
-        up = t < starts[k] + self.up_durations[k]
-        return ComponentState.UP if up else ComponentState.DOWN
 
 
 @dataclass(frozen=True)
@@ -398,15 +296,6 @@ def _up_at(seed: int, component: int, lam: float, mu: float, t: float, trials: n
     return passed % 2 == 0
 
 
-def sample_trajectory(
-    rates: RatePair, min_span: float, seed: int, trial: int = 0, component: int = 0
-) -> RenewalTrajectory:
-    """Sample one component trajectory extending strictly beyond min_span."""
-    gen = _stream(seed, trial, component)
-    ups, downs = _sample_cycles(gen, float(rates.failure_rate), float(rates.repair_rate), min_span)
-    return RenewalTrajectory(tuple(ups), tuple(downs))
-
-
 def _boundaries(ups: np.ndarray, downs: np.ndarray) -> np.ndarray:
     """Interleaved cumulative state-change times T1, T1+D1, T1+D1+T2, ..."""
     merged = np.empty(2 * len(ups), dtype=np.float64)
@@ -421,7 +310,7 @@ def _up_between(bounds: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _signal(expr: Expr, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Structure function over per-segment leaf truth arrays."""
+    """Structure function over leaf truth arrays: segments, trials or enumeration rows."""
     if isinstance(expr, (Unit, Basic)):
         return leaves[expr.component if isinstance(expr, Unit) else expr.event]
     if isinstance(expr, (Series, And)):
@@ -436,7 +325,9 @@ def _signal(expr: Expr, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
         return neg & pos
     if isinstance(expr, Xor):
         return _signal(expr.left, leaves) != _signal(expr.right, leaves)
-    return ~_signal(expr.child, leaves)
+    if isinstance(expr, Not):
+        return ~_signal(expr.child, leaves)
+    raise TypeError(f"not a structure node: {expr!r}")
 
 
 def _component_rates(model: SystemModel) -> list[tuple[str, float, float]]:

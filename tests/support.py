@@ -143,6 +143,28 @@ def complete_graph_model(n: int, block: bool = False) -> ak.SystemModel:
     return ak.SystemModel(f"k{n}", comps, body)
 
 
+def nested_model_text(kind: str, depth: int) -> str:
+    """.avm text whose braces nest exactly `depth` deep, over three shared components.
+
+    kind 'abd' alternates series and parallel, 'coherent-ft' alternates
+    and/or, and 'ft' cycles through every gate (a nand opens two levels).
+    """
+    gates = {"abd": ("series", "parallel"), "coherent-ft": ("and", "or"), "ft": ("nand", "xor", "not", "nor", "and", "or")}[kind]
+    leaf = "unit" if kind == "abd" else "basic"
+    text, level, i = f"{leaf} c0", 0, 0
+    while level < depth:
+        gate = gates[i % len(gates)]
+        i += 1
+        if gate == "nand" and depth - level >= 2:
+            text, level = f"nand {{ neg {{ basic c2 }}; pos {{ {text} }} }}", level + 2
+        elif gate == "not":
+            text, level = f"not {{ {text} }}", level + 1
+        elif gate != "nand":
+            text, level = f"{gate} {{ {leaf} c{1 + i % 2}; {text} }}", level + 1
+    comps = "".join(f"component c{j} lambda={j + 1}/4 mu=1\n" for j in range(3))
+    return f'model "nested-{depth}"\n{comps}{"abd" if kind == "abd" else "ft"}\n{text}\n'
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
     """The primes p with lo <= p < hi, by a segmented sieve (lo >= 2)."""
     flags = bytearray([1]) * (hi - lo)
@@ -173,6 +195,44 @@ def steady_leaf_probs(model: ak.SystemModel) -> dict[str, ak.Probability]:
         else:
             probs[event] = ak.steady_availability(rates)
     return probs
+
+
+def reference_holds(expr, truth: dict[str, bool]) -> bool:
+    """The structure function by plain recursion over the gate set definitions."""
+    if isinstance(expr, (ak.Unit, ak.Basic)):
+        return truth[expr.component if isinstance(expr, ak.Unit) else expr.event]
+    if isinstance(expr, (ak.Series, ak.And)):
+        return all(reference_holds(c, truth) for c in expr.children)
+    if isinstance(expr, (ak.Parallel, ak.Or)):
+        return any(reference_holds(c, truth) for c in expr.children)
+    if isinstance(expr, ak.Nor):
+        return not any(reference_holds(c, truth) for c in expr.children)
+    if isinstance(expr, ak.Nand):
+        negated = all(not reference_holds(c, truth) for c in expr.negated)
+        return negated and all(reference_holds(c, truth) for c in expr.plain)
+    if isinstance(expr, ak.Xor):
+        return reference_holds(expr.left, truth) != reference_holds(expr.right, truth)
+    return not reference_holds(expr.child, truth)
+
+
+def reference_exhaustive(model: ak.SystemModel, leaf_probs: dict) -> ak.Probability:
+    """exhaustive_probability row by row: the Fraction weight of every assignment that holds.
+
+    The result is exact unless some leaf probability is a float, and then
+    the exact sum rounded once.
+    """
+    events = ak.basic_events(model)
+    values = [leaf_probs[e].value if isinstance(leaf_probs[e], ak.Probability) else leaf_probs[e] for e in events]
+    probs = [Fraction(v) for v in values]
+    total = Fraction(0)
+    for bits in product((False, True), repeat=len(events)):
+        if reference_holds(model.body, dict(zip(events, bits))):
+            weight = Fraction(1)
+            for p, bit in zip(probs, bits):
+                weight *= p if bit else 1 - p
+            total += weight
+    exact = not any(isinstance(v, float) for v in values)
+    return ak.Probability(total if exact else float(total))
 
 
 def assignments(events: Sequence[str]) -> Iterable[dict[str, bool]]:
@@ -206,7 +266,7 @@ def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig) -> ak
 
     One np.random.Philox generator per (trial, component), drawn through
     the steady-state sampler _sample_cycles; the state at t is read from
-    the boundaries with searchsorted and the structure with structure_holds.
+    the boundaries with searchsorted and the structure with reference_holds.
     """
     comps = [
         (c, float(model.components[c].rates.failure_rate), float(model.components[c].rates.repair_rate))
@@ -219,7 +279,7 @@ def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig) -> ak
             ups, downs = _sample_cycles(_stream(cfg.seed, trial, ci), lam, mu, t)
             up = int(np.searchsorted(_boundaries(ups, downs), t, side="right")) % 2 == 0
             truth[comp] = (not up) if model.is_fault_tree else up
-        values[trial] = 1.0 if ak.structure_holds(model.body, truth) else 0.0
+        values[trial] = 1.0 if reference_holds(model.body, truth) else 0.0
     n = cfg.trials
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
     return ak.Estimate(mean=float(values.mean()), std_error=se, trials=n)

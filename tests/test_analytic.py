@@ -497,6 +497,19 @@ class TestEvaluatePoint:
         with pytest.raises(ValueError):
             ak.evaluate_point(dfh3_abd(), -1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        # inf used to return the steady value through floating point
+        calls = [
+            lambda: ak.inst_availability(R13, t),
+            lambda: ak.inst_unavailability(R13, t),
+            lambda: ak.reliability_exp(Fraction(1, 10), t),
+            lambda: ak.evaluate_point(dfh3_abd(), t),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6), st.floats(min_value=0.0, max_value=50.0))
     def test_matches_oracle_at_time(self, seed, t):

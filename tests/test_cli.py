@@ -11,7 +11,8 @@ import availkit as ak
 from availkit import oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
-from support import prime_series_model, xor_parity_model
+from availkit.modelfile import NESTING_LIMIT
+from support import nested_model_text, prime_series_model, xor_parity_model
 
 
 @pytest.fixture()
@@ -345,6 +346,38 @@ class TestCasestudy:
     def test_unknown_name_exit_2(self, capsys):
         assert main(["casestudy", "nope"]) == 2
         assert "unknown case study" in capsys.readouterr().err
+
+
+LIMIT_RUNS = {
+    "analyze": ["analyze", "--at", "1"],
+    "compare": ["compare", "--at", "1", "--trials", "20", "--horizon", "50"],
+    "simulate": ["simulate", "--at", "1", "--horizon", "50", "--trials", "20"],
+    "cutsets": ["cutsets", "--minimize"],
+}
+
+
+class TestInputLimits:
+    # cut sets need a coherent fault tree
+    @pytest.mark.parametrize(
+        "kind, command",
+        [(k, c) for k in ("abd", "coherent-ft", "ft") for c in LIMIT_RUNS if c != "cutsets" or k == "coherent-ft"],
+    )
+    def test_nesting_at_limit_runs_and_past_it_exit_2(self, tmp_path, capsys, kind, command):
+        name, *flags = LIMIT_RUNS[command]
+        at_limit = write_model(tmp_path, "limit.avm", nested_model_text(kind, NESTING_LIMIT))
+        assert main([name, at_limit, *flags]) == 0
+        capsys.readouterr()
+        past = write_model(tmp_path, "past.avm", nested_model_text(kind, NESTING_LIMIT + 1))
+        assert main([name, past, *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"nesting deeper than {NESTING_LIMIT} levels")
+        assert err[0].split(":")[0].isdigit() and err[0].split(":")[1].isdigit()
+
+    def test_rate_literal_past_int_string_limit_exit_2(self, tmp_path, capsys):
+        path = write_model(tmp_path, "big.avm", f'model "m" component A lambda={"9" * 5000} mu=1 abd unit A')
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["1:30: number literal too long to read (5000 characters)"]
 
 
 class TestUsage:

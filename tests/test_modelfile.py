@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import availkit as ak
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from support import random_model
+from availkit.modelfile import NESTING_LIMIT
+from support import nested_model_text, random_model
 
 MINIMAL = 'model "m" component A lambda=0.5 mu=0.5 abd { unit A }'
 
@@ -20,6 +21,14 @@ def span_valid(span, text):
     lines = text[: span.offset].split("\n")
     assert span.line == len(lines)
     assert span.column == len(lines[-1]) + 1
+
+
+def brace_depth(text):
+    depth = deepest = 0
+    for c in text:
+        depth += (c == "{") - (c == "}")
+        deepest = max(deepest, depth)
+    return deepest
 
 
 class TestParse:
@@ -128,6 +137,22 @@ class TestParseErrors:
 
     def test_empty_input(self):
         self.assert_error("", "expected 'model'")
+
+    @pytest.mark.parametrize("kind", ["abd", "coherent-ft", "ft"])
+    def test_nesting_limit(self, kind):
+        at_limit = nested_model_text(kind, NESTING_LIMIT)
+        assert brace_depth(at_limit) == NESTING_LIMIT
+        ak.parse_model(at_limit)
+        text = nested_model_text(kind, NESTING_LIMIT + 1)
+        err = self.assert_error(text, f"nesting deeper than {NESTING_LIMIT} levels")
+        offset = err.diagnostics[0].span.offset
+        assert text[offset] == "{" and brace_depth(text[: offset + 1]) == NESTING_LIMIT + 1
+
+    def test_rate_literal_past_int_string_limit(self):
+        literal = "7" * 5000
+        text = f'model "m" component A lambda={literal} mu=1 abd unit A'
+        err = self.assert_error(text, "number literal too long")
+        assert err.diagnostics[0].span.offset == text.index(literal)
 
 
 class TestSerialize:

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import availkit as ak
 from availkit import oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from availkit.oracle import ComponentState
-from support import random_model, reference_mc_point, steady_leaf_probs
+from support import random_model, reference_exhaustive, reference_mc_point, steady_leaf_probs
 
 R13 = ak.RatePair("0.1", "0.3")
 R55 = ak.RatePair("0.5", "0.5")
@@ -80,6 +79,51 @@ class TestExhaustive:
             assert got == expected, ak.serialize_model(model)
 
 
+def _leaf_probs(rng, events, mode):
+    """Leaf probabilities of one kind: exact, float, mixed or 0/1 (as ints, floats and Fractions)."""
+    def exact():
+        return Fraction(rng.randint(0, 12), 12) if rng.random() < 0.8 else ak.Probability(Fraction(rng.randint(1, 6), 7))
+
+    def floating():
+        return rng.choice([rng.random(), rng.random(), 1e-300, 1 - 2 ** -53])
+
+    pick = {
+        "exact": exact,
+        "float": floating,
+        "mixed": lambda: exact() if rng.random() < 0.5 else floating(),
+        "zero-one": lambda: rng.choice([0, 1, 0.0, 1.0, Fraction(0), Fraction(1)]),
+    }[mode]
+    return {e: pick() for e in events}
+
+
+class TestExhaustiveContraction:
+    """The truth-table contraction equals a row-by-row Fraction sum, in value and type."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float", "mixed", "zero-one"])
+    @pytest.mark.parametrize("kind", ["abd", "coherent-ft", "ft"])
+    def test_equals_row_by_row_reference(self, kind, mode):
+        rng = random.Random(f"{kind}-{mode}")
+        for _ in range(25):
+            model = random_model(rng, kind, max_components=8)
+            probs = _leaf_probs(rng, ak.basic_events(model), mode)
+            got = ak.exhaustive_probability(model, probs)
+            want = reference_exhaustive(model, probs)
+            assert got == want and type(got.value) is type(want.value), ak.serialize_model(model)
+
+    def test_event_limit_model_equals_closed_form(self):
+        # a ring of 20 shared events: each sits in two ANDs, and every third one is negated once
+        ids = [f"e{i}" for i in range(oracle.EXHAUSTIVE_EVENT_LIMIT)]
+        terms = []
+        for i, e in enumerate(ids):
+            nxt = ak.Basic(ids[(i + 1) % len(ids)])
+            terms.append(ak.And((ak.Basic(e), ak.Not(nxt) if i % 3 == 0 else nxt)))
+        comps = {c: ak.ComponentDef(c, ak.RatePair(Fraction(i + 1, 7), Fraction(3, i + 2))) for i, c in enumerate(ids)}
+        model = ak.SystemModel("ring", comps, ak.Or(tuple(terms)))
+        got = ak.exhaustive_probability(model, steady_leaf_probs(model)).value
+        assert isinstance(got, Fraction)
+        assert got == ak.evaluate_steady(model).probability.value
+
+
 class TestStructureHolds:
     def test_gate_truth_tables(self):
         a, b = ak.Basic("a"), ak.Basic("b")
@@ -101,49 +145,52 @@ class TestStructureHolds:
         assert ak.structure_holds(series, {"a": True, "b": True})
         assert not ak.structure_holds(series, {"a": True, "b": False})
 
+    def test_missing_leaf_raises_even_when_short_circuited(self):
+        # every leaf is read, so a missing one raises whatever the others say
+        with pytest.raises(KeyError):
+            ak.structure_holds(ak.Or((ak.Basic("a"), ak.Basic("b"))), {"a": True})
+
+    def test_not_a_structure_node(self):
+        with pytest.raises(TypeError, match="not a structure node"):
+            ak.structure_holds("a", {"a": True})
+
 
 class TestTrajectory:
+    """Renewal trajectories as the simulators hold them: _boundaries and _up_between."""
+
+    @staticmethod
+    def up_at(ups, downs, t):
+        bounds = oracle._boundaries(np.array(ups), np.array(downs))
+        return bool(oracle._up_between(bounds, np.array([t]))[0])
+
     def test_state_at_zero_is_up(self):
-        traj = ak.RenewalTrajectory((2.0,), (1.0,))
-        assert traj.state_at(0.0) is ComponentState.UP
+        assert self.up_at((2.0,), (1.0,), 0.0)
 
     def test_repair_interval_is_down(self):
-        traj = ak.RenewalTrajectory((2.0,), (1.0,))
-        assert traj.state_at(2.5) is ComponentState.DOWN
+        assert not self.up_at((2.0,), (1.0,), 2.5)
 
     def test_second_cycle_up(self):
-        traj = ak.RenewalTrajectory((2.0, 5.0), (1.0, 1.0))
-        assert traj.state_at(3.1) is ComponentState.UP
+        assert self.up_at((2.0, 5.0), (1.0, 1.0), 3.1)
 
     def test_boundaries(self):
-        traj = ak.RenewalTrajectory((2.0, 5.0), (1.0, 1.0))
-        assert traj.state_at(2.0) is ComponentState.DOWN  # repair starts
-        assert traj.state_at(3.0) is ComponentState.UP  # second cycle starts
+        assert not self.up_at((2.0, 5.0), (1.0, 1.0), 2.0)  # repair starts
+        assert self.up_at((2.0, 5.0), (1.0, 1.0), 3.0)  # second cycle starts
 
     def test_cycle_starts(self):
-        traj = ak.RenewalTrajectory((2.0, 5.0, 1.0), (1.0, 1.0, 4.0))
-        assert traj.cycle_starts == (0.0, 3.0, 9.0)
-        assert traj.span == 14.0
+        bounds = oracle._boundaries(np.array([2.0, 5.0, 1.0]), np.array([1.0, 1.0, 4.0]))
+        # cycles start at 0, 3 and 9; the last boundary is the span
+        assert bounds.tolist() == [2.0, 3.0, 8.0, 9.0, 10.0, 14.0]
 
-    def test_too_short_rejected(self):
-        traj = ak.RenewalTrajectory((2.0,), (1.0,))
-        with pytest.raises(ValueError):
-            traj.state_at(3.0)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ak.RenewalTrajectory((1.0, 2.0), (1.0,))
-        with pytest.raises(ValueError):
-            ak.RenewalTrajectory((0.0,), (1.0,))
-
-    def test_sample_trajectory_deterministic_and_long_enough(self):
-        a = ak.sample_trajectory(R13, 50.0, seed=3)
-        b = ak.sample_trajectory(R13, 50.0, seed=3)
-        c = ak.sample_trajectory(R13, 50.0, seed=4)
-        assert a == b
-        assert a != c
-        assert a.span > 50.0
-        assert all(d > 0 for d in a.up_durations + a.down_durations)
+    def test_sample_cycles_deterministic_and_long_enough(self):
+        a = oracle._sample_cycles(oracle._stream(3, 0, 0), 0.1, 0.3, 50.0)
+        b = oracle._sample_cycles(oracle._stream(3, 0, 0), 0.1, 0.3, 50.0)
+        c = oracle._sample_cycles(oracle._stream(4, 0, 0), 0.1, 0.3, 50.0)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], c[0])
+        ups, downs = a
+        assert len(ups) == len(downs)
+        assert ups.sum() + downs.sum() > 50.0
+        assert (ups > 0).all() and (downs > 0).all()
 
 
 class TestMonteCarlo:
