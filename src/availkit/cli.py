@@ -417,7 +417,7 @@ def _add_sim_flags(sub: argparse.ArgumentParser, trials_default: int) -> None:
     sub.add_argument("--horizon", type=float, default=None, help="long-run simulation horizon")
     sub.add_argument("--at", default=None, help="comma-separated time points")
     sub.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
-    sub.add_argument("--threads", type=int, default=None, help="threads for steady-state (--horizon) simulation only; never changes results (default $AVAILKIT_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=None, help="accepted and reported, but changes nothing: simulation runs trials in batches without threads (default $AVAILKIT_THREADS or 1)")
     sub.add_argument("--json", action="store_true", help="machine-readable report")
 
 

@@ -229,14 +229,19 @@ def _node_children(expr: Expr) -> list[tuple[str, Expr]]:
 
 
 def iter_leaves(expr: Expr) -> Iterator[str]:
-    """Component ids at the leaves, in document order (with repeats)."""
-    if isinstance(expr, Unit):
-        yield expr.component
-    elif isinstance(expr, Basic):
-        yield expr.event
-    else:
-        for _, child in _node_children(expr):
-            yield from iter_leaves(child)
+    """Component ids at the leaves, in document order (with repeats).
+
+    Walks with an explicit stack, so any nesting depth works.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Unit):
+            yield node.component
+        elif isinstance(node, Basic):
+            yield node.event
+        else:
+            stack.extend(child for _, child in reversed(_node_children(node)))
 
 
 @dataclass(frozen=True)
@@ -301,37 +306,35 @@ def validate(model: SystemModel) -> list[Diagnostic]:
             diags.append(Diagnostic(f"{problem} at {cid}", path))
 
     want_gate = model.is_fault_tree
-    _walk(model, model.body, "body", want_gate, diags)
+    stack: list[tuple[Expr, str]] = [(model.body, "body")]  # explicit, so any nesting depth works
+    while stack:
+        expr, path = stack.pop()
+        is_gate = isinstance(expr, _GATE_NODES)
+        is_block = isinstance(expr, _BLOCK_NODES)
+        if not (is_gate or is_block):
+            diags.append(Diagnostic(f"unexpected node {type(expr).__name__}", path))
+            continue
+        if is_gate != want_gate:
+            kind = "gate" if is_gate else "block"
+            diags.append(Diagnostic(f"{kind} node {type(expr).__name__} in the wrong structure kind", path))
+            continue
+
+        if isinstance(expr, (Unit, Basic)):
+            leaf = expr.component if isinstance(expr, Unit) else expr.event
+            if leaf not in model.components:
+                diags.append(Diagnostic(f"unknown component reference {leaf!r}", path))
+            continue
+
+        if isinstance(expr, (Series, Parallel, And, Or, Nor)) and not expr.children:
+            diags.append(Diagnostic(f"{type(expr).__name__} node has no children", path))
+        if isinstance(expr, Nand):
+            if not expr.negated:
+                diags.append(Diagnostic("Nand node has an empty negated group", path))
+            if not expr.plain:
+                diags.append(Diagnostic("Nand node has an empty plain group", path))
+        for segment, child in reversed(_node_children(expr)):
+            stack.append((child, path + segment))
     return diags
-
-
-def _walk(model: SystemModel, expr: Expr, path: str, want_gate: bool, diags: list[Diagnostic]) -> None:
-    is_gate = isinstance(expr, _GATE_NODES)
-    is_block = isinstance(expr, _BLOCK_NODES)
-    if not (is_gate or is_block):
-        diags.append(Diagnostic(f"unexpected node {type(expr).__name__}", path))
-        return
-    if is_gate != want_gate:
-        kind = "gate" if is_gate else "block"
-        diags.append(Diagnostic(f"{kind} node {type(expr).__name__} in the wrong structure kind", path))
-        return
-
-    if isinstance(expr, (Unit, Basic)):
-        leaf = expr.component if isinstance(expr, Unit) else expr.event
-        if leaf not in model.components:
-            diags.append(Diagnostic(f"unknown component reference {leaf!r}", path))
-        return
-
-    if isinstance(expr, (Series, Parallel, And, Or, Nor)) and not expr.children:
-        diags.append(Diagnostic(f"{type(expr).__name__} node has no children", path))
-    if isinstance(expr, Nand):
-        if not expr.negated:
-            diags.append(Diagnostic("Nand node has an empty negated group", path))
-        if not expr.plain:
-            diags.append(Diagnostic("Nand node has an empty plain group", path))
-
-    for segment, child in _node_children(expr):
-        _walk(model, child, path + segment, want_gate, diags)
 
 
 def basic_events(model: SystemModel) -> list[str]:

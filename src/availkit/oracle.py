@@ -31,20 +31,24 @@ in order across rounds, and within a round they alternate up duration,
 down duration.  Streams never overlap, so results are bitwise identical
 for a fixed seed regardless of trial ordering, blocking or thread count.
 
-Point estimates generate the words of every trial of a component in one
-numpy evaluation of Philox over the counter grid; steady-state estimates
-draw each stream from np.random.Philox, one trial per task on a thread
-pool of SimConfig.threads workers.  Every stream may draw at most
-STREAM_DRAW_LIMIT words.
+Both estimators simulate trials in blocks and share one round loop
+(_rounds).  Point estimates generate the words of every trial of a
+component in one numpy evaluation of Philox over the counter grid.
+Steady-state estimates draw each stream from one C np.random.Philox,
+re-pointed at the stream's counter, and integrate a whole block of
+trials at once: every boundary of every component goes into one
+(trials, columns) grid, one row-wise sort orders each trial's state
+changes, and each component's state at each change is the parity of its
+boundaries so far.  Neither uses threads, so SimConfig.threads changes
+nothing.  Every stream may draw at most STREAM_DRAW_LIMIT words.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -82,6 +86,10 @@ EXHAUSTIVE_EVENT_LIMIT = 20
 STREAM_DRAW_LIMIT = 1 << 22
 # random words generated at once by the point sampler, bounding its memory
 POINT_BLOCK_WORDS = 1 << 18
+# random words the first rounds of one block of steady-state trials draw,
+# bounding the block's boundary grid; at 2**18, a DFH-3 casestudy process
+# at horizon 3000 peaked at 54 MB RSS instead of 38 MB, and ran no faster
+STEADY_BLOCK_WORDS = 1 << 15
 
 _WORD_SHIFT = np.uint64(11)
 _U_SCALE = 2.0 ** -53
@@ -159,8 +167,8 @@ def exhaustive_probability(
 class SimConfig:
     """Simulation request: trial count, long-run horizon, seed, threads.
 
-    threads sets the thread pool of steady-state simulation only; no
-    result depends on it.
+    threads is accepted for compatibility and changes nothing: both
+    estimators simulate trials in batches, without threads.
     """
 
     trials: int
@@ -176,11 +184,6 @@ class Estimate:
     mean: float
     std_error: float
     trials: int
-
-
-def _stream(seed: int, trial: int, component: int) -> np.random.Generator:
-    key = seed & _MASK64
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, trial, component]))
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,48 +243,38 @@ def _durations(words: np.ndarray, lam: float, mu: float) -> tuple[np.ndarray, np
     return -np.log(u[..., 0::2]) / lam, -np.log(u[..., 1::2]) / mu
 
 
-def _sample_cycles(
-    gen: np.random.Generator, lam: float, mu: float, target: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating exponential durations until their sum strictly exceeds target."""
+def _rounds(
+    lam: float,
+    mu: float,
+    target: float,
+    streams: int,
+    draw: Callable[[np.ndarray, int, int], np.ndarray],
+    block_words: int,
+) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+    """Boundaries of `streams` renewal streams of one component, round by round.
+
+    Every stream draws rounds of 2n words, n = _first_round_cycles in the
+    first round and doubled in each later one, for as long as the sum of its
+    durations so far is <= target.  draw(rows, start, count) returns words
+    start .. start + count - 1 of the streams at positions rows, one row
+    each.  Yields (rows, start, bounds): bounds[i] are boundaries start ..
+    of stream rows[i], the interleaved cumulative sums T1, T1+D1, T1+D1+T2,
+    ...  A later round's first duration is added to the stream's last
+    boundary before the cumulative sum, so every boundary is the same float
+    as in np.cumsum over all rounds.  At most block_words words are drawn
+    at a time.
+    """
     n = _first_round_cycles(lam, mu, target)
     drawn = 0
-    ups: list[np.ndarray] = []
-    downs: list[np.ndarray] = []
-    span = 0.0
-    while span <= target:
-        drawn += 2 * n
-        _check_draws(drawn)
-        up, down = _durations(gen.integers(0, 1 << 64, size=2 * n, dtype=np.uint64), lam, mu)
-        ups.append(up)
-        downs.append(down)
-        span += float(up.sum() + down.sum())
-        n *= 2
-    return np.concatenate(ups), np.concatenate(downs)
-
-
-def _up_at(seed: int, component: int, lam: float, mu: float, t: float, trials: np.ndarray) -> np.ndarray:
-    """Whether one component is up at t, in each of the given trials.
-
-    Draws the rounds _sample_cycles draws, for all these trials at once and at
-    most POINT_BLOCK_WORDS words at a time; only the streams whose span is
-    still <= t draw another round.  A later round's first duration is added
-    to the stream's last boundary before the cumulative sum, so every
-    boundary is the same float as in np.cumsum over all rounds.  The state
-    is the parity of the number of boundaries <= t.
-    """
-    n = _first_round_cycles(lam, mu, t)
-    drawn = 0
-    span = np.zeros(trials.size)
-    last = np.zeros(trials.size)  # each stream's latest boundary
-    passed = np.zeros(trials.size, dtype=np.int64)  # boundaries <= t
-    active = np.arange(trials.size)  # positions in trials of the streams still drawing
+    span = np.zeros(streams)
+    last = np.zeros(streams)  # each stream's latest boundary
+    active = np.arange(streams)  # the streams still drawing
     while active.size:
         _check_draws(drawn + 2 * n)
-        rows_per_block = max(1, POINT_BLOCK_WORDS // (2 * n))
+        rows_per_block = max(1, block_words // (2 * n))
         for lo in range(0, active.size, rows_per_block):
             rows = active[lo:lo + rows_per_block]
-            up, down = _durations(_philox_words(seed, trials[rows], component, drawn, 2 * n), lam, mu)
+            up, down = _durations(draw(rows, drawn, 2 * n), lam, mu)
             span[rows] += up.sum(axis=1) + down.sum(axis=1)
             steps = np.empty((rows.size, 2 * n))
             steps[:, 0::2] = up
@@ -289,24 +282,109 @@ def _up_at(seed: int, component: int, lam: float, mu: float, t: float, trials: n
             steps[:, 0] += last[rows]
             bounds = np.cumsum(steps, axis=1)
             last[rows] = bounds[:, -1]
-            passed[rows] += np.count_nonzero(bounds <= t, axis=1)
+            yield rows, drawn, bounds
         drawn += 2 * n
         n *= 2
-        active = active[span[active] <= t]
+        active = active[span[active] <= target]
+
+
+def _up_at(seed: int, component: int, lam: float, mu: float, t: float, trials: np.ndarray) -> np.ndarray:
+    """Whether one component is up at t, in each of the given trials.
+
+    The words of all these trials come from _philox_words, at most
+    POINT_BLOCK_WORDS at a time.  The state is the parity of the number of
+    boundaries <= t.
+    """
+    def draw(rows: np.ndarray, start: int, count: int) -> np.ndarray:
+        return _philox_words(seed, trials[rows], component, start, count)
+
+    passed = np.zeros(trials.size, dtype=np.int64)  # boundaries <= t
+    for rows, _, bounds in _rounds(lam, mu, t, trials.size, draw, POINT_BLOCK_WORDS):
+        passed[rows] += np.count_nonzero(bounds <= t, axis=1)
     return passed % 2 == 0
 
 
-def _boundaries(ups: np.ndarray, downs: np.ndarray) -> np.ndarray:
-    """Interleaved cumulative state-change times T1, T1+D1, T1+D1+T2, ..."""
-    merged = np.empty(2 * len(ups), dtype=np.float64)
-    merged[0::2] = ups
-    merged[1::2] = downs
-    return np.cumsum(merged)
+def _stream_words(bitgen: np.random.Philox, trials: np.ndarray, component: int, start: int, count: int) -> np.ndarray:
+    """_philox_words drawn from the C generator bitgen, re-pointed at each stream in turn.
+
+    bitgen must be keyed by the seed.  Its counter is set to the block
+    before the one holding word `start`, with an empty buffer, so the next
+    block it generates is that one.
+    """
+    state = bitgen.state
+    state["buffer_pos"] = 4  # empty: the next word comes from a fresh block
+    skip = start % 4
+    words = np.empty((trials.size, count), dtype=np.uint64)
+    for i, trial in enumerate(trials):
+        state["state"]["counter"] = np.array([start // 4, 0, trial, component], dtype=np.uint64)
+        bitgen.state = state
+        words[i] = bitgen.random_raw(skip + count)[skip:]
+    return words
 
 
-def _up_between(bounds: np.ndarray, times: np.ndarray) -> np.ndarray:
-    # even number of completed phases means the up phase of some cycle
-    return np.searchsorted(bounds, times, side="right") % 2 == 0
+def _steady_grid(
+    bitgen: np.random.Philox, comps: list[tuple[str, float, float]], trials: np.ndarray, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every boundary of every component in the given trials, as a (trials, columns) grid.
+
+    Column 0 is 0.0; then each component's boundaries follow in order,
+    as wide as its longest stream, with the columns a shorter stream did
+    not draw set to +inf.  Also returns each column's component index
+    (-1 for column 0).
+    """
+    columns = [np.zeros((trials.size, 1))]
+    owner = [np.full(1, -1)]
+    for ci, (_, lam, mu) in enumerate(comps):
+        def draw(rows: np.ndarray, start: int, count: int) -> np.ndarray:
+            return _stream_words(bitgen, trials[rows], ci, start, count)
+
+        rounds = list(_rounds(lam, mu, horizon, trials.size, draw, STEADY_BLOCK_WORDS))
+        width = max(start + bounds.shape[1] for _, start, bounds in rounds)
+        cols = np.full((trials.size, width), np.inf)
+        for rows, start, bounds in rounds:
+            cols[rows, start:start + bounds.shape[1]] = bounds
+        columns.append(cols)
+        owner.append(np.full(width, ci))
+    return np.concatenate(columns, axis=1), np.concatenate(owner)
+
+
+def _time_held(model: SystemModel, events: list[str], grid: np.ndarray, owner: np.ndarray, horizon: float) -> np.ndarray:
+    """Per row of grid, the time in [0, horizon) during which the structure function holds.
+
+    A row holds one trial's state-change times in any column order:
+    owner[j] is the index in events of the component that column j
+    toggles, or -1 for a column that toggles none, such as the 0.0 every
+    row needs.  Times >= horizon, +inf included, are ignored.  Components
+    start up.  The epochs are the distinct times below the horizon; each
+    lasts to the next epoch, or to the horizon, and a component's state in
+    it is the parity of its boundaries <= the epoch.  Each row's sum runs
+    over its own contiguous durations in epoch order, so it is the same
+    float as the sum over that trial alone.
+    """
+    order = np.argsort(grid, axis=1)
+    times = np.take_along_axis(grid, order, axis=1)
+    after = np.empty_like(times)
+    after[:, :-1] = times[:, 1:]
+    after[:, -1] = np.inf
+    epoch = (times < horizon) & (after != times)  # the last entry of each equal-time run
+    durations = np.minimum(after, horizon) - times
+    leaves = {}
+    for group in range(0, len(events), 64):
+        # component group + b flips bit b; the running XOR holds every state of the group
+        mine = (owner >= group) & (owner < group + 64)
+        bits = np.zeros(owner.size, dtype=np.uint64)
+        bits[mine] = np.left_shift(np.uint64(1), (owner[mine] - group).astype(np.uint64))
+        parity = np.bitwise_xor.accumulate(bits[order], axis=1)[epoch]
+        for b, event in enumerate(events[group:group + 64]):
+            up = (parity & np.uint64(1 << b)) == 0
+            leaves[event] = ~up if model.is_fault_tree else up
+    holds = np.zeros_like(epoch)
+    holds[epoch] = _signal(model.body, leaves)
+    held = durations[holds]
+    counts = np.count_nonzero(holds, axis=1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return np.array([held[lo:hi].sum() for lo, hi in zip(starts, ends)])
 
 
 def _signal(expr: Expr, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -336,23 +414,6 @@ def _component_rates(model: SystemModel) -> list[tuple[str, float, float]]:
         rates = model.components[comp].rates
         out.append((comp, float(rates.failure_rate), float(rates.repair_rate)))
     return out
-
-
-def _run_trials(fn: Callable[[int], float], trials: int, threads: int) -> np.ndarray:
-    """Run per-trial work into a trial-indexed array; order-independent reduce."""
-    values = np.empty(trials, dtype=np.float64)
-    threads = max(1, min(threads, trials))
-    if threads == 1:
-        for i in range(trials):
-            values[i] = fn(i)
-        return values
-    chunks = np.array_split(np.arange(trials), threads)
-    def work(chunk: np.ndarray) -> None:
-        for i in chunk:
-            values[i] = fn(int(i))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, chunks))
-    return values
 
 
 def _estimate(values: np.ndarray) -> Estimate:
@@ -404,31 +465,21 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     structure function is integrated exactly over the segments between
     state changes (no time-step sampling).  For block diagrams the mean
     estimates steady availability; for fault trees, steady unavailability.
+    Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words,
+    not on threads, so cfg.threads is unused.
     """
     _check_sim_model(model, cfg)
     if cfg.horizon is None or not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     horizon = float(cfg.horizon)
     comps = _component_rates(model)
-    is_ft = model.is_fault_tree
-    body = model.body
-
-    def one_trial(trial: int) -> float:
-        bounds_by_comp = []
-        toggles = [np.array([0.0])]
-        for ci, (comp, lam, mu) in enumerate(comps):
-            gen = _stream(cfg.seed, trial, ci)
-            ups, downs = _sample_cycles(gen, lam, mu, horizon)
-            bounds = _boundaries(ups, downs)
-            bounds_by_comp.append((comp, bounds))
-            toggles.append(bounds[bounds < horizon])
-        epochs = np.unique(np.concatenate(toggles))
-        durations = np.diff(np.append(epochs, horizon))
-        leaves = {}
-        for comp, bounds in bounds_by_comp:
-            up = _up_between(bounds, epochs)
-            leaves[comp] = ~up if is_ft else up
-        holds = _signal(body, leaves)
-        return float(durations[holds].sum() / horizon)
-
-    return _estimate(_run_trials(one_trial, cfg.trials, cfg.threads))
+    events = [comp for comp, _, _ in comps]
+    first_rounds = sum(2 * _first_round_cycles(lam, mu, horizon) for _, lam, mu in comps)
+    step = max(1, STEADY_BLOCK_WORDS // first_rounds)  # trials whose first rounds fill a block
+    bitgen = np.random.Philox(key=cfg.seed & _MASK64)
+    values = np.empty(cfg.trials, dtype=np.float64)
+    for lo in range(0, cfg.trials, step):
+        trials = np.arange(lo, min(lo + step, cfg.trials))
+        grid, owner = _steady_grid(bitgen, comps, trials, horizon)
+        values[lo:lo + step] = _time_held(model, events, grid, owner, horizon) / horizon
+    return _estimate(values)

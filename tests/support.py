@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 import availkit as ak
-from availkit.oracle import _boundaries, _sample_cycles, _stream
+from availkit import oracle
 
 GATE_KINDS = ("and", "or", "nor", "nand", "xor", "not")
 
@@ -197,6 +197,84 @@ def steady_leaf_probs(model: ak.SystemModel) -> dict[str, ak.Probability]:
     return probs
 
 
+def _reference_children(expr) -> list[tuple[str, object]]:
+    if isinstance(expr, (ak.Series, ak.Parallel, ak.And, ak.Or, ak.Nor)):
+        return [(f".children[{i}]", c) for i, c in enumerate(expr.children)]
+    if isinstance(expr, ak.Nand):
+        return [(f".negated[{i}]", c) for i, c in enumerate(expr.negated)] + [
+            (f".plain[{i}]", c) for i, c in enumerate(expr.plain)
+        ]
+    if isinstance(expr, ak.Xor):
+        return [(".left", expr.left), (".right", expr.right)]
+    if isinstance(expr, ak.Not):
+        return [(".child", expr.child)]
+    return []
+
+
+def reference_leaves(expr) -> list[str]:
+    """iter_leaves by plain recursion: leaf ids in document order, with repeats."""
+    if isinstance(expr, ak.Unit):
+        return [expr.component]
+    if isinstance(expr, ak.Basic):
+        return [expr.event]
+    return [leaf for _, child in _reference_children(expr) for leaf in reference_leaves(child)]
+
+
+def reference_body_diagnostics(model: ak.SystemModel, expr=None, path: str = "body") -> list[ak.Diagnostic]:
+    """validate's findings on the body, by plain recursion in document order."""
+    expr = model.body if expr is None else expr
+    gates = (ak.Basic, ak.And, ak.Or, ak.Nor, ak.Nand, ak.Xor, ak.Not)
+    is_gate = isinstance(expr, gates)
+    if not (is_gate or isinstance(expr, (ak.Unit, ak.Series, ak.Parallel))):
+        return [ak.Diagnostic(f"unexpected node {type(expr).__name__}", path)]
+    if is_gate != model.is_fault_tree:
+        kind = "gate" if is_gate else "block"
+        return [ak.Diagnostic(f"{kind} node {type(expr).__name__} in the wrong structure kind", path)]
+    if isinstance(expr, (ak.Unit, ak.Basic)):
+        leaf = reference_leaves(expr)[0]
+        return [] if leaf in model.components else [ak.Diagnostic(f"unknown component reference {leaf!r}", path)]
+    out = []
+    if isinstance(expr, (ak.Series, ak.Parallel, ak.And, ak.Or, ak.Nor)) and not expr.children:
+        out.append(ak.Diagnostic(f"{type(expr).__name__} node has no children", path))
+    if isinstance(expr, ak.Nand):
+        if not expr.negated:
+            out.append(ak.Diagnostic("Nand node has an empty negated group", path))
+        if not expr.plain:
+            out.append(ak.Diagnostic("Nand node has an empty plain group", path))
+    for segment, child in _reference_children(expr):
+        out += reference_body_diagnostics(model, child, path + segment)
+    return out
+
+
+def corrupt(rng: random.Random, expr, rate: float = 0.15):
+    """A copy of expr with some subtrees replaced by invalid ones.
+
+    The replacements are a dangling leaf, an empty gate or block, a Nand
+    with an empty group, a node of the other structure kind, and an object
+    that is no node at all.
+    """
+    if rng.random() < rate:
+        return rng.choice([
+            ak.Unit("ghost"),
+            ak.Basic("ghost"),
+            ak.And(()),
+            ak.Series(()),
+            ak.Nand((), (expr,)),
+            ak.Nand((expr,), ()),
+            ak.Or((ak.Unit("ghost"), expr)),
+            "junk",
+        ])
+    if isinstance(expr, (ak.Series, ak.Parallel, ak.And, ak.Or, ak.Nor)):
+        return type(expr)(tuple(corrupt(rng, c, rate) for c in expr.children))
+    if isinstance(expr, ak.Nand):
+        return ak.Nand(tuple(corrupt(rng, c, rate) for c in expr.negated), tuple(corrupt(rng, c, rate) for c in expr.plain))
+    if isinstance(expr, ak.Xor):
+        return ak.Xor(corrupt(rng, expr.left, rate), corrupt(rng, expr.right, rate))
+    if isinstance(expr, ak.Not):
+        return ak.Not(corrupt(rng, expr.child, rate))
+    return expr
+
+
 def reference_holds(expr, truth: dict[str, bool]) -> bool:
     """The structure function by plain recursion over the gate set definitions."""
     if isinstance(expr, (ak.Unit, ak.Basic)):
@@ -261,25 +339,106 @@ def brute_force_union_probability(cutsets: Iterable[frozenset], probs: dict) -> 
     return total
 
 
-def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig) -> ak.Estimate:
-    """The per-trial point estimator that the batched one must equal exactly.
+def _reference_stream(seed: int, trial: int, component: int) -> np.random.Generator:
+    """The (trial, component) stream of the oracle module's random number contract."""
+    return np.random.Generator(np.random.Philox(key=seed % 2 ** 64, counter=[0, 0, trial, component]))
 
-    One np.random.Philox generator per (trial, component), drawn through
-    the steady-state sampler _sample_cycles; the state at t is read from
-    the boundaries with searchsorted and the structure with reference_holds.
+
+def _reference_cycles(gen: np.random.Generator, lam: float, mu: float, target: float) -> np.ndarray:
+    """One stream's boundaries: rounds of 2n words, n doubling, while the span so far is <= target.
+
+    The first round's size is read from oracle._first_round_cycles, so a
+    test that patches it changes both this and the estimators.
     """
-    comps = [
+    n = oracle._first_round_cycles(lam, mu, target)
+    ups, downs = [], []
+    span = 0.0
+    while span <= target:
+        words = gen.integers(0, 1 << 64, size=2 * n, dtype=np.uint64)
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        up, down = -np.log(u[0::2]) / lam, -np.log(u[1::2]) / mu
+        ups.append(up)
+        downs.append(down)
+        span += float(up.sum() + down.sum())
+        n *= 2
+    merged = np.empty(2 * sum(len(up) for up in ups))
+    merged[0::2] = np.concatenate(ups)
+    merged[1::2] = np.concatenate(downs)
+    return np.cumsum(merged)
+
+
+def _reference_rates(model: ak.SystemModel) -> list[tuple[str, float, float]]:
+    return [
         (c, float(model.components[c].rates.failure_rate), float(model.components[c].rates.repair_rate))
         for c in ak.basic_events(model)
     ]
+
+
+def _reference_estimate(values: np.ndarray) -> ak.Estimate:
+    n = len(values)
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    return ak.Estimate(mean=float(values.mean()), std_error=se, trials=n)
+
+
+def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig) -> ak.Estimate:
+    """The per-trial point estimator that the batched one must equal exactly.
+
+    One np.random.Philox generator per (trial, component), drawn in the
+    rounds of _reference_cycles; the state at t is read from the
+    boundaries with searchsorted and the structure with reference_holds.
+    """
     values = np.empty(cfg.trials, dtype=np.float64)
     for trial in range(cfg.trials):
         truth = {}
-        for ci, (comp, lam, mu) in enumerate(comps):
-            ups, downs = _sample_cycles(_stream(cfg.seed, trial, ci), lam, mu, t)
-            up = int(np.searchsorted(_boundaries(ups, downs), t, side="right")) % 2 == 0
+        for ci, (comp, lam, mu) in enumerate(_reference_rates(model)):
+            bounds = _reference_cycles(_reference_stream(cfg.seed, trial, ci), lam, mu, t)
+            up = int(np.searchsorted(bounds, t, side="right")) % 2 == 0
             truth[comp] = (not up) if model.is_fault_tree else up
         values[trial] = 1.0 if reference_holds(model.body, truth) else 0.0
-    n = cfg.trials
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return ak.Estimate(mean=float(values.mean()), std_error=se, trials=n)
+    return _reference_estimate(values)
+
+
+def reference_time_held(bounds_by_comp: dict[str, np.ndarray], horizon: float, holds) -> float:
+    """Time in [0, horizon) during which holds(truth) is true, one trial at a time.
+
+    bounds_by_comp gives each component's sorted state-change times (it
+    starts up); truth maps each component to "is up".  The epochs are the
+    distinct change times below the horizon, found with np.unique, and
+    each component's state in an epoch is read with searchsorted.
+    """
+    toggles = [np.array([0.0])] + [b[b < horizon] for b in bounds_by_comp.values()]
+    epochs = np.unique(np.concatenate(toggles))
+    durations = np.diff(np.append(epochs, horizon))
+    ups = {c: np.searchsorted(b, epochs, side="right") % 2 == 0 for c, b in bounds_by_comp.items()}
+    # holds is read once per distinct joint state; up to 62 components code a state as one integer
+    states = np.stack(list(ups.values()), axis=1)
+    if states.shape[1] <= 62:
+        _, first, index = np.unique(states @ (1 << np.arange(states.shape[1])), return_index=True, return_inverse=True)
+    else:
+        _, first, index = np.unique(states, axis=0, return_index=True, return_inverse=True)
+    held = np.array([holds(dict(zip(ups, map(bool, states[i])))) for i in first], dtype=bool)
+    return durations[held[index.ravel()]].sum()
+
+
+def reference_mc_steady(model: ak.SystemModel, cfg: ak.SimConfig) -> ak.Estimate:
+    """The per-trial steady-state estimator that the batched one must equal exactly.
+
+    One np.random.Philox generator per (trial, component), drawn in the
+    rounds of _reference_cycles out to the horizon; the structure,
+    read with reference_holds, is integrated over the epochs of
+    reference_time_held.
+    """
+    horizon = float(cfg.horizon)
+    values = np.empty(cfg.trials, dtype=np.float64)
+
+    def holds(up: dict[str, bool]) -> bool:
+        truth = {c: not v for c, v in up.items()} if model.is_fault_tree else up
+        return reference_holds(model.body, truth)
+
+    for trial in range(cfg.trials):
+        bounds = {
+            comp: _reference_cycles(_reference_stream(cfg.seed, trial, ci), lam, mu, horizon)
+            for ci, (comp, lam, mu) in enumerate(_reference_rates(model))
+        }
+        values[trial] = reference_time_held(bounds, horizon, holds) / horizon
+    return _reference_estimate(values)

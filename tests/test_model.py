@@ -1,11 +1,14 @@
 """Model types, validation diagnostics, and basic-event extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import availkit as ak
 from availkit.casestudies import dfh3_abd, dfh3_ft
+from availkit.model import iter_leaves
+from support import corrupt, random_model, reference_body_diagnostics, reference_leaves
 
 
 def one_component_model(rates=("0.5", "0.5"), body=None):
@@ -120,3 +123,36 @@ class TestLeavesDistinct:
     def test_repeated(self):
         model = one_component_model(body=ak.Parallel((ak.Unit("A"), ak.Unit("A"))))
         assert model.leaves_distinct is False
+
+
+def nand_chain(depth, bottom="a"):
+    """Nand((Basic(e_k),), (level k - 1,)) for k = 1 .. depth over Basic(bottom), e_k = e{k % 5}."""
+    expr = ak.Basic(bottom)
+    for k in range(1, depth + 1):
+        expr = ak.Nand((ak.Basic(f"e{k % 5}"),), (expr,))
+    comps = {c: ak.ComponentDef(c, ak.RatePair(1, 1)) for c in ["a"] + [f"e{i}" for i in range(5)]}
+    return ak.SystemModel("chain", comps, expr)
+
+
+class TestIterativeWalks:
+    """validate's walk and iter_leaves use explicit stacks: same output as recursion, at any depth."""
+
+    @pytest.mark.parametrize("kind", ["abd", "coherent-ft", "ft"])
+    def test_equal_recursive_reference(self, kind):
+        rng = random.Random(f"walks-{kind}")
+        for _ in range(60):
+            model = random_model(rng, kind)
+            model = ak.SystemModel(model.name, model.components, corrupt(rng, model.body))
+            diags = [d for d in ak.validate(model) if d.path.startswith("body")]
+            assert diags == reference_body_diagnostics(model), model.body
+            assert list(iter_leaves(model.body)) == reference_leaves(model.body)
+
+    def test_deep_nand_chain(self):
+        model = nand_chain(3000)
+        assert ak.validate(model) == []
+        assert ak.basic_events(model) == ["e0", "e4", "e3", "e2", "e1", "a"]
+        assert len(list(iter_leaves(model.body))) == 3001
+
+    def test_deep_dangling_leaf_has_full_path(self):
+        diags = ak.validate(nand_chain(3000, bottom="ghost"))
+        assert diags == [ak.Diagnostic("unknown component reference 'ghost'", "body" + ".plain[0]" * 3000)]

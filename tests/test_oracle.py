@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 import availkit as ak
 from availkit import oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from support import random_model, reference_exhaustive, reference_mc_point, steady_leaf_probs
+from support import (
+    random_model,
+    reference_exhaustive,
+    reference_holds,
+    reference_mc_point,
+    reference_mc_steady,
+    reference_time_held,
+    steady_leaf_probs,
+)
 
 R13 = ak.RatePair("0.1", "0.3")
 R55 = ak.RatePair("0.5", "0.5")
@@ -156,41 +165,56 @@ class TestStructureHolds:
 
 
 class TestTrajectory:
-    """Renewal trajectories as the simulators hold them: _boundaries and _up_between."""
+    """Renewal trajectories as the steady-state sampler holds them: boundary rounds and the sweep over them."""
 
-    @staticmethod
-    def up_at(ups, downs, t):
-        bounds = oracle._boundaries(np.array(ups), np.array(downs))
-        return bool(oracle._up_between(bounds, np.array([t]))[0])
+    SINGLE = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Unit("C"))
+
+    @classmethod
+    def up_time(cls, ups, downs, horizon):
+        steps = np.empty(2 * len(ups))
+        steps[0::2], steps[1::2] = ups, downs
+        bounds = np.cumsum(steps)
+        grid = np.concatenate(([0.0], bounds))[None, :]
+        owner = np.array([-1] + [0] * bounds.size)
+        return float(oracle._time_held(cls.SINGLE, ["C"], grid, owner, horizon)[0])
 
     def test_state_at_zero_is_up(self):
-        assert self.up_at((2.0,), (1.0,), 0.0)
+        assert self.up_time((2.0,), (1.0,), 1.5) == 1.5
 
     def test_repair_interval_is_down(self):
-        assert not self.up_at((2.0,), (1.0,), 2.5)
+        assert self.up_time((2.0,), (1.0,), 2.5) == 2.0
 
     def test_second_cycle_up(self):
-        assert self.up_at((2.0, 5.0), (1.0, 1.0), 3.1)
+        assert self.up_time((2.0, 5.0), (1.0, 1.0), 3.5) == 2.5
 
     def test_boundaries(self):
-        assert not self.up_at((2.0, 5.0), (1.0, 1.0), 2.0)  # repair starts
-        assert self.up_at((2.0, 5.0), (1.0, 1.0), 3.0)  # second cycle starts
+        # a state change at the horizon is not counted: its phase has length 0
+        assert self.up_time((2.0, 5.0), (1.0, 1.0), 2.0) == 2.0  # repair starts
+        assert self.up_time((2.0, 5.0), (1.0, 1.0), 3.0) == 2.0  # second cycle starts
 
-    def test_cycle_starts(self):
-        bounds = oracle._boundaries(np.array([2.0, 5.0, 1.0]), np.array([1.0, 1.0, 4.0]))
-        # cycles start at 0, 3 and 9; the last boundary is the span
-        assert bounds.tolist() == [2.0, 3.0, 8.0, 9.0, 10.0, 14.0]
+    def test_cycle_starts(self, monkeypatch):
+        # rounds of 2 then 4 words whose durations are the words themselves:
+        # cycles start at 0, 3 and 9 across the round boundary, and the span 3 <= 5 asks for a second round
+        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
+        monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: (words[:, 0::2] * 1.0, words[:, 1::2] * 1.0))
+        words = np.array([2, 1, 5, 1, 1, 4, 9, 9], dtype=np.uint64)
+        rounds = list(oracle._rounds(1.0, 1.0, 5.0, 1, lambda rows, start, count: words[None, start:start + count], 64))
+        assert [start for _, start, _ in rounds] == [0, 2]
+        assert np.concatenate([bounds[0] for _, _, bounds in rounds]).tolist() == [2.0, 3.0, 8.0, 9.0, 10.0, 14.0]
 
-    def test_sample_cycles_deterministic_and_long_enough(self):
-        a = oracle._sample_cycles(oracle._stream(3, 0, 0), 0.1, 0.3, 50.0)
-        b = oracle._sample_cycles(oracle._stream(3, 0, 0), 0.1, 0.3, 50.0)
-        c = oracle._sample_cycles(oracle._stream(4, 0, 0), 0.1, 0.3, 50.0)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert not np.array_equal(a[0], c[0])
-        ups, downs = a
-        assert len(ups) == len(downs)
-        assert ups.sum() + downs.sum() > 50.0
-        assert (ups > 0).all() and (downs > 0).all()
+    def test_rounds_deterministic_and_long_enough(self):
+        def grid(seed):
+            return oracle._steady_grid(np.random.Philox(key=seed), [("C", 0.1, 0.3)], np.arange(3), 50.0)
+
+        a, owner = grid(3)
+        assert np.array_equal(a, grid(3)[0])
+        assert not np.array_equal(a, grid(4)[0])
+        assert owner.tolist() == [-1] + [0] * (a.shape[1] - 1)
+        for row in a:
+            bounds = row[np.isfinite(row)]
+            assert bounds[0] == 0.0 and (np.diff(bounds) > 0).all()  # positive durations
+            assert bounds[-1] > 50.0
+            assert np.isinf(row[bounds.size:]).all()  # padding only after the stream's own rounds
 
 
 class TestMonteCarlo:
@@ -336,6 +360,130 @@ class TestBatchedPoint:
                 cfg = ak.SimConfig(trials=(2, 9, 41)[i % 3], seed=rng.randrange(2 ** 64))
                 got = ak.mc_point_availability(model, t, cfg)
                 assert got == reference_mc_point(model, t, cfg), (ak.serialize_model(model), t, cfg)
+
+
+def same_estimate(got, want):
+    """Estimates equal in every field, a single trial's nan standard error included."""
+    return got == want or (
+        (got.mean, got.trials) == (want.mean, want.trials) and math.isnan(got.std_error) and math.isnan(want.std_error)
+    )
+
+
+class TestBatchedSteady:
+    """The batched steady-state estimator equals the per-trial reference exactly."""
+
+    @pytest.mark.parametrize(
+        "block_words, first_round",
+        [
+            (None, None),  # the module's own sizes
+            (64, None),  # blocks of a few trials, rounds split into single streams
+            (64, 1),  # rounds of 2, 4, 8, ... words: later rounds and +inf padding
+        ],
+    )
+    def test_equals_per_trial_reference(self, monkeypatch, block_words, first_round):
+        if block_words is not None:
+            monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", block_words)
+        if first_round is not None:
+            # both estimators read the first round's size from this helper
+            monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: first_round)
+        rng = random.Random(37)
+        models = [dfh3_abd(), dfh3_ft()]
+        while len(models) < 14:
+            model = random_model(rng, ("abd", "coherent-ft", "ft")[len(models) % 3])
+            if not model.leaves_distinct:  # shared leaves in every random model
+                models.append(model)
+        for i, model in enumerate(models):
+            horizons = (0.3, 5.0, 200.0, 3000.0) if i < 2 else (0.3, 5.0, 200.0)
+            for j, horizon in enumerate(horizons):
+                seed = (-1 - rng.randrange(2 ** 70), 2 ** 64 + rng.randrange(2 ** 70), rng.randrange(2 ** 64))[(i + j) % 3]
+                cfg = ak.SimConfig(trials=(1, 2, 9, 41)[(i + j) % 4], horizon=horizon, seed=seed)
+                got = ak.mc_steady_availability(model, cfg)
+                assert same_estimate(got, reference_mc_steady(model, cfg)), (ak.serialize_model(model), cfg)
+
+    @pytest.mark.parametrize("block", [True, False])
+    def test_more_components_than_bits_in_a_word(self, block):
+        # 130 components: the parity sweep keeps their states in three 64-bit words
+        names = [f"c{i}" for i in range(130)]
+        comps = {c: ak.ComponentDef(c, ak.RatePair(Fraction(i % 7 + 1, 3), Fraction(i % 5 + 1, 2))) for i, c in enumerate(names)}
+        if block:
+            body = ak.Series(tuple(ak.Parallel((ak.Unit(a), ak.Unit(b))) for a, b in zip(names[0::2], names[1::2])))
+        else:
+            pairs = zip(names[0::2], names[1::2])
+            body = ak.Or(tuple(ak.And((ak.Basic(a), ak.Xor(ak.Basic(b), ak.Basic(names[0])))) for a, b in pairs))
+        model = ak.SystemModel("wide", comps, body)
+        cfg = ak.SimConfig(trials=3, horizon=4.0, seed=2 ** 64 + 9)
+        assert ak.mc_steady_availability(model, cfg) == reference_mc_steady(model, cfg)
+
+    def test_peak_memory(self):
+        # the boundary grid of a block stays small next to the process (the benchmark bounds peak RSS)
+        for model in (dfh3_abd(), dfh3_ft()):
+            tracemalloc.start()
+            try:
+                ak.mc_steady_availability(model, ak.SimConfig(trials=100, horizon=3000.0, seed=1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2 ** 20, (model.name, peak)
+
+
+SHARED = np.cumsum(np.arange(1, 201) * 0.6180339887498949 % 1.0 + 0.05).tolist()
+
+
+class TestTimeHeld:
+    """The block sweep integrates hand-made boundary grids as np.unique + searchsorted does per trial."""
+
+    BODIES = {
+        "series": ak.Series((ak.Unit("a"), ak.Unit("b"))),
+        "parallel": ak.Parallel((ak.Unit("a"), ak.Unit("b"))),
+        "unit": ak.Unit("a"),
+        "xor": ak.Xor(ak.Basic("a"), ak.Basic("b")),
+        "nand": ak.Nand((ak.Basic("a"),), (ak.Basic("b"),)),
+    }
+    # one dict per trial: each component's sorted boundaries
+    GRIDS = {
+        "same-instant": ([{"a": [1.0, 2.0, 4.0], "b": [1.0, 3.0, 4.0, 7.0]}], 6.0),
+        "at-horizon": ([{"a": [1.0, 2.5, 3.0], "b": [0.5, 2.5]}], 2.5),
+        "inf-tail": ([{"a": [1.0, 9.0], "b": [2.0, 3.0, 4.0, 5.0, 11.0]}, {"a": [0.5, 1.5, 2.5, 3.5, 10.0], "b": [6.0, 12.0]}], 8.0),
+        "zero-and-repeat": ([{"a": [0.0, 1.0, 1.0, 2.0], "b": [1.0, 2.0, 2.0]}], 3.0),
+        "all-below-horizon": ([{"a": [1.0, 2.0], "b": [1.5, 2.5]}], 4.0),
+        # 200 instants at which both components toggle, with inexact spacings: a sum
+        # of the held durations that took a zero-length epoch per tie would round differently
+        "shared-instants": ([{"a": SHARED, "b": SHARED}], SHARED[100] + 0.5 * (SHARED[101] - SHARED[100])),
+    }
+
+    @staticmethod
+    def grid(trials, shuffle):
+        """The trials' boundaries as one grid: a 0.0 column, then each component's columns, +inf past a short row."""
+        columns, owner = [np.zeros((len(trials), 1))], [-1]
+        for ci, comp in enumerate("ab"):
+            width = max(len(t[comp]) for t in trials)
+            cols = np.full((len(trials), width), np.inf)
+            for row, t in enumerate(trials):
+                cols[row, :len(t[comp])] = t[comp]
+            columns.append(cols)
+            owner += [ci] * width
+        grid, owner = np.concatenate(columns, axis=1), np.array(owner)
+        if shuffle:  # the sweep reads columns in any order
+            perm = np.random.default_rng(5).permutation(owner.size)
+            grid, owner = grid[:, perm], owner[perm]
+        return grid, owner
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("grid_name", list(GRIDS))
+    @pytest.mark.parametrize("body_name", list(BODIES))
+    def test_equals_unique_and_searchsorted(self, body_name, grid_name, shuffle):
+        body = self.BODIES[body_name]
+        model = gate_model(body)
+        trials, horizon = self.GRIDS[grid_name]
+        grid, owner = self.grid(trials, shuffle)
+        got = oracle._time_held(model, ["a", "b"], grid, owner, horizon)
+
+        def holds(up):
+            return reference_holds(body, {c: not v for c, v in up.items()} if model.is_fault_tree else up)
+
+        for row, trial in enumerate(trials):
+            bounds = {c: np.array(trial[c]) for c in "ab"}
+            assert got[row] == reference_time_held(bounds, horizon, holds), (row, trial)
 
 
 class TestSimulationInputs:

@@ -1,6 +1,11 @@
-"""The package's public surface: availkit.__all__ changes only on purpose, with a CHANGES.md entry."""
+"""The package's public surface: availkit.__all__, SimConfig and the CLI's --threads change only on purpose, with a CHANGES.md entry."""
+
+import dataclasses
+import json
 
 import availkit
+from availkit.casestudies import dfh3_abd
+from availkit.cli import main
 
 PUBLIC = [
     "__version__",
@@ -71,3 +76,17 @@ def test_all_is_the_pinned_surface():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert hasattr(availkit, name), name
+
+
+def test_sim_config_fields_and_defaults():
+    fields = [(f.name, f.default) for f in dataclasses.fields(availkit.SimConfig)]
+    assert fields == [("trials", dataclasses.MISSING), ("horizon", None), ("seed", 0), ("threads", 1)]
+
+
+def test_threads_flag_accepted_and_reported(tmp_path, capsys):
+    # --threads changes no result, but stays a valid flag and a --json key
+    path = tmp_path / "dfh3_abd.avm"
+    path.write_text(availkit.serialize_model(dfh3_abd()), encoding="utf-8")
+    args = ["simulate", str(path), "--threads", "4", "--horizon", "50", "--trials", "5", "--json"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["threads"] == 4
