@@ -527,6 +527,11 @@ def evaluate_steady(model: SystemModel) -> AnalysisResult:
     with inclusion-exclusion past the pivot limit.
     """
     _require_valid(model)
+    return _steady(model)
+
+
+def _steady(model: SystemModel) -> AnalysisResult:
+    """evaluate_steady of a model already validated (parse_model validates)."""
     leaf = steady_unavailability if model.is_fault_tree else steady_availability
     return _evaluate(model, {cid: leaf(c.rates).value for cid, c in model.components.items()})
 
@@ -537,7 +542,12 @@ def evaluate_point(model: SystemModel, t: float) -> AnalysisResult:
     Leaves take their point probabilities (floats); repeated leaves are
     handled as in evaluate_steady.
     """
-    t = _check_time(t)
     _require_valid(model)
+    return _point(model, t)
+
+
+def _point(model: SystemModel, t: float) -> AnalysisResult:
+    """evaluate_point of a model already validated (parse_model validates)."""
+    t = _check_time(t)
     leaf = inst_unavailability if model.is_fault_tree else inst_availability
     return _evaluate(model, {cid: leaf(c.rates, t).value for cid, c in model.components.items()}, t)

@@ -17,18 +17,24 @@ Grammar (whitespace insignificant, '#' comments run to end of line):
                 | 'not' '{' gate '}'
                 | '{' gate '}'
     IDENT      := [A-Za-z_][A-Za-z0-9_]*
-    NUMBER     := digits | digits '.' digits | digits '/' digits
+    NUMBER     := [0-9]+ | [0-9]+ '.' [0-9]+ | [0-9]+ '/' [0-9]+
+    STRING     := '"' (any character but '"' and newline)* '"'
 
-Numbers are exact: decimals are decimal fractions (0.1 is 1/10, never a
-binary float) and 'p/q' is a rational literal.  Braces nest at most
-NESTING_LIMIT deep.  The serializer emits the canonical form (components
-in declaration order, two-space indentation, one construct per line,
-rates as exact rationals); parsing it back gives a structurally equal
-model, and serialization is idempotent.
+Identifiers and numbers are ASCII: any other letter or digit outside a
+comment or string is an unexpected character.  Whitespace is whatever
+str.isspace accepts, but only a line feed starts a new line for the
+line:column of a diagnostic.  Numbers are exact: decimals are decimal
+fractions (0.1 is 1/10, never a binary float) and 'p/q' is a rational
+literal.  Braces nest at most NESTING_LIMIT deep.  The serializer emits
+the canonical form (components in declaration order, two-space
+indentation, one construct per line, rates as exact rationals); parsing
+it back gives a structurally equal model, and serialization is idempotent.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -89,274 +95,269 @@ class ModelFileError(Exception):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-_SYMBOLS = "{};="
+# One match per token: the whitespace and comments before it, then the
+# token, whose kind is the name of the group that matched.  The greedy
+# prefix stops at the end of the text or at a character that is not
+# whitespace, and there some alternative always matches ('other' takes any
+# character but a newline, which \s has already taken), so a match never
+# backtracks into the prefix.
+_TOKEN = re.compile(
+    r"""
+    \s* (?: \#[^\n]* \s* )*
+    (?:
+        (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+      | (?P<sym> [{};=] )
+      | (?P<number> [0-9]+ (?: [./][0-9]+ )? )
+      | (?P<string> "[^"\n]*" )
+      | (?P<unterminated> " )
+      | (?P<eof> \Z )
+      | (?P<other> . )
+    )
+    """,
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident' | 'number' | 'string' | 'sym' | 'eof'
-    text: str
-    span: SourceSpan
-    value: Optional[Union[Fraction, str]] = None
+class _Positions:
+    """Turns offsets in one text into 1-based line:column spans.
+
+    Tokens carry offsets only; the line-start table is built on the first
+    diagnostic, so a text that parses cleanly never pays for it.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self._line_starts: Optional[list[int]] = None
+
+    def span(self, offset: int) -> SourceSpan:
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
+        line = bisect_right(self._line_starts, offset)
+        return SourceSpan(line=line, column=offset - self._line_starts[line - 1] + 1, offset=offset)
+
+    def error(self, offset: int, message: str) -> ModelFileError:
+        return ModelFileError([ParseDiagnostic(message, self.span(offset))])
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, line_start = 0, 1, 0
-    n = len(text)
-    depth = 0
+def _lex(text: str) -> list[tuple]:
+    """Tokens as (kind, text, offset, value) tuples, ending with 'eof'.
 
-    def span_at(pos: int) -> SourceSpan:
-        return SourceSpan(line=line, column=pos - line_start + 1, offset=pos)
-
-    def fail(pos: int, message: str) -> ModelFileError:
-        return ModelFileError([ParseDiagnostic(message, span_at(pos))])
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            line_start = i
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            end = i + 1
-            while end < n and text[end] not in '"\n':
-                end += 1
-            if end >= n or text[end] != '"':
-                raise fail(i, "unterminated string")
-            tokens.append(_Token("string", text[i : end + 1], span_at(i), value=text[i + 1 : end]))
-            i = end + 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] in "./" and i + 1 < n and text[i + 1].isdigit():
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            literal = text[start:i]
-            try:
-                value = Fraction(literal)
-            except ZeroDivisionError:
-                raise fail(start, f"zero denominator in rational literal {literal!r}") from None
-            except ValueError:  # past Python's int-string digit limit
-                raise fail(start, f"number literal too long to read ({len(literal)} characters)") from None
-            tokens.append(_Token("number", literal, span_at(start), value=value))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], span_at(start)))
-            continue
-        if c in _SYMBOLS:
-            depth += (c == "{") - (c == "}")
-            if depth > NESTING_LIMIT:
-                raise fail(i, f"nesting deeper than {NESTING_LIMIT} levels")
-            tokens.append(_Token("sym", c, span_at(i)))
-            i += 1
-            continue
-        raise fail(i, f"unexpected character {c!r}")
-
-    tokens.append(_Token("eof", "", SourceSpan(line=line, column=n - line_start + 1, offset=n)))
-    return tokens
+    kind is 'ident', 'number', 'string', 'sym' or 'eof'; value is a
+    number's Fraction or a string's contents, else None.
+    """
+    tokens: list[tuple] = []
+    append = tokens.append
+    match = _TOKEN.match
+    values: dict[str, Fraction] = {}  # rate literals repeat; read each once
+    pos = depth = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        tok = m[kind]
+        start = pos - len(tok)
+        if kind == "ident":
+            append((kind, tok, start, None))
+        elif kind == "sym":
+            if tok == "{":
+                depth += 1
+                if depth > NESTING_LIMIT:
+                    raise _Positions(text).error(start, f"nesting deeper than {NESTING_LIMIT} levels")
+            elif tok == "}":
+                depth -= 1
+            append((kind, tok, start, None))
+        elif kind == "number":
+            value = values.get(tok)
+            if value is None:
+                try:
+                    value = values[tok] = Fraction(tok)
+                except ZeroDivisionError:
+                    raise _Positions(text).error(start, f"zero denominator in rational literal {tok!r}") from None
+                except ValueError:  # past Python's int-string digit limit
+                    raise _Positions(text).error(start, f"number literal too long to read ({len(tok)} characters)") from None
+            append((kind, tok, start, value))
+        elif kind == "string":
+            append((kind, tok, start, tok[1:-1]))
+        elif kind == "eof":
+            append((kind, tok, start, None))
+            return tokens
+        elif kind == "unterminated":
+            raise _Positions(text).error(start, "unterminated string")
+        else:
+            raise _Positions(text).error(start, f"unexpected character {tok!r}")
 
 
 _BLOCK_KEYWORDS = {"unit", "series", "parallel"}
 _GATE_KEYWORDS = {"basic", "and", "or", "nor", "nand", "xor", "not"}
+_NARY_GATES = {"and": And, "or": Or, "nor": Nor}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the token list.
+
+    A token's text alone tells keywords and symbols apart from every
+    other token, so matching one compares texts only.
+    """
+
+    def __init__(self, text: str):
+        self.tokens = _lex(text)
         self.pos = 0
+        self.positions = _Positions(text)
         self.diagnostics: list[ParseDiagnostic] = []
-        self.leaf_refs: list[tuple[str, SourceSpan]] = []
+        self.leaf_refs: list[tuple[str, int]] = []  # (identifier, offset)
 
     # -- token plumbing --------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def note(self, offset: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(message, self.positions.span(offset)))
 
-    def advance(self) -> _Token:
+    def fail(self, tok: tuple, message: str) -> ModelFileError:
+        return ModelFileError(self.diagnostics + [ParseDiagnostic(message, self.positions.span(tok[2]))])
+
+    def unexpected(self, tok: tuple, what: str) -> ModelFileError:
+        return self.fail(tok, f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}")
+
+    def at(self, word: str) -> bool:
+        return self.tokens[self.pos][1] == word
+
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def fail(self, tok: _Token, message: str) -> ModelFileError:
-        return ModelFileError(self.diagnostics + [ParseDiagnostic(message, tok.span)])
+    def expect(self, word: str) -> None:
+        """Consume the keyword or symbol word."""
+        tok = self.tokens[self.pos]
+        if tok[1] != word:
+            raise self.unexpected(tok, f"'{word}'")
+        self.pos += 1
 
-    def expect_word(self, word: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.fail(tok, f"expected '{word}', found {tok.text!r}" if tok.text else f"expected '{word}'")
+    def take(self, kind: str, what: str) -> tuple:
+        """Consume and return a token of kind ('ident' or 'number')."""
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise self.unexpected(tok, what)
+        self.pos += 1
         return tok
-
-    def expect_sym(self, sym: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "sym" or tok.text != sym:
-            raise self.fail(tok, f"expected '{sym}', found {tok.text!r}" if tok.text else f"expected '{sym}'")
-        return tok
-
-    def expect_ident(self, what: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "ident":
-            raise self.fail(tok, f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}")
-        return tok
-
-    def expect_number(self, what: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "number":
-            raise self.fail(tok, f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}")
-        return tok
-
-    def at_word(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text in words
-
-    def at_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == sym
 
     # -- grammar ----------------------------------------------------------
 
     def parse_model(self) -> SystemModel:
-        self.expect_word("model")
+        self.expect("model")
         name_tok = self.advance()
-        if name_tok.kind != "string":
+        if name_tok[0] != "string":
             raise self.fail(name_tok, "expected model name string")
 
         components: dict[str, ComponentDef] = {}
-        while self.at_word("component"):
-            self.advance()
-            id_tok = self.expect_ident("component identifier")
-            self.expect_word("lambda")
-            self.expect_sym("=")
-            lam_tok = self.expect_number("failure rate")
-            self.expect_word("mu")
-            self.expect_sym("=")
-            mu_tok = self.expect_number("repair rate")
-            cid = id_tok.text
+        while self.at("component"):
+            self.pos += 1
+            _, cid, id_at, _ = self.take("ident", "component identifier")
+            self.expect("lambda")
+            self.expect("=")
+            _, _, lam_at, lam = self.take("number", "failure rate")
+            self.expect("mu")
+            self.expect("=")
+            _, _, mu_at, mu = self.take("number", "repair rate")
             if cid in components:
-                self.diagnostics.append(
-                    ParseDiagnostic(f"duplicate component id {cid!r}", id_tok.span)
-                )
+                self.note(id_at, f"duplicate component id {cid!r}")
                 continue
-            if lam_tok.value <= 0:
-                self.diagnostics.append(
-                    ParseDiagnostic(f"nonpositive failure rate at {cid}", lam_tok.span)
-                )
-            if mu_tok.value <= 0:
-                self.diagnostics.append(
-                    ParseDiagnostic(f"nonpositive repair rate at {cid}", mu_tok.span)
-                )
-            components[cid] = ComponentDef(cid, RatePair(lam_tok.value, mu_tok.value))
+            if lam <= 0:
+                self.note(lam_at, f"nonpositive failure rate at {cid}")
+            if mu <= 0:
+                self.note(mu_at, f"nonpositive repair rate at {cid}")
+            components[cid] = ComponentDef(cid, RatePair(lam, mu))
 
         kind_tok = self.advance()
-        if kind_tok.kind == "ident" and kind_tok.text == "abd":
+        if kind_tok[1] == "abd":
             body: Union[BlockExpr, GateExpr] = self.parse_block()
-        elif kind_tok.kind == "ident" and kind_tok.text == "ft":
+        elif kind_tok[1] == "ft":
             body = self.parse_gate()
         else:
             raise self.fail(kind_tok, "expected 'abd' or 'ft' body")
 
-        trailing = self.peek()
-        if trailing.kind != "eof":
-            raise self.fail(trailing, f"unexpected trailing input {trailing.text!r}")
+        trailing = self.tokens[self.pos]
+        if trailing[0] != "eof":
+            raise self.fail(trailing, f"unexpected trailing input {trailing[1]!r}")
 
-        for leaf, span in self.leaf_refs:
+        for leaf, offset in self.leaf_refs:
             if leaf not in components:
-                self.diagnostics.append(
-                    ParseDiagnostic(f"unknown component reference {leaf!r}", span)
-                )
+                self.note(offset, f"unknown component reference {leaf!r}")
         if self.diagnostics:
             raise ModelFileError(self.diagnostics)
-        return SystemModel(name=name_tok.value, components=components, body=body)
+        return SystemModel(name=name_tok[3], components=components, body=body)
 
-    def parse_children(self, parse_item) -> list:
-        self.expect_sym("{")
+    def parse_children(self, parse_item) -> tuple:
+        self.expect("{")
         items = [parse_item()]
-        while self.at_sym(";"):
-            self.advance()
+        while self.at(";"):
+            self.pos += 1
             items.append(parse_item())
-        self.expect_sym("}")
-        return items
+        self.expect("}")
+        return tuple(items)
+
+    def leaf(self, what: str) -> str:
+        _, ident, offset, _ = self.take("ident", what)
+        self.leaf_refs.append((ident, offset))
+        return ident
 
     def parse_block(self) -> BlockExpr:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "{":
-            self.advance()
+        tok = self.advance()
+        word = tok[1]
+        if word == "{":
             inner = self.parse_block()
-            self.expect_sym("}")
+            self.expect("}")
             return inner
-        if tok.kind != "ident" or tok.text not in _BLOCK_KEYWORDS:
-            raise self.fail(tok, f"expected a block ('unit', 'series' or 'parallel'), found {tok.text!r}")
-        self.advance()
-        if tok.text == "unit":
-            ident = self.expect_ident("component identifier")
-            self.leaf_refs.append((ident.text, ident.span))
-            return Unit(ident.text)
-        children = tuple(self.parse_children(self.parse_block))
-        return Series(children) if tok.text == "series" else Parallel(children)
+        if word not in _BLOCK_KEYWORDS:
+            raise self.fail(tok, f"expected a block ('unit', 'series' or 'parallel'), found {word!r}")
+        if word == "unit":
+            return Unit(self.leaf("component identifier"))
+        children = self.parse_children(self.parse_block)
+        return Series(children) if word == "series" else Parallel(children)
 
     def parse_gate(self) -> GateExpr:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "{":
-            self.advance()
+        tok = self.advance()
+        word = tok[1]
+        if word == "{":
             inner = self.parse_gate()
-            self.expect_sym("}")
+            self.expect("}")
             return inner
-        if tok.kind != "ident" or tok.text not in _GATE_KEYWORDS:
-            raise self.fail(tok, f"expected a gate, found {tok.text!r}")
-        self.advance()
-        if tok.text == "basic":
-            ident = self.expect_ident("event identifier")
-            self.leaf_refs.append((ident.text, ident.span))
-            return Basic(ident.text)
-        if tok.text in ("and", "or", "nor"):
-            children = tuple(self.parse_children(self.parse_gate))
-            return {"and": And, "or": Or, "nor": Nor}[tok.text](children)
-        if tok.text == "nand":
-            self.expect_sym("{")
-            self.expect_word("neg")
-            negated = tuple(self.parse_children(self.parse_gate))
-            self.expect_sym(";")
-            self.expect_word("pos")
-            plain = tuple(self.parse_children(self.parse_gate))
-            self.expect_sym("}")
+        if word not in _GATE_KEYWORDS:
+            raise self.fail(tok, f"expected a gate, found {word!r}")
+        if word == "basic":
+            return Basic(self.leaf("event identifier"))
+        if word in _NARY_GATES:
+            return _NARY_GATES[word](self.parse_children(self.parse_gate))
+        if word == "nand":
+            self.expect("{")
+            self.expect("neg")
+            negated = self.parse_children(self.parse_gate)
+            self.expect(";")
+            self.expect("pos")
+            plain = self.parse_children(self.parse_gate)
+            self.expect("}")
             return Nand(negated, plain)
-        if tok.text == "xor":
-            self.expect_sym("{")
+        if word == "xor":
+            self.expect("{")
             left = self.parse_gate()
-            self.expect_sym(";")
+            self.expect(";")
             right = self.parse_gate()
             closing = self.advance()
-            if closing.kind == "sym" and closing.text == ";":
+            if closing[1] == ";":
                 raise self.fail(closing, "xor takes exactly 2 operands")
-            if closing.kind != "sym" or closing.text != "}":
-                raise self.fail(closing, f"expected '}}', found {closing.text!r}")
+            if closing[1] != "}":
+                raise self.fail(closing, f"expected '}}', found {closing[1]!r}")
             return Xor(left, right)
         # not
-        self.expect_sym("{")
+        self.expect("{")
         child = self.parse_gate()
-        self.expect_sym("}")
+        self.expect("}")
         return Not(child)
 
 
 def parse_model(text: str) -> SystemModel:
     """Parse model text; raises ModelFileError with all diagnostics on failure."""
-    parser = _Parser(_lex(text))
-    model = parser.parse_model()
+    model = _Parser(text).parse_model()
     leftover = validate(model)
     if leftover:  # everything should have been caught with a proper span
         raise ModelFileError(

@@ -52,7 +52,7 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .analytic import Probability, _exact_probability
+from .analytic import Probability, _exact_probability, _require_valid
 from .model import (
     And,
     Basic,
@@ -67,7 +67,7 @@ from .model import (
     Unit,
     Xor,
     basic_events,
-    validate,
+    validate,  # unused here, but perfbench/tracing.py wraps oracle.validate
 )
 
 __all__ = [
@@ -84,6 +84,10 @@ EXHAUSTIVE_EVENT_LIMIT = 20
 # random words one renewal stream may draw (32 MiB of them); the largest
 # stream in the tests and benchmark workloads draws 18016
 STREAM_DRAW_LIMIT = 1 << 22
+# trials one estimate may run: each takes 8 bytes of the value array the
+# estimators allocate up front, so this caps it at 80 MB; the tests run at
+# most 100000 trials and the benchmark workloads 300
+TRIAL_LIMIT = 10 ** 7
 # random words generated at once by the point sampler, bounding its memory
 POINT_BLOCK_WORDS = 1 << 18
 # random words the first rounds of one block of steady-state trials draw,
@@ -423,12 +427,11 @@ def _estimate(values: np.ndarray) -> Estimate:
     return Estimate(mean=mean, std_error=se, trials=n)
 
 
-def _check_sim_model(model: SystemModel, cfg: SimConfig) -> None:
+def _check_trials(cfg: SimConfig) -> None:
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
-    diags = validate(model)
-    if diags:
-        raise ValueError("invalid model: " + "; ".join(str(d) for d in diags))
+    if cfg.trials > TRIAL_LIMIT:
+        raise ValueError(f"trials must be <= {TRIAL_LIMIT}, got {cfg.trials}")
 
 
 def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estimate:
@@ -440,7 +443,13 @@ def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estim
     trees it estimates the top event probability (unavailability) at t.
     Trials are drawn in batches, not on threads, so cfg.threads is unused.
     """
-    _check_sim_model(model, cfg)
+    _require_valid(model)
+    return _mc_point(model, t, cfg)
+
+
+def _mc_point(model: SystemModel, t: float, cfg: SimConfig) -> Estimate:
+    """mc_point_availability of a model already validated (parse_model validates)."""
+    _check_trials(cfg)
     t = float(t)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
@@ -468,7 +477,13 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words,
     not on threads, so cfg.threads is unused.
     """
-    _check_sim_model(model, cfg)
+    _require_valid(model)
+    return _mc_steady(model, cfg)
+
+
+def _mc_steady(model: SystemModel, cfg: SimConfig) -> Estimate:
+    """mc_steady_availability of a model already validated (parse_model validates)."""
+    _check_trials(cfg)
     if cfg.horizon is None or not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     horizon = float(cfg.horizon)

@@ -13,6 +13,7 @@ import numpy as np
 
 import availkit as ak
 from availkit import oracle
+from availkit.modelfile import NESTING_LIMIT
 
 GATE_KINDS = ("and", "or", "nor", "nand", "xor", "not")
 
@@ -163,6 +164,85 @@ def nested_model_text(kind: str, depth: int) -> str:
             text, level = f"{gate} {{ {leaf} c{1 + i % 2}; {text} }}", level + 1
     comps = "".join(f"component c{j} lambda={j + 1}/4 mu=1\n" for j in range(3))
     return f'model "nested-{depth}"\n{comps}{"abd" if kind == "abd" else "ft"}\n{text}\n'
+
+
+def reference_lex(text: str) -> list[tuple]:
+    """The character-by-character tokenizer the regex lexer replaced.
+
+    Tokens are (kind, text, line, column, offset, value); failures raise
+    ModelFileError with one positioned diagnostic.  Unlike the regex lexer
+    it takes non-ASCII letters and digits (str.isalpha, str.isdigit) into
+    identifiers and numbers.
+    """
+    tokens: list[tuple] = []
+    i, line, line_start = 0, 1, 0
+    n = len(text)
+    depth = 0
+
+    def token(kind: str, literal: str, pos: int, value=None) -> tuple:
+        return (kind, literal, line, pos - line_start + 1, pos, value)
+
+    def fail(pos: int, message: str) -> ak.ModelFileError:
+        span = ak.SourceSpan(line=line, column=pos - line_start + 1, offset=pos)
+        return ak.ModelFileError([ak.ParseDiagnostic(message, span)])
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            line_start = i
+            continue
+        if c.isspace():
+            i += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == '"':
+            end = i + 1
+            while end < n and text[end] not in '"\n':
+                end += 1
+            if end >= n or text[end] != '"':
+                raise fail(i, "unterminated string")
+            tokens.append(token("string", text[i : end + 1], i, text[i + 1 : end]))
+            i = end + 1
+            continue
+        if c.isdigit():
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            if i < n and text[i] in "./" and i + 1 < n and text[i + 1].isdigit():
+                i += 1
+                while i < n and text[i].isdigit():
+                    i += 1
+            literal = text[start:i]
+            try:
+                value = Fraction(literal)
+            except ZeroDivisionError:
+                raise fail(start, f"zero denominator in rational literal {literal!r}") from None
+            except ValueError:  # past Python's int-string digit limit
+                raise fail(start, f"number literal too long to read ({len(literal)} characters)") from None
+            tokens.append(token("number", literal, start, value))
+            continue
+        if c.isalpha() or c == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(token("ident", text[start:i], start))
+            continue
+        if c in "{};=":
+            depth += (c == "{") - (c == "}")
+            if depth > NESTING_LIMIT:
+                raise fail(i, f"nesting deeper than {NESTING_LIMIT} levels")
+            tokens.append(token("sym", c, i))
+            i += 1
+            continue
+        raise fail(i, f"unexpected character {c!r}")
+
+    tokens.append(token("eof", "", n))
+    return tokens
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

@@ -1,14 +1,19 @@
 """CLI behavior: exit codes, golden output fragments, report stability."""
 
+import contextlib
+import io
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import availkit as ak
-from availkit import oracle
+from availkit import analytic, modelfile, oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
 from availkit.modelfile import NESTING_LIMIT
@@ -183,6 +188,12 @@ class TestSimulate:
         assert main(["simulate", abd_file, "--trials", "5", "--horizon", "100000"]) == 2
         assert "per-stream limit of 1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--at", "1"], ["--horizon", "10"]])
+    def test_trial_budget_exit_2(self, abd_file, capsys, flags):
+        trials = oracle.TRIAL_LIMIT + 1
+        assert main(["simulate", abd_file, "--trials", str(trials)] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"trials must be <= {oracle.TRIAL_LIMIT}, got {trials}"]
+
     def test_threads_default_from_env(self, abd_file, capsys, monkeypatch):
         monkeypatch.setenv("AVAILKIT_THREADS", "3")
         assert main(["simulate", abd_file, "--horizon", "100", "--trials", "12", "--json"]) == 0
@@ -346,6 +357,95 @@ class TestCasestudy:
     def test_unknown_name_exit_2(self, capsys):
         assert main(["casestudy", "nope"]) == 2
         assert "unknown case study" in capsys.readouterr().err
+
+
+class TestValidation:
+    """parse_model validates; the engines the commands call do not again."""
+
+    RUNS = {
+        "analyze-exact": ["analyze", "{abd}", "--exact"],
+        "analyze-at": ["analyze", "{abd}", "--at", "10,100,1000"],
+        "simulate": ["simulate", "{abd}", "--horizon", "50", "--at", "1,2", "--trials", "20"],
+        "compare": ["compare", "{ft}", "--horizon", "50", "--at", "1,2", "--trials", "20"],
+        "cutsets": ["cutsets", "{ft}", "--minimize"],
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_each_command_validates_once(self, abd_file, ft_file, capsys, monkeypatch, run):
+        calls = []
+        for module in (modelfile, analytic, oracle):  # each module's own binding
+
+            def counting(model, _validate=module.validate):
+                calls.append(model.name)
+                return _validate(model)
+
+            monkeypatch.setattr(module, "validate", counting)
+        argv = [arg.format(abd=abd_file, ft=ft_file) for arg in self.RUNS[run]]
+        assert main(argv) == 0
+        assert len(calls) == 1, calls
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: ak.evaluate_steady(m),
+            lambda m: ak.evaluate_point(m, 1.0),
+            lambda m: ak.mc_point_availability(m, 1.0, ak.SimConfig(trials=3, seed=1)),
+            lambda m: ak.mc_steady_availability(m, ak.SimConfig(trials=3, horizon=5.0, seed=1)),
+        ],
+        ids=["evaluate_steady", "evaluate_point", "mc_point_availability", "mc_steady_availability"],
+    )
+    def test_public_entry_points_still_validate(self, call):
+        dangling = ak.SystemModel("m", {"A": ak.ComponentDef("A", ak.RatePair(1, 2))}, ak.Series((ak.Unit("A"), ak.Unit("ghost"))))
+        with pytest.raises(ValueError, match="invalid model: .*unknown component reference 'ghost'"):
+            call(dangling)
+
+
+FUZZ_BASES = [
+    ak.serialize_model(dfh3_abd()),
+    ak.serialize_model(dfh3_ft()),
+    'model "s"\ncomponent a lambda=1/2 mu=3\ncomponent b lambda=2 mu=5/2\n'
+    "ft or {\n  and { basic a; basic b };\n  xor { basic a; not { basic b } };\n"
+    "  nand { neg { basic b }; pos { basic a } }\n}\n",
+]
+FUZZ_RUNS = [["analyze"], ["cutsets", "--minimize"], ["simulate", "--at", "1", "--trials", "4"]]
+
+
+@st.composite
+def mutated_model_text(draw):
+    """A base model text after 1-4 deletions, insertions or duplications of short spans."""
+    text = draw(st.sampled_from(FUZZ_BASES))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = min(len(text), i + draw(st.integers(1, 6)))
+        op = draw(st.sampled_from(["delete", "insert", "duplicate"]))
+        if op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "insert":
+            text = text[:i] + draw(st.sampled_from(list('{};="#/.0129 \n\tx_%\u00e9\u00b2'))) + text[i:]
+        else:
+            text = text[:i] + text[i:j] + text[i:]
+    return text
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(text=mutated_model_text())
+    def test_mutated_text_exits_0_2_or_3(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "m.avm"
+        path.write_text(text, encoding="utf-8")
+        read = path.read_text(encoding="utf-8")  # what the CLI reads: newlines translated
+        lines = read.split("\n")
+        for command, *flags in FUZZ_RUNS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, str(path), *flags])
+            assert code in (0, 2, 3), (command, code)
+            if code == 2:
+                for message in err.getvalue().splitlines():
+                    position = re.match(r"(\d+):(\d+): ", message)
+                    assert position, message
+                    line, column = int(position[1]), int(position[2])
+                    assert 1 <= line <= len(lines) and 1 <= column <= len(lines[line - 1]) + 1, message
 
 
 LIMIT_RUNS = {

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import availkit as ak
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from availkit.modelfile import NESTING_LIMIT
-from support import nested_model_text, random_model
+from availkit.modelfile import NESTING_LIMIT, _lex, _Positions
+from support import nested_model_text, random_model, reference_lex
 
 MINIMAL = 'model "m" component A lambda=0.5 mu=0.5 abd { unit A }'
 
@@ -153,6 +153,66 @@ class TestParseErrors:
         text = f'model "m" component A lambda={literal} mu=1 abd unit A'
         err = self.assert_error(text, "number literal too long")
         assert err.diagnostics[0].span.offset == text.index(literal)
+
+    # identifiers and numbers are ASCII: any other letter or digit is an
+    # unexpected character
+    @pytest.mark.parametrize(
+        "text, char",
+        [
+            ('model "m" component A lambda=\u00b2 mu=1 abd unit A', "\u00b2"),  # superscript two
+            ('model "m" component \u00e9 lambda=1 mu=1 abd unit \u00e9', "\u00e9"),
+            ('model "m" component A lambda=\u0661 mu=1 abd unit A', "\u0661"),  # Arabic-Indic one
+        ],
+        ids=["superscript-digit", "latin-letter", "arabic-indic-digit"],
+    )
+    def test_non_ascii_letter_or_digit(self, text, char):
+        err = self.assert_error(text, f"unexpected character {char!r}")
+        assert len(err.diagnostics) == 1
+        span = err.diagnostics[0].span
+        assert (span.line, span.column, span.offset) == (1, text.index(char) + 1, text.index(char))
+
+
+# Pieces the generated texts are joined from; neighbours run together, so
+# an identifier meets a number, a quote opens a string across the next
+# pieces, and brace runs add up past NESTING_LIMIT.  Non-ASCII letters and
+# digits appear in comments only: a comment holds no quote, so it never
+# ends up inside a closed string, and it ends at a newline.
+LEX_PIECES = [
+    *"model component lambda mu abd ft unit series basic nand neg pos".split(),
+    *"{};=",
+    "x", "_a1", "Z9_", "b12",
+    "0", "7", "12", "1.5", "3/4", "2.", "5/", "1/0", "07/000", "9" * 4301,
+    '"m"', '""', '"a b{#;"', '"\u00a0\t"', '"',
+    "#\u00e9 \u00b2\u0661\n", "#\u2028{\r\n", "#\n", "# lambda=1\n",
+    " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000",
+    "%", ".", "/", "-", "'", "\u20ac", "\x00",
+    *("{" * k for k in range(NESTING_LIMIT - 3, NESTING_LIMIT + 2)),
+    "}", "}}}", "{}",
+]
+
+
+def regex_lex(text):
+    """_lex's tokens with their positions, in reference_lex's form."""
+    positions = _Positions(text)
+    tokens = []
+    for kind, tok, offset, value in _lex(text):
+        span = positions.span(offset)
+        tokens.append((kind, tok, span.line, span.column, offset, value))
+    return tokens
+
+
+def lexed(lex, text):
+    try:
+        return lex(text)
+    except ak.ModelFileError as err:
+        return str(err)
+
+
+class TestLexerMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
+    def test_same_tokens_or_diagnostic(self, text):
+        assert lexed(regex_lex, text) == lexed(reference_lex, text)
 
 
 class TestSerialize:

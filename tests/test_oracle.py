@@ -509,6 +509,20 @@ class TestSimulationInputs:
             ak.mc_steady_availability(self.SINGLE, cfg)
         assert ak.mc_point_availability(self.SINGLE, 100.0, cfg).trials == 3  # 2 * 17 words
 
+    def test_trial_budget(self):
+        # refused before the estimators allocate their per-trial value arrays
+        cfg = ak.SimConfig(trials=oracle.TRIAL_LIMIT + 1, horizon=10.0, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"trials must be <= {oracle.TRIAL_LIMIT}, got {oracle.TRIAL_LIMIT + 1}"):
+                ak.mc_point_availability(self.SINGLE, 1.0, cfg)
+            with pytest.raises(ValueError, match=f"trials must be <= {oracle.TRIAL_LIMIT}"):
+                ak.mc_steady_availability(self.SINGLE, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_stream_draw_budget_counts_later_rounds(self, monkeypatch):
         # rounds of 8, 16, 32, ... words: reaching t = 800 (about 60 cycles) needs a fourth round
         monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 4)
