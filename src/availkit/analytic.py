@@ -8,23 +8,34 @@ Component level, for exponential failure/repair rates (lam, mu):
     point unavailability     Q(t) = Q - Q * exp(-(lam + mu) t)
     reliability (no repair)  R(t) = exp(-lam t)
 
-System level, one walker (compose) evaluates a structure in its native
-polarity assuming independent leaves: series and AND multiply, parallel
-and OR complement-multiply, and NAND, NOR, XOR and NOT follow their set
-definitions.  Leaves naming the same component are one event, so such
-models go through pivotal (Shannon) decomposition on the repeated events
-(Barlow & Proschan, 1975): P(S) = p_x P(S | x) + (1 - p_x) P(S | not x),
-each side folded and decomposed again until no leaf repeats.  This is
-exact for every gate, in steady state and at a point in time.  A
+System level, one composer evaluates a structure in its native polarity
+assuming independent leaves: series and AND multiply, parallel and OR
+complement-multiply, and NAND, NOR, XOR and NOT follow their set
+definitions.  It runs the structure's post-order program (see
+model.compile_structure; a SystemModel compiles its body once and keeps
+the program) in one loop over an operand stack, so it takes any nesting
+depth.  Its operands are (numerator, denominator) pairs: exact leaves
+enter as reduced integer pairs, multiply without a gcd per step, and the
+result is reduced once; float leaves enter as (x, 1.0), so the float
+operations, and their order, are those of the gate formulas evaluated
+child by child on plain floats.
+
+Leaves naming the same component are one event, so such models go
+through pivotal (Shannon) decomposition on the repeated events (Barlow &
+Proschan, 1975): P(S) = p_x P(S | x) + (1 - p_x) P(S | not x), each side
+folded and decomposed again until no leaf repeats, and then composed.
+This is exact for every gate, in steady state and at a point in time.  A
 decomposition past PIVOT_LIMIT pivots falls back, for coherent
 structures, to inclusion-exclusion over the minimal cut sets; whatever
 neither route can take is referred to the oracle module.
 
 Steady-state quantities involve no exponential, so with rational rates
-they are computed in exact rational arithmetic.  Point quantities are
-floating point.  pie_probability always accumulates exactly (floats are
-lifted to their exact binary rationals) because the alternating sum is
-otherwise prone to cancellation; the result is rounded once at the end.
+they are computed in exact rational arithmetic: each leaf's pair comes
+straight from the integer numerators and denominators of its rates.
+Point quantities are floating point.  pie_probability always accumulates
+exactly (floats are lifted to their exact binary rationals) because the
+alternating sum is otherwise prone to cancellation; the result is
+rounded once at the end.
 """
 
 from __future__ import annotations
@@ -37,6 +48,12 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cutsets import CutSetCollection, ExpansionLimitError, expand_to_cutsets, is_coherent, minimize
 from .model import (
+    AND,
+    LEAF,
+    NAND,
+    NOR,
+    OR,
+    XOR,
     And,
     Basic,
     BlockExpr,
@@ -45,12 +62,12 @@ from .model import (
     Nor,
     Not,
     Or,
-    Parallel,
     RatePair,
     Series,
     SystemModel,
     Unit,
     Xor,
+    compile_structure,
     iter_leaves,
     validate,
 )
@@ -136,16 +153,31 @@ class AnalysisResult:
 # --- component level ---------------------------------------------------------
 
 
+def _steady_pair(rates: RatePair, up: bool) -> tuple[int, int]:
+    """Steady availability (up) or unavailability as a reduced integer pair.
+
+    With lam = a/b and mu = c/e, A = cb / (cb + ae) and Q = ae / (cb + ae).
+    """
+    lam, mu = rates.failure_rate, rates.repair_rate
+    if not (isinstance(lam, Fraction) and isinstance(mu, Fraction)):
+        raise ValueError(f"non-finite rate in {rates}")
+    a, b = lam.as_integer_ratio()
+    c, e = mu.as_integer_ratio()
+    down = a * e
+    total = c * b + down
+    part = total - down if up else down
+    g = math.gcd(part, total)
+    return part // g, total // g
+
+
 def steady_availability(rates: RatePair) -> Probability:
     """Long-run availability mu / (mu + lam)."""
-    lam, mu = rates.failure_rate, rates.repair_rate
-    return Probability(mu / (mu + lam))
+    return Probability(Fraction(*_steady_pair(rates, True)))
 
 
 def steady_unavailability(rates: RatePair) -> Probability:
     """Long-run unavailability lam / (lam + mu)."""
-    lam, mu = rates.failure_rate, rates.repair_rate
-    return Probability(lam / (lam + mu))
+    return Probability(Fraction(*_steady_pair(rates, False)))
 
 
 def _check_time(t: float) -> float:
@@ -155,20 +187,36 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _float_rates(cid: str, rates: RatePair) -> tuple[float, float]:
+    """A component's rates as floats, or a ValueError naming it if one overflows."""
+    try:
+        return float(rates.failure_rate), float(rates.repair_rate)
+    except OverflowError:
+        raise ValueError(
+            f"a rate of component {cid!r} is too large for floating point; "
+            "only exact steady-state analysis applies to this model"
+        ) from None
+
+
+def _inst(lam: float, mu: float, t: float, up: bool) -> float:
+    """Point availability (up) or unavailability at t from float rates."""
+    if up:
+        steady = mu / (mu + lam)
+        return steady + (1.0 - steady) * math.exp(-(lam + mu) * t)
+    q = lam / (lam + mu)
+    return q - q * math.exp(-(lam + mu) * t)
+
+
 def inst_availability(rates: RatePair, t: float) -> Probability:
     """Availability at time t, starting from the working state at t=0."""
     t = _check_time(t)
-    lam, mu = float(rates.failure_rate), float(rates.repair_rate)
-    steady = mu / (mu + lam)
-    return Probability(steady + (1.0 - steady) * math.exp(-(lam + mu) * t))
+    return Probability(_inst(float(rates.failure_rate), float(rates.repair_rate), t, True))
 
 
 def inst_unavailability(rates: RatePair, t: float) -> Probability:
     """Unavailability at time t; the pointwise complement of inst_availability."""
     t = _check_time(t)
-    lam, mu = float(rates.failure_rate), float(rates.repair_rate)
-    q = lam / (lam + mu)
-    return Probability(q - q * math.exp(-(lam + mu) * t))
+    return Probability(_inst(float(rates.failure_rate), float(rates.repair_rate), t, False))
 
 
 def reliability_exp(failure_rate: Number, t: float) -> Probability:
@@ -371,27 +419,78 @@ def _require_valid(model: SystemModel) -> None:
         raise ValueError("invalid model: " + "; ".join(str(d) for d in diags))
 
 
+def _run(steps: Sequence[tuple[int, object]], pairs: Mapping[str, tuple]) -> tuple:
+    """(numerator, denominator) of the probability that a program's structure holds.
+
+    pairs gives each leaf's probability of being true as such a pair:
+    integers for an exact value, (x, 1.0) for a float x.  Series and AND
+    multiply, parallel and OR complement-multiply (1 - n/d is (d - n)/d),
+    and NAND, NOR, XOR and NOT follow their set definitions.  Nothing is
+    reduced on the way.  With (x, 1.0) leaves every denominator stays 1.0
+    and the numerators take the float operations of the gate formulas, in
+    the same order.
+    """
+    stack: list[tuple] = []
+    push = stack.append
+    for op, arg in steps:
+        if op == LEAF:
+            push(pairs[arg])
+        elif op == AND:
+            top = len(stack) - arg
+            n = d = 1
+            for cn, cd in stack[top:]:
+                n *= cn
+                d *= cd
+            del stack[top:]
+            push((n, d))
+        elif op == OR or op == NOR:
+            top = len(stack) - arg
+            n = d = 1
+            for cn, cd in stack[top:]:
+                n *= cd - cn
+                d *= cd
+            del stack[top:]
+            push((d - n, d) if op == OR else (n, d))
+        elif op == NAND:
+            negated, plain = arg
+            top = len(stack) - negated - plain
+            n = d = 1
+            for i, (cn, cd) in enumerate(stack[top:]):
+                n *= cd - cn if i < negated else cn
+                d *= cd
+            del stack[top:]
+            push((n, d))
+        elif op == XOR:
+            rn, rd = stack.pop()
+            ln, ld = stack.pop()
+            push(((ld - ln) * rn + ln * (rd - rn), ld * rd))
+        else:  # NOT
+            n, d = stack.pop()
+            push((d - n, d))
+    return stack.pop()
+
+
+def _value(pair: tuple) -> Number:
+    """The probability a pair stands for: reduced once if exact, else a float."""
+    n, d = pair
+    return Fraction(n, d) if isinstance(d, int) else n / d
+
+
 def compose(expr: Expr, leaf_p: Mapping[str, Number]) -> Number:
     """Probability that expr holds, given each leaf's probability of being true.
 
     Series is And and Parallel is Or; exact when no component repeats.
+    The result is a Fraction when every leaf is exact and a float when
+    every leaf is a float; with float leaves it is, bit for bit, the float
+    that evaluating each gate's formula over its children in document
+    order gives.
     """
-    if isinstance(expr, Unit):
-        return leaf_p[expr.component]
-    if isinstance(expr, Basic):
-        return leaf_p[expr.event]
-    if isinstance(expr, (Series, And)):
-        return math.prod(compose(child, leaf_p) for child in expr.children)
-    if isinstance(expr, (Parallel, Or, Nor)):
-        none = math.prod(1 - compose(child, leaf_p) for child in expr.children)
-        return none if isinstance(expr, Nor) else 1 - none
-    if isinstance(expr, Nand):
-        up = [1 - compose(child, leaf_p) for child in expr.negated]
-        return math.prod(up + [compose(child, leaf_p) for child in expr.plain])
-    if isinstance(expr, Xor):
-        ql, qr = compose(expr.left, leaf_p), compose(expr.right, leaf_p)
-        return (1 - ql) * qr + ql * (1 - qr)
-    return 1 - compose(expr.child, leaf_p)
+    program = compile_structure(expr)
+    pairs = {}
+    for leaf in program.events:
+        p = leaf_p[leaf]
+        pairs[leaf] = (p, 1.0) if isinstance(p, float) else (p.numerator, p.denominator)
+    return _value(_run(program.steps, pairs))
 
 
 def _condition(expr: Expr, event: str, value: bool, shared: set, leaf_p: dict) -> Union[Expr, bool]:
@@ -483,13 +582,20 @@ def _inclusion_exclusion(model: SystemModel, leaf_p: Mapping[str, Number]) -> Nu
     )
 
 
-def _evaluate(model: SystemModel, leaf_p: dict, t: Optional[float] = None) -> AnalysisResult:
-    """Pivotal decomposition on repeated leaves, then compose on each branch.
+def _evaluate(model: SystemModel, pairs: Mapping[str, tuple], t: Optional[float] = None) -> AnalysisResult:
+    """compose on the compiled body, or pivotal decomposition on repeated leaves.
 
-    While a leaf repeats, condition on the most repeated one (the first in
-    document order on ties).  Past PIVOT_LIMIT pivots, fall back to
-    inclusion-exclusion.  leaf_p gains entries for folded subtrees.
+    pairs gives each leaf's probability as _run takes it.  While a leaf
+    repeats, condition on the most repeated one (the first in document
+    order on ties) and compose each branch once no leaf repeats.  Past
+    PIVOT_LIMIT pivots, fall back to inclusion-exclusion.
     """
+    program = model.program
+    if program.distinct:
+        method = METHOD_CLOSED_FORM if len(program.steps) == 1 else METHOD_COMPOSITIONAL
+        return AnalysisResult(Probability(_value(_run(program.steps, pairs))), method, time=t)
+
+    leaf_p = {leaf: _value(pair) for leaf, pair in pairs.items()}  # gains entries for folded subtrees
     pivots = 0
 
     def holds(tree: Union[Expr, bool]) -> Number:
@@ -510,12 +616,9 @@ def _evaluate(model: SystemModel, leaf_p: dict, t: Optional[float] = None) -> An
         return p * holds(up) + (1 - p) * holds(down)
 
     try:
-        value = holds(model.body)
+        value, method = holds(model.body), METHOD_PIVOTAL
     except RequiresOracleError:
         value, method = _inclusion_exclusion(model, leaf_p), METHOD_INCLUSION_EXCLUSION
-    else:
-        single = isinstance(model.body, (Unit, Basic))
-        method = METHOD_PIVOTAL if pivots else (METHOD_CLOSED_FORM if single else METHOD_COMPOSITIONAL)
     return AnalysisResult(Probability(value), method, time=t)
 
 
@@ -532,8 +635,9 @@ def evaluate_steady(model: SystemModel) -> AnalysisResult:
 
 def _steady(model: SystemModel) -> AnalysisResult:
     """evaluate_steady of a model already validated (parse_model validates)."""
-    leaf = steady_unavailability if model.is_fault_tree else steady_availability
-    return _evaluate(model, {cid: leaf(c.rates).value for cid, c in model.components.items()})
+    up = not model.is_fault_tree
+    components = model.components
+    return _evaluate(model, {e: _steady_pair(components[e].rates, up) for e in model.program.events})
 
 
 def evaluate_point(model: SystemModel, t: float) -> AnalysisResult:
@@ -549,5 +653,9 @@ def evaluate_point(model: SystemModel, t: float) -> AnalysisResult:
 def _point(model: SystemModel, t: float) -> AnalysisResult:
     """evaluate_point of a model already validated (parse_model validates)."""
     t = _check_time(t)
-    leaf = inst_unavailability if model.is_fault_tree else inst_availability
-    return _evaluate(model, {cid: leaf(c.rates, t).value for cid, c in model.components.items()}, t)
+    up = not model.is_fault_tree
+    pairs = {}
+    for e in model.program.events:
+        lam, mu = _float_rates(e, model.components[e].rates)
+        pairs[e] = (_inst(lam, mu, t, up), 1.0)
+    return _evaluate(model, pairs, t)

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -244,6 +245,73 @@ def iter_leaves(expr: Expr) -> Iterator[str]:
             stack.extend(child for _, child in reversed(_node_children(node)))
 
 
+# Opcodes of a compiled structure program (see compile_structure).
+LEAF, AND, OR, NOR, NAND, XOR, NOT = range(7)
+
+
+@dataclass(frozen=True)
+class Program:
+    """A structure flattened into post-order steps, for evaluators with an operand stack.
+
+    Each step is (opcode, argument): (LEAF, component id), (AND, k),
+    (OR, k) or (NOR, k) over the k operands on top of the stack,
+    (NAND, (k, m)) over k negated then m plain operands, and (XOR, None)
+    or (NOT, None) over two or one.  Series compiles to AND and Parallel
+    to OR, so every evaluator reads a block diagram in its own polarity.
+    """
+
+    steps: tuple[tuple[int, object], ...]
+    leaves: tuple[str, ...]  # leaf component ids in document order, with repeats
+    events: tuple[str, ...]  # the distinct ones, in document order
+
+    @property
+    def distinct(self) -> bool:
+        """True iff no component id appears at more than one leaf."""
+        return len(self.events) == len(self.leaves)
+
+
+_OPCODES = {Series: AND, And: AND, Parallel: OR, Or: OR, Nor: NOR}
+
+
+def compile_structure(expr: Expr) -> Program:
+    """Flatten expr into its post-order Program.
+
+    Visits each node before its children, last child first, then reverses
+    that order into post-order with the children in document order.  The
+    walk uses an explicit stack, so any nesting depth works.  Raises
+    TypeError on an object that is no structure node.
+    """
+    steps: list[tuple[int, object]] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Basic):
+            steps.append((LEAF, node.event))
+            continue
+        if isinstance(node, Unit):
+            steps.append((LEAF, node.component))
+            continue
+        op = _OPCODES.get(type(node))
+        if op is not None:
+            children = node.children
+            steps.append((op, len(children)))
+        elif isinstance(node, Nand):
+            children = node.negated + node.plain
+            steps.append((NAND, (len(node.negated), len(node.plain))))
+        elif isinstance(node, Xor):
+            children = (node.left, node.right)
+            steps.append((XOR, None))
+        elif isinstance(node, Not):
+            children = (node.child,)
+            steps.append((NOT, None))
+        else:
+            raise TypeError(f"not a structure node: {node!r}")
+        stack.extend(children)
+    steps.reverse()
+    leaves = tuple(arg for op, arg in steps if op == LEAF)
+    return Program(tuple(steps), leaves, tuple(dict.fromkeys(leaves)))
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """A named set of components plus one structure over them.
@@ -264,6 +332,12 @@ class SystemModel:
     def is_fault_tree(self) -> bool:
         return isinstance(self.body, _GATE_NODES)
 
+    @cached_property
+    def program(self) -> Program:
+        """The body compiled once; cached_property stores it in the instance
+        __dict__, which the frozen dataclass allows and eq/repr ignore."""
+        return compile_structure(self.body)
+
     @property
     def leaves_distinct(self) -> bool:
         """True iff no component id appears at more than one leaf.
@@ -272,8 +346,7 @@ class SystemModel:
         unit, hence the same (dependent) event.  Independent twins of one
         design must be declared as separate components sharing a RatePair.
         """
-        leaves = list(iter_leaves(self.body))
-        return len(leaves) == len(set(leaves))
+        return self.program.distinct
 
 
 @dataclass(frozen=True)
@@ -343,7 +416,4 @@ def basic_events(model: SystemModel) -> list[str]:
     Deterministic and stable across serialize/parse round trips, so it is
     also the component indexing used by the simulation oracle.
     """
-    seen: dict[str, None] = {}
-    for leaf in iter_leaves(model.body):
-        seen.setdefault(leaf)
-    return list(seen)
+    return list(model.program.events)

@@ -52,21 +52,19 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .analytic import Probability, _exact_probability, _require_valid
+from .analytic import Probability, _exact_probability, _float_rates, _require_valid
 from .model import (
-    And,
-    Basic,
+    AND,
+    LEAF,
+    NAND,
+    NOT,
+    OR,
+    XOR,
     Expr,
-    Nand,
-    Nor,
-    Not,
-    Or,
-    Parallel,
-    Series,
+    Program,
     SystemModel,
-    Unit,
-    Xor,
     basic_events,
+    compile_structure,
     validate,  # unused here, but perfbench/tracing.py wraps oracle.validate
 )
 
@@ -114,7 +112,7 @@ def structure_holds(expr: Expr, truth: Mapping[str, bool]) -> bool:
     is "system available"; for a fault tree, truth maps events to
     "occurred" (component down) and the result is the top event.
     """
-    return bool(_signal(expr, {leaf: np.array(bool(v)) for leaf, v in truth.items()}))
+    return bool(_signal(compile_structure(expr), {leaf: np.array(bool(v)) for leaf, v in truth.items()}))
 
 
 def exhaustive_probability(
@@ -148,7 +146,7 @@ def exhaustive_probability(
         lifted.append(value)
 
     rows = np.arange(1 << n, dtype=np.int64)
-    table = _signal(model.body, {e: (rows >> i) & 1 == 1 for i, e in enumerate(events)})
+    table = _signal(model.program, {e: (rows >> i) & 1 == 1 for i, e in enumerate(events)})
     # contract the highest bit first; every entry stays <= the product of the
     # denominators so far, so int64 holds it until that product passes 2**63 - 1
     weights = table.astype(np.int64)
@@ -383,7 +381,7 @@ def _time_held(model: SystemModel, events: list[str], grid: np.ndarray, owner: n
             up = (parity & np.uint64(1 << b)) == 0
             leaves[event] = ~up if model.is_fault_tree else up
     holds = np.zeros_like(epoch)
-    holds[epoch] = _signal(model.body, leaves)
+    holds[epoch] = _signal(model.program, leaves)
     held = durations[holds]
     counts = np.count_nonzero(holds, axis=1)
     ends = np.cumsum(counts)
@@ -391,32 +389,47 @@ def _time_held(model: SystemModel, events: list[str], grid: np.ndarray, owner: n
     return np.array([held[lo:hi].sum() for lo, hi in zip(starts, ends)])
 
 
-def _signal(expr: Expr, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Structure function over leaf truth arrays: segments, trials or enumeration rows."""
-    if isinstance(expr, (Unit, Basic)):
-        return leaves[expr.component if isinstance(expr, Unit) else expr.event]
-    if isinstance(expr, (Series, And)):
-        return np.logical_and.reduce([_signal(c, leaves) for c in expr.children])
-    if isinstance(expr, (Parallel, Or)):
-        return np.logical_or.reduce([_signal(c, leaves) for c in expr.children])
-    if isinstance(expr, Nor):
-        return ~np.logical_or.reduce([_signal(c, leaves) for c in expr.children])
-    if isinstance(expr, Nand):
-        neg = np.logical_and.reduce([~_signal(c, leaves) for c in expr.negated])
-        pos = np.logical_and.reduce([_signal(c, leaves) for c in expr.plain])
-        return neg & pos
-    if isinstance(expr, Xor):
-        return _signal(expr.left, leaves) != _signal(expr.right, leaves)
-    if isinstance(expr, Not):
-        return ~_signal(expr.child, leaves)
-    raise TypeError(f"not a structure node: {expr!r}")
+def _signal(program: Program, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Structure function over leaf truth arrays: segments, trials or enumeration rows.
+
+    Runs the program's post-order steps on a stack of arrays.
+    """
+    stack: list = []
+    push = stack.append
+    for op, arg in program.steps:
+        if op == LEAF:
+            push(leaves[arg])
+        elif op == NOT:
+            push(~stack.pop())
+        elif op == XOR:
+            right = stack.pop()
+            push(stack.pop() != right)
+        elif op == NAND:
+            negated, plain = arg
+            top = len(stack) - negated - plain
+            neg = np.logical_and.reduce([~a for a in stack[top:top + negated]])
+            pos = np.logical_and.reduce(stack[top + negated:])
+            del stack[top:]
+            push(neg & pos)
+        else:
+            top = len(stack) - arg
+            children = stack[top:]
+            del stack[top:]
+            if op == AND:
+                push(np.logical_and.reduce(children))
+            else:
+                either = np.logical_or.reduce(children)
+                push(either if op == OR else ~either)
+    return stack.pop()
 
 
 def _component_rates(model: SystemModel) -> list[tuple[str, float, float]]:
     out = []
     for comp in basic_events(model):
-        rates = model.components[comp].rates
-        out.append((comp, float(rates.failure_rate), float(rates.repair_rate)))
+        lam, mu = _float_rates(comp, model.components[comp].rates)
+        if not (lam > 0 and mu > 0):  # a positive rate below the float range rounds to 0
+            raise ValueError(f"a rate of component {comp!r} is too small for floating point; its durations cannot be drawn")
+        out.append((comp, lam, mu))
     return out
 
 
@@ -463,7 +476,7 @@ def _mc_point(model: SystemModel, t: float, cfg: SimConfig) -> Estimate:
         for ci, (comp, lam, mu) in enumerate(comps):
             up = _up_at(cfg.seed, ci, lam, mu, t, trials)
             leaves[comp] = ~up if model.is_fault_tree else up
-        values[lo:lo + step] = _signal(model.body, leaves)
+        values[lo:lo + step] = _signal(model.program, leaves)
     return _estimate(values)
 
 

@@ -373,6 +373,48 @@ def reference_holds(expr, truth: dict[str, bool]) -> bool:
     return not reference_holds(expr.child, truth)
 
 
+def reference_compose(expr, leaf_p: dict):
+    """analytic.compose as it was before structures were compiled: plain recursion.
+
+    Series is And and Parallel is Or; exact when no component repeats.
+    """
+    if isinstance(expr, ak.Unit):
+        return leaf_p[expr.component]
+    if isinstance(expr, ak.Basic):
+        return leaf_p[expr.event]
+    if isinstance(expr, (ak.Series, ak.And)):
+        return math.prod(reference_compose(child, leaf_p) for child in expr.children)
+    if isinstance(expr, (ak.Parallel, ak.Or, ak.Nor)):
+        none = math.prod(1 - reference_compose(child, leaf_p) for child in expr.children)
+        return none if isinstance(expr, ak.Nor) else 1 - none
+    if isinstance(expr, ak.Nand):
+        up = [1 - reference_compose(child, leaf_p) for child in expr.negated]
+        return math.prod(up + [reference_compose(child, leaf_p) for child in expr.plain])
+    if isinstance(expr, ak.Xor):
+        ql, qr = reference_compose(expr.left, leaf_p), reference_compose(expr.right, leaf_p)
+        return (1 - ql) * qr + ql * (1 - qr)
+    return 1 - reference_compose(expr.child, leaf_p)
+
+
+def reference_signal(expr, leaves: dict) -> np.ndarray:
+    """oracle._signal as it was before structures were compiled: plain recursion over leaf truth arrays."""
+    if isinstance(expr, (ak.Unit, ak.Basic)):
+        return leaves[expr.component if isinstance(expr, ak.Unit) else expr.event]
+    if isinstance(expr, (ak.Series, ak.And)):
+        return np.logical_and.reduce([reference_signal(c, leaves) for c in expr.children])
+    if isinstance(expr, (ak.Parallel, ak.Or)):
+        return np.logical_or.reduce([reference_signal(c, leaves) for c in expr.children])
+    if isinstance(expr, ak.Nor):
+        return ~np.logical_or.reduce([reference_signal(c, leaves) for c in expr.children])
+    if isinstance(expr, ak.Nand):
+        neg = np.logical_and.reduce([~reference_signal(c, leaves) for c in expr.negated])
+        pos = np.logical_and.reduce([reference_signal(c, leaves) for c in expr.plain])
+        return neg & pos
+    if isinstance(expr, ak.Xor):
+        return reference_signal(expr.left, leaves) != reference_signal(expr.right, leaves)
+    return ~reference_signal(expr.child, leaves)
+
+
 def reference_exhaustive(model: ak.SystemModel, leaf_probs: dict) -> ak.Probability:
     """exhaustive_probability row by row: the Fraction weight of every assignment that holds.
 

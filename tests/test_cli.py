@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import availkit as ak
-from availkit import analytic, modelfile, oracle
+from availkit import analytic, model, modelfile, oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
 from availkit.modelfile import NESTING_LIMIT
@@ -384,6 +384,21 @@ class TestValidation:
         assert main(argv) == 0
         assert len(calls) == 1, calls
 
+    @pytest.mark.parametrize("run", [r for r in RUNS if r != "cutsets"])
+    def test_each_command_compiles_its_model_once(self, abd_file, ft_file, capsys, monkeypatch, run):
+        # analyze --at 10,100,1000 runs the steady and three point evaluations on one compiled program
+        calls = []
+        for module in (model, analytic, oracle):  # each module's own binding
+
+            def counting(expr, _compile=module.compile_structure):
+                calls.append(type(expr).__name__)
+                return _compile(expr)
+
+            monkeypatch.setattr(module, "compile_structure", counting)
+        argv = [arg.format(abd=abd_file, ft=ft_file) for arg in self.RUNS[run]]
+        assert main(argv) == 0
+        assert len(calls) == 1, calls
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -478,6 +493,38 @@ class TestInputLimits:
         assert main(["analyze", path]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["1:30: number literal too long to read (5000 characters)"]
+
+    FLOAT_RANGE_RUNS = {
+        "analyze-at": ["analyze", "--at", "1"],
+        "simulate-steady": ["simulate", "--horizon", "5", "--trials", "5"],
+        "simulate-at": ["simulate", "--at", "1", "--trials", "5"],
+        "compare": ["compare", "--trials", "5"],
+    }
+
+    @pytest.mark.parametrize("run", FLOAT_RANGE_RUNS)
+    @pytest.mark.parametrize(
+        "literal, problem",
+        [("9" * 400, "too large"), ("0." + "0" * 400 + "1", "too small")],
+        ids=["overflow", "underflow"],
+    )
+    def test_rate_outside_float_range_exit_2(self, tmp_path, capsys, run, literal, problem):
+        # 400 nines overflow a float; 10^-401 rounds to 0.0, which only simulation cannot take
+        path = write_model(tmp_path, "m.avm", f'model "m" component B lambda=1 mu=2 component A lambda={literal} mu=1 ft or {{ basic B; basic A }}')
+        name, *flags = self.FLOAT_RANGE_RUNS[run]
+        code = main([name, path, *flags])
+        err = capsys.readouterr().err.splitlines()
+        if run == "analyze-at" and problem == "too small":
+            assert code == 0 and err == []
+        else:
+            assert code == 2
+            assert len(err) == 1 and f"rate of component 'A' is {problem} for floating point" in err[0]
+
+    def test_rate_past_float_range_stays_exact(self, tmp_path, capsys):
+        big = 10 ** 400 - 1
+        path = write_model(tmp_path, "m.avm", f'model "m" component A lambda={big} mu=1 abd unit A')
+        assert main(["analyze", path, "--exact", "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert parse_exact(row["exact"]) == Fraction(1, big + 1)
 
 
 class TestUsage:
