@@ -2,10 +2,10 @@
 
 Models systems as availability block diagrams or unavailability fault
 trees over components with exponential failure/repair rates, evaluates
-them with exact closed forms (pivotal decomposition on components shared
-by several leaves, with inclusion-exclusion over minimal cut sets past
-its pivot limit), and cross-checks every closed form against exhaustive
-enumeration and alternating-renewal Monte-Carlo simulation.
+them with exact closed forms (a reduced ordered binary decision diagram
+over components shared by several leaves, up to a node limit), and
+cross-checks every closed form against exhaustive enumeration and
+alternating-renewal Monte-Carlo simulation.
 """
 
 __version__ = "0.1.0"

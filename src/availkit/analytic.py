@@ -8,26 +8,26 @@ Component level, for exponential failure/repair rates (lam, mu):
     point unavailability     Q(t) = Q - Q * exp(-(lam + mu) t)
     reliability (no repair)  R(t) = exp(-lam t)
 
-System level, one composer evaluates a structure in its native polarity
-assuming independent leaves: series and AND multiply, parallel and OR
-complement-multiply, and NAND, NOR, XOR and NOT follow their set
-definitions.  It runs the structure's post-order program (see
-model.compile_structure; a SystemModel compiles its body once and keeps
-the program) in one loop over an operand stack, so it takes any nesting
-depth.  Its operands are (numerator, denominator) pairs: exact leaves
-enter as reduced integer pairs, multiply without a gcd per step, and the
-result is reduced once; float leaves enter as (x, 1.0), so the float
-operations, and their order, are those of the gate formulas evaluated
-child by child on plain floats.
+System level, one loop evaluates a structure in its native polarity:
+series and AND multiply, parallel and OR complement-multiply, and NAND,
+NOR, XOR and NOT follow their set definitions.  It runs the structure's
+post-order program (see model.compile_structure; a SystemModel compiles
+its body once and keeps the program) over an operand stack, so it takes
+any nesting depth.  Its operands are (numerator, denominator) pairs:
+exact leaves enter as reduced integer pairs, multiply without a gcd per
+step, and the result is reduced once; float leaves enter as (x, 1.0), so
+the float operations, and their order, are those of the gate formulas
+evaluated child by child on plain floats.
 
-Leaves naming the same component are one event, so such models go
-through pivotal (Shannon) decomposition on the repeated events (Barlow &
-Proschan, 1975): P(S) = p_x P(S | x) + (1 - p_x) P(S | not x), each side
-folded and decomposed again until no leaf repeats, and then composed.
-This is exact for every gate, in steady state and at a point in time.  A
-decomposition past PIVOT_LIMIT pivots falls back, for coherent
-structures, to inclusion-exclusion over the minimal cut sets; whatever
-neither route can take is referred to the oracle module.
+Leaves naming the same component are one event.  In the same loop such
+events become the variables of a reduced ordered binary decision diagram
+(Bryant, 1986; Rauzy, 1993, for fault trees).  A part of the structure
+with no repeated event is still computed as a pair and enters the
+diagram as one variable.  P(top) is one bottom-up pass over the nodes,
+P(u) = p P(hi) + (1 - p) P(lo): pivotal (Shannon) decomposition with
+shared sub-results.  It is exact for every gate, in steady state and at
+a point in time; a diagram past NODE_LIMIT nodes is referred to the
+oracle module.
 
 Steady-state quantities involve no exponential, so with rational rates
 they are computed in exact rational arithmetic: each leaf's pair comes
@@ -44,33 +44,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
-from .cutsets import CutSetCollection, ExpansionLimitError, expand_to_cutsets, is_coherent, minimize
-from .model import (
-    AND,
-    LEAF,
-    NAND,
-    NOR,
-    OR,
-    XOR,
-    And,
-    Basic,
-    BlockExpr,
-    Expr,
-    Nand,
-    Nor,
-    Not,
-    Or,
-    RatePair,
-    Series,
-    SystemModel,
-    Unit,
-    Xor,
-    compile_structure,
-    iter_leaves,
-    validate,
-)
+# expand_to_cutsets and minimize are not called here: they stay imported only
+# because perfbench/tracing.py looks them up in this module to wrap them.
+from .cutsets import CutSetCollection, expand_to_cutsets, minimize  # noqa: F401
+from .model import AND, LEAF, NAND, NOR, NOT, OR, XOR, RatePair, SystemModel, validate
 
 __all__ = [
     "Probability",
@@ -80,7 +59,6 @@ __all__ = [
     "METHOD_CLOSED_FORM",
     "METHOD_COMPOSITIONAL",
     "METHOD_PIVOTAL",
-    "METHOD_INCLUSION_EXCLUSION",
     "steady_availability",
     "steady_unavailability",
     "inst_availability",
@@ -106,14 +84,15 @@ Number = Union[Fraction, float]
 METHOD_CLOSED_FORM = "closed-form"
 METHOD_COMPOSITIONAL = "compositional"
 METHOD_PIVOTAL = "pivotal-decomposition"
-METHOD_INCLUSION_EXCLUSION = "inclusion-exclusion"
 
-# Most pivots one pivotal decomposition may take before it falls back or is refused.
-PIVOT_LIMIT = 4096
+# Most nodes the decision diagram of one evaluation may build before it is refused.
+# Counted as apply's memo entries: each makes at most one node, and bounds the
+# work also where the nodes already exist.
+NODE_LIMIT = 1 << 16
 
 
 class RequiresOracleError(Exception):
-    """Pivotal decomposition passed PIVOT_LIMIT and inclusion-exclusion does not apply."""
+    """The decision diagram for the shared events grew past NODE_LIMIT nodes."""
 
 
 class CutSetLimitError(Exception):
@@ -419,215 +398,224 @@ def _require_valid(model: SystemModel) -> None:
         raise ValueError("invalid model: " + "; ".join(str(d) for d in diags))
 
 
-def _run(steps: Sequence[tuple[int, object]], pairs: Mapping[str, tuple]) -> tuple:
-    """(numerator, denominator) of the probability that a program's structure holds.
+def _step(op: int, arg: object, stack: list) -> tuple:
+    """Pop one gate's independent pair operands off stack; return the gate's unreduced pair.
 
-    pairs gives each leaf's probability of being true as such a pair:
-    integers for an exact value, (x, 1.0) for a float x.  Series and AND
-    multiply, parallel and OR complement-multiply (1 - n/d is (d - n)/d),
-    and NAND, NOR, XOR and NOT follow their set definitions.  Nothing is
-    reduced on the way.  With (x, 1.0) leaves every denominator stays 1.0
-    and the numerators take the float operations of the gate formulas, in
-    the same order.
+    Series and AND multiply, parallel and OR complement-multiply (1 - n/d
+    is (d - n)/d), and NAND, NOR, XOR and NOT follow their set definitions.
+    (x, 1.0) operands keep every denominator 1.0, and the numerators take
+    the float operations of the gate formulas, in operand order.
     """
-    stack: list[tuple] = []
+    if op == XOR:
+        rn, rd = stack.pop()
+        ln, ld = stack.pop()
+        return (ld - ln) * rn + ln * (rd - rn), ld * rd
+    if op == NOT:
+        n, d = stack.pop()
+        return d - n, d
+    top = len(stack) - (sum(arg) if op == NAND else arg)
+    operands = stack[top:]
+    del stack[top:]
+    n = d = 1
+    if op == AND:
+        for cn, cd in operands:
+            n *= cn
+            d *= cd
+        return n, d
+    if op == NAND:
+        negated = arg[0]
+        for i, (cn, cd) in enumerate(operands):
+            n *= cd - cn if i < negated else cn
+            d *= cd
+        return n, d
+    for cn, cd in operands:  # OR or NOR
+        n *= cd - cn
+        d *= cd
+    return (d - n, d) if op == OR else (n, d)
+
+
+class _Diagram:
+    """A reduced ordered binary decision diagram (Bryant, 1986) over one program's events.
+
+    Node 0 is false and node 1 is true.  Node u > 1 tests the variable at
+    level var[u]: it goes to hi[u] when that variable is true and to lo[u]
+    when it is false.  Levels count up in the order the program meets the
+    variables, and the newest sits on top, nearest the root, so a gate's
+    own variable goes above its subtrees' diagrams.  Children are older
+    nodes, with smaller ids.  probs[level] is the variable's pair.
+    """
+
+    def __init__(self) -> None:
+        self.var = [-1, -1]  # the terminals sit below every variable
+        self.lo = [0, 1]
+        self.hi = [0, 1]
+        self.unique: dict[tuple, int] = {}
+        self.memo: dict[tuple, int] = {}  # (op, f, g) -> the node of f op g
+        self.probs: list[tuple] = []
+        self.events: dict[str, int] = {}
+
+    def node(self, level: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (level, lo, hi)
+        u = self.unique.get(key)
+        if u is None:
+            u = self.unique[key] = len(self.var)
+            self.var.append(level)
+            self.lo.append(lo)
+            self.hi.append(hi)
+        return u
+
+    def variable(self, pair: tuple) -> int:
+        """A new variable, true with probability pair, above every earlier one."""
+        self.probs.append(pair)
+        return self.node(len(self.probs) - 1, 0, 1)
+
+    def event(self, name: str, pair: tuple) -> int:
+        if name not in self.events:
+            self.events[name] = self.variable(pair)
+        return self.events[name]
+
+    def apply(self, op: int, f: int, g: int) -> int:
+        """The node of f op g for op in AND, OR, XOR; f XOR 1 is not f.
+
+        Iterative, with an explicit stack of tasks: a pair of nodes to
+        combine, or a (level, f, g) triple whose two cofactors are done.
+        """
+        var, lo, hi, memo = self.var, self.lo, self.hi, self.memo
+        tasks: list[tuple] = [(f, g)]
+        done: list[int] = []
+        while tasks:
+            task = tasks.pop()
+            if len(task) == 3:
+                level, f, g = task
+                high = done.pop()
+                r = memo[op, f, g] = self.node(level, done.pop(), high)
+                done.append(r)
+                continue
+            f, g = task
+            if f > g:
+                f, g = g, f
+            if f == g:
+                r = 0 if op == XOR else f
+            elif f == 0:
+                r = 0 if op == AND else g
+            elif f == 1 and op != XOR:
+                r = g if op == AND else 1
+            else:
+                r = memo.get((op, f, g))
+            if r is not None:
+                done.append(r)
+                continue
+            if len(memo) >= NODE_LIMIT:
+                limit = f"the decision diagram exceeds the {NODE_LIMIT}-node limit"
+                raise RequiresOracleError(f"shared events: {limit}; use exhaustive enumeration or simulation")
+            vf, vg = var[f], var[g]
+            level = vf if vf > vg else vg
+            tasks.append((level, f, g))
+            tasks.append((hi[f] if vf == level else f, hi[g] if vg == level else g))
+            tasks.append((lo[f] if vf == level else f, lo[g] if vg == level else g))
+        return done.pop()
+
+    def gate(self, op: int, arg: object, operands: list) -> int:
+        """One program step over operands of which at least one is a node.
+
+        The pair operands are independent of everything else, so _step first
+        combines them into one pair (a NOR's under OR, negated with the rest
+        at the end), which enters as a new variable; then apply combines the
+        nodes two at a time.
+        """
+        if op == NOT:
+            return self.apply(XOR, 1, operands[0])
+        negated = arg[0] if op == NAND else 0
+        nodes, loose = [], []
+        for i, x in enumerate(operands):
+            if type(x) is not int:
+                loose.append(x)
+            else:
+                nodes.append(self.apply(XOR, 1, x) if i < negated else x)
+        if loose:
+            if op == OR or op == NOR:
+                pair = _step(OR, len(loose), loose)
+            else:  # AND, XOR (one pair) and NAND: the negated pairs all false, the plain ones all true
+                plain = sum(1 for x in operands[negated:] if type(x) is not int)
+                pair = _step(NAND, (len(loose) - plain, plain), loose)
+            nodes.append(self.variable(pair))
+        combine = OR if op == OR or op == NOR else XOR if op == XOR else AND
+        nodes.sort(key=self.var.__getitem__)  # deepest first: each apply then adds few nodes
+        top = nodes[0]
+        for u in nodes[1:]:
+            top = self.apply(combine, top, u)
+        return self.apply(XOR, 1, top) if op == NOR else top
+
+    def probability(self, root: int) -> tuple:
+        """P(root) as a pair, from one bottom-up pass over the nodes root reaches.
+
+        Node u gets the numerator N[u] of P(u) = N[u] / scale[var[u] + 1],
+        where scale[k] is the product of the denominators of the levels
+        below k, so P(u) = p P(hi) + (1 - p) P(lo) needs integer products only.
+        """
+        var, lo, hi, probs = self.var, self.lo, self.hi, self.probs
+        scale = [1.0 if isinstance(probs[0][1], float) else 1]
+        for _, d in probs:
+            scale.append(scale[-1] * d)
+        reached = [False] * (root + 1)
+        reached[root] = True
+        for u in range(root, 1, -1):
+            if reached[u]:
+                reached[lo[u]] = reached[hi[u]] = True
+        value = [0, scale[0]] + [0] * (root - 1)
+        for u in range(2, root + 1):
+            if reached[u]:
+                level, h, g = var[u], hi[u], lo[u]
+                n, d = probs[level]
+                up, down = scale[level] // scale[var[h] + 1], scale[level] // scale[var[g] + 1]
+                value[u] = n * value[h] * up + (d - n) * value[g] * down
+        return value[root], scale[var[root] + 1]
+
+
+def _run(steps: Sequence[tuple[int, object]], pairs: Mapping[str, tuple], shared: Collection[str] = ()) -> Number:
+    """The probability that a program's structure holds: a Fraction, reduced once, or a float.
+
+    pairs gives each leaf's probability of being true as a pair:
+    integers for an exact value, (x, 1.0) for a float x.  The leaves of an
+    event in shared are one event; all others are independent.  Operands
+    are pairs, combined by _step, up to the gates that meet a shared event;
+    from there they are nodes of one decision diagram.
+    """
+    diagram = _Diagram() if shared else None
+    stack: list = []
     push = stack.append
     for op, arg in steps:
         if op == LEAF:
-            push(pairs[arg])
-        elif op == AND:
-            top = len(stack) - arg
-            n = d = 1
-            for cn, cd in stack[top:]:
-                n *= cn
-                d *= cd
-            del stack[top:]
-            push((n, d))
-        elif op == OR or op == NOR:
-            top = len(stack) - arg
-            n = d = 1
-            for cn, cd in stack[top:]:
-                n *= cd - cn
-                d *= cd
-            del stack[top:]
-            push((d - n, d) if op == OR else (n, d))
-        elif op == NAND:
-            negated, plain = arg
-            top = len(stack) - negated - plain
-            n = d = 1
-            for i, (cn, cd) in enumerate(stack[top:]):
-                n *= cd - cn if i < negated else cn
-                d *= cd
-            del stack[top:]
-            push((n, d))
-        elif op == XOR:
-            rn, rd = stack.pop()
-            ln, ld = stack.pop()
-            push(((ld - ln) * rn + ln * (rd - rn), ld * rd))
-        else:  # NOT
-            n, d = stack.pop()
-            push((d - n, d))
-    return stack.pop()
-
-
-def _value(pair: tuple) -> Number:
-    """The probability a pair stands for: reduced once if exact, else a float."""
-    n, d = pair
+            push(diagram.event(arg, pairs[arg]) if diagram is not None and arg in shared else pairs[arg])
+            continue
+        if diagram is not None:
+            top = len(stack) - (2 if op == XOR else 1 if op == NOT else sum(arg) if op == NAND else arg)
+            if any(type(x) is int for x in stack[top:]):
+                operands = stack[top:]
+                del stack[top:]
+                push(diagram.gate(op, arg, operands))
+                continue
+        push(_step(op, arg, stack))
+    result = stack.pop()
+    n, d = diagram.probability(result) if type(result) is int else result
     return Fraction(n, d) if isinstance(d, int) else n / d
 
 
-def compose(expr: Expr, leaf_p: Mapping[str, Number]) -> Number:
-    """Probability that expr holds, given each leaf's probability of being true.
-
-    Series is And and Parallel is Or; exact when no component repeats.
-    The result is a Fraction when every leaf is exact and a float when
-    every leaf is a float; with float leaves it is, bit for bit, the float
-    that evaluating each gate's formula over its children in document
-    order gives.
-    """
-    program = compile_structure(expr)
-    pairs = {}
-    for leaf in program.events:
-        p = leaf_p[leaf]
-        pairs[leaf] = (p, 1.0) if isinstance(p, float) else (p.numerator, p.denominator)
-    return _value(_run(program.steps, pairs))
-
-
-def _condition(expr: Expr, event: str, value: bool, shared: set, leaf_p: dict) -> Union[Expr, bool]:
-    """expr with the leaves naming event fixed to value, constants folded.
-
-    The result is a bool when the constant decides expr.  Otherwise each
-    part of it free of the shared leaves is folded into one pseudo-leaf:
-    such a part is independent of the rest, so compose evaluates it once
-    here instead of once per later branch.  The free children of one
-    n-ary gate fold together.  Pseudo-leaf probabilities go into leaf_p
-    under names ("#k") that no component identifier can take.
-    """
-
-    def fold(part: Expr) -> Expr:
-        if isinstance(part, (Unit, Basic)):
-            return part
-        name = f"#{len(leaf_p)}"
-        leaf_p[name] = compose(part, leaf_p)
-        return Basic(name)
-
-    def walk(node: Expr) -> Union[Expr, bool, None]:  # None when node holds no shared leaf
-        if isinstance(node, (Unit, Basic)):
-            leaf = node.component if isinstance(node, Unit) else node.event
-            return value if leaf == event else (node if leaf in shared else None)
-        if isinstance(node, Not):
-            child = walk(node.child)
-            if isinstance(child, bool):
-                return not child
-            return None if child is None else Not(child)
-        if isinstance(node, Xor):
-            left, right = walk(node.left), walk(node.right)
-            if left is None and right is None:
-                return None
-            left = fold(node.left) if left is None else left
-            right = fold(node.right) if right is None else right
-            if isinstance(left, bool):
-                left, right = right, left
-            if not isinstance(right, bool):
-                return Xor(left, right)
-            if isinstance(left, bool):
-                return left != right
-            return Not(left) if right else left
-        if isinstance(node, Nand):
-            return walk(And((Nor(node.negated), And(node.plain))))
-        # An AND-like gate is decided by a false input, an OR-like one by a true one.
-        stop = not isinstance(node, (Series, And))
-        kept, loose = [], []
-        for child in node.children:
-            part = walk(child)
-            if part is stop:
-                return stop != isinstance(node, Nor)
-            if part is None:
-                loose.append(child)
-            elif not isinstance(part, bool):
-                kept.append(part)
-        if len(loose) == len(node.children):
-            return None
-        if len(loose) > 1:  # a NOR's inputs group under an OR
-            loose = [(Or if isinstance(node, Nor) else type(node))(tuple(loose))]
-        kept += [fold(child) for child in loose]
-        return type(node)(tuple(kept)) if kept else (not stop) != isinstance(node, Nor)
-
-    return walk(expr)
-
-
-def _failure_dual(block: BlockExpr) -> Expr:
-    """The coherent fault tree that occurs iff the block diagram is down."""
-    if isinstance(block, Unit):
-        return Basic(block.component)
-    if isinstance(block, Series):
-        return Or(tuple(_failure_dual(c) for c in block.children))
-    return And(tuple(_failure_dual(c) for c in block.children))
-
-
-def _inclusion_exclusion(model: SystemModel, leaf_p: Mapping[str, Number]) -> Number:
-    """P(body) by inclusion-exclusion over the minimal cut sets of a coherent structure."""
-    tree = model.body if model.is_fault_tree else _failure_dual(model.body)
-    down = leaf_p if model.is_fault_tree else {cid: 1 - p for cid, p in leaf_p.items()}
-    reason = "the tree is not coherent"
-    if is_coherent(tree):
-        try:
-            union = pie_probability(minimize(expand_to_cutsets(tree)), down).value
-            return union if model.is_fault_tree else 1 - union
-        except (ExpansionLimitError, CutSetLimitError) as exc:
-            reason = str(exc)
-    raise RequiresOracleError(
-        f"shared leaves: pivotal decomposition exceeds the {PIVOT_LIMIT}-pivot limit "
-        f"({reason}); use exhaustive enumeration or simulation"
-    )
-
-
 def _evaluate(model: SystemModel, pairs: Mapping[str, tuple], t: Optional[float] = None) -> AnalysisResult:
-    """compose on the compiled body, or pivotal decomposition on repeated leaves.
-
-    pairs gives each leaf's probability as _run takes it.  While a leaf
-    repeats, condition on the most repeated one (the first in document
-    order on ties) and compose each branch once no leaf repeats.  Past
-    PIVOT_LIMIT pivots, fall back to inclusion-exclusion.
-    """
+    """_run on the compiled body, with the events that more than one leaf names shared."""
     program = model.program
-    if program.distinct:
-        method = METHOD_CLOSED_FORM if len(program.steps) == 1 else METHOD_COMPOSITIONAL
-        return AnalysisResult(Probability(_value(_run(program.steps, pairs))), method, time=t)
-
-    leaf_p = {leaf: _value(pair) for leaf, pair in pairs.items()}  # gains entries for folded subtrees
-    pivots = 0
-
-    def holds(tree: Union[Expr, bool]) -> Number:
-        nonlocal pivots
-        if isinstance(tree, bool):
-            return int(tree)
-        leaves = list(iter_leaves(tree))
-        if len(set(leaves)) == len(leaves):
-            return compose(tree, leaf_p)
-        pivots += 1
-        if pivots > PIVOT_LIMIT:
-            raise RequiresOracleError  # caught below: fall back to inclusion-exclusion
-        counts = Counter(leaves)
-        event = counts.most_common(1)[0][0]
-        shared = {e for e, n in counts.items() if n > 1}
-        up, down = (_condition(tree, event, v, shared, leaf_p) for v in (True, False))
-        p = leaf_p[event]
-        return p * holds(up) + (1 - p) * holds(down)
-
-    try:
-        value, method = holds(model.body), METHOD_PIVOTAL
-    except RequiresOracleError:
-        value, method = _inclusion_exclusion(model, leaf_p), METHOD_INCLUSION_EXCLUSION
-    return AnalysisResult(Probability(value), method, time=t)
+    shared = set() if program.distinct else {e for e, n in Counter(program.leaves).items() if n > 1}
+    method = METHOD_PIVOTAL if shared else METHOD_CLOSED_FORM if len(program.steps) == 1 else METHOD_COMPOSITIONAL
+    return AnalysisResult(Probability(_run(program.steps, pairs, shared)), method, time=t)
 
 
 def evaluate_steady(model: SystemModel) -> AnalysisResult:
     """Steady-state availability (block body) or unavailability (tree body).
 
     Leaves take their exact steady probabilities, so the result is an
-    exact rational.  Repeated leaves are handled by pivotal decomposition,
-    with inclusion-exclusion past the pivot limit.
+    exact rational.  Repeated leaves are handled by the decision diagram.
     """
     _require_valid(model)
     return _steady(model)

@@ -78,8 +78,6 @@ def fmt12(value: Union[Fraction, float, None]) -> Optional[str]:
         return None
     if isinstance(value, Fraction):
         return str(_CTX12.divide(Decimal(value.numerator), Decimal(value.denominator)))
-    if math.isnan(value):
-        return None
     return format(float(value), ".12g")
 
 
@@ -295,7 +293,7 @@ def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict
     sim_ok = True
     if reference is not None:
         diff_sim = abs(float(reference) - est.mean)
-        sim_ok = math.isfinite(est.std_error) and diff_sim <= 4.0 * est.std_error
+        sim_ok = est.std_error is not None and diff_sim <= 4.0 * est.std_error
         if est.std_error == 0.0:
             sim_ok = diff_sim == 0.0
 

@@ -57,11 +57,14 @@ class CutSetCollection:
 
 def is_coherent(tree: GateExpr) -> bool:
     """True iff the tree contains only basic events, AND and OR gates."""
-    if isinstance(tree, Basic):
-        return True
-    if isinstance(tree, (And, Or)):
-        return all(is_coherent(c) for c in tree.children)
-    return False
+    stack = [tree]  # explicit, so any nesting depth works
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (And, Or)):
+            stack.extend(node.children)
+        elif not isinstance(node, Basic):
+            return False
+    return True
 
 
 def expand_to_cutsets(tree: GateExpr, max_cutsets: int = DEFAULT_EXPANSION_LIMIT) -> CutSetCollection:

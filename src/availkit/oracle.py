@@ -181,10 +181,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte-Carlo estimate with its standard error."""
+    """Monte-Carlo estimate with its standard error (None for one trial, which has none)."""
 
     mean: float
-    std_error: float
+    std_error: Optional[float]
     trials: int
 
 
@@ -436,7 +436,7 @@ def _component_rates(model: SystemModel) -> list[tuple[str, float, float]]:
 def _estimate(values: np.ndarray) -> Estimate:
     n = len(values)
     mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else None
     return Estimate(mean=mean, std_error=se, trials=n)
 
 

@@ -110,7 +110,7 @@ def xor_parity_model(k: int) -> ak.SystemModel:
 
     The top event never occurs, but conditioning on any event only flips
     a chain, so every other event stays repeated: pivotal decomposition
-    needs 2^k - 1 pivots.
+    without shared sub-results needs 2^k - 1 pivots.
     """
     names = [f"x{i}" for i in range(k)]
 
@@ -131,7 +131,7 @@ def complete_graph_model(n: int, block: bool = False) -> ak.SystemModel:
     shared by two.  As a block diagram, the series of the matching
     parallels, whose failure dual is that tree.  Every perfect matching of
     pivoted-down edges ends a separate branch, so pivotal decomposition
-    needs at least (n - 1)!! pivots.
+    without shared sub-results needs at least (n - 1)!! pivots.
     """
     leaf = ak.Unit if block else ak.Basic
     comps, rows = {}, []
@@ -374,7 +374,7 @@ def reference_holds(expr, truth: dict[str, bool]) -> bool:
 
 
 def reference_compose(expr, leaf_p: dict):
-    """analytic.compose as it was before structures were compiled: plain recursion.
+    """analytic._run with no shared events, as plain recursion: every leaf independent.
 
     Series is And and Parallel is Or; exact when no component repeats.
     """
@@ -498,7 +498,7 @@ def _reference_rates(model: ak.SystemModel) -> list[tuple[str, float, float]]:
 
 def _reference_estimate(values: np.ndarray) -> ak.Estimate:
     n = len(values)
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else None
     return ak.Estimate(mean=float(values.mean()), std_error=se, trials=n)
 
 

@@ -1,4 +1,4 @@
-"""Closed forms: frozen hand-derived values, algebraic properties, pivotal decomposition."""
+"""Closed forms: frozen hand-derived values, algebraic properties, shared events through the decision diagram."""
 
 import math
 import random
@@ -360,10 +360,10 @@ class TestEvaluateSteady:
         assert result.probability.value == oracle == Fraction(1)
 
     def test_doubled_or_pivots_linearly(self, monkeypatch):
-        # each event feeds both OR gates; fixing one up decides the tree, so
-        # folding keeps the decomposition to k pivots instead of 2^k branches
+        # each event feeds both OR gates; combining the deepest operands first
+        # keeps the diagram to 2k + 1 nodes, well inside a linear budget
         k = 16
-        monkeypatch.setattr(analytic, "PIVOT_LIMIT", k)
+        monkeypatch.setattr(analytic, "NODE_LIMIT", 3 * k)
         comps = {f"x{i}": ak.ComponentDef(f"x{i}", ak.RatePair(1, 2)) for i in range(1, k + 1)}
         events = tuple(ak.Basic(f"x{i}") for i in range(1, k + 1))
         model = ak.SystemModel("m", comps, ak.And((ak.Or(events), ak.Or(events[::-1]))))
@@ -371,62 +371,107 @@ class TestEvaluateSteady:
         assert result.method == "pivotal-decomposition"
         assert result.probability.value == 1 - Fraction(2, 3) ** k
 
-    def test_pivot_limit_refuses_parity(self, monkeypatch):
-        # an independent 1000-leaf OR beside the parity is folded into one
-        # leaf, also when it holds x0 and so becomes independent only after
-        # the first pivot; later pivots then scan at most the 26 parity
-        # leaves and that one pseudo-leaf
-        monkeypatch.setattr(analytic, "PIVOT_LIMIT", 64)
-        scanned = 0
-        iter_leaves = analytic.iter_leaves
-
-        def counting(expr):
-            nonlocal scanned
-            for leaf in iter_leaves(expr):
-                scanned += 1
-                yield leaf
-
-        monkeypatch.setattr(analytic, "iter_leaves", counting)
+    def test_parity_is_exact(self):
+        # every event stays repeated under any conditioning, which took
+        # pivoting 2^13 - 1 pivots; the diagram needs 171 nodes.  An
+        # independent 1000-leaf OR beside the parity enters as one variable,
+        # also when it holds x0 and so joins the diagram itself.
         parity = xor_parity_model(13)
+        assert ak.evaluate_steady(parity).probability.value == 0
+        assert ak.evaluate_point(parity, 0.7).probability.value == pytest.approx(0.0, abs=1e-12)
         comps = dict(parity.components)
         comps.update({f"y{i}": ak.ComponentDef(f"y{i}", R55) for i in range(1000)})
         wide = tuple(ak.Basic(f"y{i}") for i in range(1000))
-        models = [parity] + [
-            ak.SystemModel("m", comps, ak.Or((parity.body, ak.Or(wide + extra))))
-            for extra in [(), (ak.Basic("x0"),)]
-        ]
-        for model in models:
-            scanned = 0
-            with pytest.raises(ak.RequiresOracleError, match="pivot"):
-                ak.evaluate_steady(model)
-            assert scanned <= len(list(iter_leaves(model.body))) + 64 * 27
+        for extra, q_x0 in [((), Fraction(0)), ((ak.Basic("x0"),), Fraction(1, 2))]:
+            model = ak.SystemModel("m", comps, ak.Or((parity.body, ak.Or(wide + extra))))
+            result = ak.evaluate_steady(model)
+            assert result.method == "pivotal-decomposition"
+            # the parity never occurs, so the top is the OR: 1 - P(no y) P(x0 up)
+            assert result.probability.value == 1 - Fraction(1, 2) ** 1000 * (1 - q_x0)
 
-    def test_pivot_limit_falls_back_to_inclusion_exclusion(self):
-        # K_12: 12 minimal cut sets but at least 11!! = 10395 pivots
+    def test_k12_is_exact(self):
+        # K_12: 12 minimal cut sets but at least 11!! = 10395 pivots; the
+        # diagram stays under the node limit
         tree = complete_graph_model(12)
         result = ak.evaluate_steady(tree)
-        assert result.method == "inclusion-exclusion"
+        assert result.method == "pivotal-decomposition"
         probs = steady_leaf_probs(tree)
         via_pie = ak.pie_probability(ak.minimize(ak.expand_to_cutsets(tree.body)), probs).value
         assert result.probability.value == via_pie
 
     @pytest.mark.parametrize("block", [False, True])
-    def test_fallback_matches_enumeration(self, monkeypatch, block):
-        monkeypatch.setattr(analytic, "PIVOT_LIMIT", 2)
+    def test_fallback_matches_enumeration(self, block):
+        # K_5 in both polarities, the models that once exercised the
+        # inclusion-exclusion fallback, through the diagram
         model = complete_graph_model(5, block=block)
         steady = ak.evaluate_steady(model)
-        assert steady.method == "inclusion-exclusion"
+        assert steady.method == "pivotal-decomposition"
         assert steady.probability.value == ak.exhaustive_probability(model, steady_leaf_probs(model)).value
         leaf = ak.inst_availability if block else ak.inst_unavailability
         probs = {c: leaf(comp.rates, 0.7) for c, comp in model.components.items()}
         point = ak.evaluate_point(model, 0.7)
-        assert point.method == "inclusion-exclusion"
+        assert point.method == "pivotal-decomposition"
         assert point.probability.value == pytest.approx(ak.exhaustive_probability(model, probs).value, abs=1e-12)
 
-    def test_fallback_refuses_too_many_cutsets(self, monkeypatch):
-        monkeypatch.setattr(analytic, "PIVOT_LIMIT", 2)
-        with pytest.raises(ak.RequiresOracleError, match="20-set limit"):
+    def test_fallback_refuses_too_many_cutsets(self):
+        # K_21's diagram passes the node limit: the model is referred to the oracles
+        with pytest.raises(ak.RequiresOracleError, match=f"{analytic.NODE_LIMIT}-node limit"):
             ak.evaluate_steady(complete_graph_model(21))
+
+    def test_node_limit_bounds_apply_work(self, monkeypatch):
+        # ANDing K_8's tree with a function it implies adds no node, but walks
+        # pairs of cofactors: each counts against the limit, so this model
+        # needs more of it than K_8 alone
+        k8 = complete_graph_model(8)
+        model = ak.SystemModel("m", k8.components, ak.And((k8.body, ak.Or((k8.body, ak.Basic("e0_1"))))))
+        monkeypatch.setattr(analytic, "NODE_LIMIT", 2000)
+        assert ak.evaluate_steady(k8).probability.value
+        with pytest.raises(ak.RequiresOracleError, match="2000-node limit"):
+            ak.evaluate_steady(model)
+        monkeypatch.setattr(analytic, "NODE_LIMIT", 4000)
+        assert ak.evaluate_steady(model).probability.value == ak.evaluate_steady(k8).probability.value
+
+    @pytest.mark.parametrize("kind", ["and-not", "and-or"])
+    def test_deep_chain_with_a_repeated_leaf(self, kind):
+        # 5000 nested gates over a leaf a, each AND also taking a leaf xj from
+        # a short cycle, and a again at the top: the diagram is built and
+        # read without recursion
+        rates = {"a": ak.RatePair(1, 3), "x0": ak.RatePair(1, 1), "x1": ak.RatePair(2, 3), "x2": ak.RatePair(1, 4)}
+        expr = ak.Basic("a")
+        for level in range(1, 5001):
+            if level % 2:
+                expr = ak.And((expr, ak.Basic(f"x{level % 3}")))
+            else:
+                expr = ak.Not(expr) if kind == "and-not" else ak.Or((expr, ak.Basic(f"x{level % 3}")))
+        comps = {c: ak.ComponentDef(c, r) for c, r in rates.items()}
+        model = ak.SystemModel("chain", comps, ak.Or((expr, ak.Basic("a"))))
+        steady = ak.evaluate_steady(model)
+        assert steady.method == "pivotal-decomposition"
+        assert steady.probability.value == ak.exhaustive_probability(model, steady_leaf_probs(model)).value
+        probs = {c: ak.inst_unavailability(r, 0.7) for c, r in rates.items()}
+        point = ak.evaluate_point(model, 0.7).probability.value
+        assert point == pytest.approx(ak.exhaustive_probability(model, probs).value, abs=1e-12)
+
+    def test_deep_chain_with_a_leaf_per_level(self):
+        # 5000 alternating AND/NOT levels, each AND with a leaf of its own, over
+        # a repeated leaf a: every level's leaf enters the diagram above the
+        # levels below it, so the diagram grows by a few nodes per level
+        expr = ak.Basic("a")
+        comps = {"a": ak.ComponentDef("a", ak.RatePair(1, 1))}
+        for level in range(1, 5001):
+            if level % 2:
+                comps[f"x{level}"] = ak.ComponentDef(f"x{level}", ak.RatePair(1, 1))
+                expr = ak.And((expr, ak.Basic(f"x{level}")))
+            else:
+                expr = ak.Not(expr)
+        model = ak.SystemModel("chain", comps, ak.Or((expr, ak.Basic("a"))))
+        # the top occurs with a; without a the chain depends only on its
+        # independent leaves, so its probability follows level by level
+        q = Fraction(1, 2)
+        down = Fraction(0)  # P(chain | not a)
+        for level in range(1, 5001):
+            down = down * q if level % 2 else 1 - down
+        assert ak.evaluate_steady(model).probability.value == q + (1 - q) * down
 
     def test_invalid_model_rejected(self):
         model = ak.SystemModel("m", {}, ak.Unit("ghost"))

@@ -17,7 +17,7 @@ from availkit import analytic, model, modelfile, oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
 from availkit.modelfile import NESTING_LIMIT
-from support import nested_model_text, prime_series_model, xor_parity_model
+from support import complete_graph_model, nested_model_text, prime_series_model, xor_parity_model
 
 
 @pytest.fixture()
@@ -90,16 +90,16 @@ class TestAnalyze:
         assert row["method"] == "pivotal-decomposition"
 
     def test_requires_oracle_exit_3(self, tmp_path, capsys):
-        # every event stays repeated under conditioning: past the pivot limit
-        path = write_model(tmp_path, "parity.avm", ak.serialize_model(xor_parity_model(13)))
+        # K_21's decision diagram passes the node limit
+        path = write_model(tmp_path, "k21.avm", ak.serialize_model(complete_graph_model(21)))
         assert main(["analyze", path]) == 3
         err = capsys.readouterr().err
-        assert "pivot" in err
+        assert f"{analytic.NODE_LIMIT}-node limit" in err
         assert "simulate" in err
 
     def test_many_cutsets_shared_leaf_exact(self, tmp_path, capsys):
-        # 32 minimal cut sets, beyond inclusion-exclusion's 20-set limit;
-        # pivoting on the shared leaf s leaves independent OR stages
+        # 32 minimal cut sets, beyond inclusion-exclusion's 20-set limit; the
+        # OR stages are free of the shared leaf s and enter the diagram as one variable
         comps = " ".join(
             f"component {c} lambda=1 mu=1"
             for c in [f"a{i}" for i in range(5)] + [f"b{i}" for i in range(5)] + ["s"]
@@ -164,6 +164,13 @@ class TestSimulate:
         report = json.loads(capsys.readouterr().out)
         assert [r["time"] for r in report["results"]] == ["0", "2"]
         assert report["results"][0]["mean"] == "1"
+
+    def test_single_trial_has_no_standard_error(self, abd_file, capsys):
+        assert main(["simulate", abd_file, "--horizon", "5", "--at", "1", "--trials", "1", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert [row["std_error"] for row in rows] == [None, None]
+        assert main(["simulate", abd_file, "--horizon", "5", "--trials", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[3] == "n/a"
 
     def test_zero_trials_exit_2(self, abd_file, capsys):
         assert main(["simulate", abd_file, "--horizon", "100", "--trials", "0"]) == 2
@@ -244,8 +251,9 @@ class TestCompare:
         assert steady["analytic"] == steady["exhaustive"] == point["analytic"] == point["exhaustive"] == "1"
         assert report["verdict"] == "PASS"
 
-    def test_noncoherent_shared_marks_oracle_only(self, tmp_path, capsys):
-        # past the pivot limit, so only the oracles give a value
+    def test_noncoherent_shared_marks_oracle_only(self, tmp_path, capsys, monkeypatch):
+        # the parity's diagram needs 171 nodes: past this limit only the oracles give a value
+        monkeypatch.setattr(analytic, "NODE_LIMIT", 64)
         path = write_model(tmp_path, "parity.avm", ak.serialize_model(xor_parity_model(13)))
         assert main(["compare", path, "--trials", "20", "--horizon", "100", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -388,7 +396,9 @@ class TestValidation:
     def test_each_command_compiles_its_model_once(self, abd_file, ft_file, capsys, monkeypatch, run):
         # analyze --at 10,100,1000 runs the steady and three point evaluations on one compiled program
         calls = []
-        for module in (model, analytic, oracle):  # each module's own binding
+        for module in (model, analytic, oracle):  # each module's own binding, where it has one
+            if not hasattr(module, "compile_structure"):
+                continue
 
             def counting(expr, _compile=module.compile_structure):
                 calls.append(type(expr).__name__)
@@ -461,6 +471,63 @@ class TestFuzz:
                     assert position, message
                     line, column = int(position[1]), int(position[2])
                     assert 1 <= line <= len(lines) and 1 <= column <= len(lines[line - 1]) + 1, message
+
+
+ARGV_EDGE = ["0", "-1", "nan", "inf", "1e309", "", "abc"]
+ARGV_COMMANDS = ["analyze", "simulate", "compare", "cutsets", "casestudy", "help", ""]
+SIM_COMMANDS = ("simulate", "compare", "casestudy")
+
+
+def token(numbers: st.SearchStrategy) -> st.SearchStrategy:
+    """A flag value: a number drawn from numbers, or an edge token."""
+    return st.one_of(numbers.map(str), st.sampled_from(ARGV_EDGE))
+
+
+@st.composite
+def fuzzed_argv(draw, targets: list, out: str) -> list:
+    """A command, maybe a target, and a shuffled list of flags with edge values.
+
+    Simulating commands always get --trials <= 50 and --horizon <= 50 (or
+    an edge token), since their defaults run far longer; casestudy writes
+    to out.
+    """
+    command = draw(st.sampled_from(ARGV_COMMANDS))
+    times = st.lists(token(st.floats(0.0, 50.0)), min_size=1, max_size=3).map(",".join)
+    choices = [
+        ["--at", draw(times)],
+        ["--seed", draw(token(st.integers(-(2**70), 2**70)))],
+        ["--threads", draw(token(st.integers(-2, 8)))],
+        ["--json"],
+        ["--exact"],
+        ["--minimize"],
+        ["--bogus"],
+        ["--help"],
+    ]
+    flags = draw(st.lists(st.sampled_from(choices), max_size=4))
+    if command in SIM_COMMANDS:
+        flags += [["--trials", draw(token(st.integers(-1, 50)))], ["--horizon", draw(token(st.floats(0.0, 50.0)))]]
+    flags = draw(st.permutations(flags))
+    argv = [command] + ([draw(st.sampled_from(targets))] if draw(st.booleans()) or not flags else [])
+    argv += [word for flag in flags for word in flag]
+    return argv + (["--out", out] if command == "casestudy" else [])
+
+
+class TestArgvFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_argv_exits_0_2_or_3(self, tmp_path_factory, data):
+        folder = tmp_path_factory.mktemp("argv")
+        files = []
+        for i, text in enumerate(FUZZ_BASES):
+            files.append(folder / f"m{i}.avm")
+            files[-1].write_text(text, encoding="utf-8")
+        targets = [str(f) for f in files] + [str(folder), str(folder / "missing.avm"), "dfh3-abd", "dfh3-ft"] + ARGV_EDGE
+        argv = data.draw(fuzzed_argv(targets, str(folder / "case.avm")), label="argv")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
 
 
 LIMIT_RUNS = {

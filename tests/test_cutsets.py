@@ -145,3 +145,14 @@ class TestCollection:
         assert ak.is_coherent(dfh3_ft().body)
         assert not ak.is_coherent(ak.Not(ak.Basic("a")))
         assert not ak.is_coherent(ak.And((ak.Basic("a"), ak.Xor(ak.Basic("a"), ak.Basic("b")))))
+        assert not ak.is_coherent(ak.Unit("a"))
+        assert not ak.is_coherent(ak.Series((ak.Unit("a"),)))
+        assert not ak.is_coherent(ak.Or((ak.Basic("a"), ak.Parallel((ak.Unit("b"),)))))
+
+    def test_is_coherent_at_any_depth(self):
+        # a 5000-level AND/OR chain: the walk keeps its own stack
+        tree = ak.Basic("a")
+        for level in range(5000):
+            tree = (ak.And if level % 2 else ak.Or)((tree, ak.Basic(f"x{level % 7}")))
+        assert ak.is_coherent(tree)
+        assert not ak.is_coherent(ak.Or((tree, ak.Not(ak.Basic("a")))))

@@ -228,6 +228,15 @@ class TestMonteCarlo:
         cfg = ak.SimConfig(trials=200, seed=123)
         assert ak.mc_point_availability(model, 4.0, cfg) == ak.mc_point_availability(model, 4.0, cfg)
 
+    def test_single_trial_estimates_compare_equal(self):
+        # one trial has no standard error: None, so that equal runs compare equal
+        cfg = ak.SimConfig(trials=1, horizon=5.0, seed=1)
+        steady = ak.mc_steady_availability(dfh3_abd(), cfg)
+        point = ak.mc_point_availability(dfh3_abd(), 4.0, cfg)
+        assert steady.std_error is None and point.std_error is None
+        assert steady == ak.mc_steady_availability(dfh3_abd(), cfg)
+        assert point == ak.mc_point_availability(dfh3_abd(), 4.0, cfg)
+
     def test_point_thread_invariance(self):
         model = dfh3_abd()
         serial = ak.mc_point_availability(model, 4.0, ak.SimConfig(trials=120, seed=9, threads=1))
@@ -362,13 +371,6 @@ class TestBatchedPoint:
                 assert got == reference_mc_point(model, t, cfg), (ak.serialize_model(model), t, cfg)
 
 
-def same_estimate(got, want):
-    """Estimates equal in every field, a single trial's nan standard error included."""
-    return got == want or (
-        (got.mean, got.trials) == (want.mean, want.trials) and math.isnan(got.std_error) and math.isnan(want.std_error)
-    )
-
-
 class TestBatchedSteady:
     """The batched steady-state estimator equals the per-trial reference exactly."""
 
@@ -398,7 +400,7 @@ class TestBatchedSteady:
                 seed = (-1 - rng.randrange(2 ** 70), 2 ** 64 + rng.randrange(2 ** 70), rng.randrange(2 ** 64))[(i + j) % 3]
                 cfg = ak.SimConfig(trials=(1, 2, 9, 41)[(i + j) % 4], horizon=horizon, seed=seed)
                 got = ak.mc_steady_availability(model, cfg)
-                assert same_estimate(got, reference_mc_steady(model, cfg)), (ak.serialize_model(model), cfg)
+                assert got == reference_mc_steady(model, cfg), (ak.serialize_model(model), cfg)
 
     @pytest.mark.parametrize("block", [True, False])
     def test_more_components_than_bits_in_a_word(self, block):

@@ -1,5 +1,6 @@
 """Compiled structure programs: equal to the recursive evaluators they replaced, at any depth."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import availkit as ak
 from availkit import analytic, oracle
 from availkit.model import LEAF, NAND, NOT, OR, compile_structure
-from support import reference_compose, reference_leaves, reference_signal
+from support import assignments, reference_compose, reference_holds, reference_leaves, reference_signal
 
 NAMES = ("a", "b", "c", "d")
 
@@ -64,13 +65,19 @@ exact_probs = st.fractions(min_value=0, max_value=1, max_denominator=1000)
 float_probs = st.floats(min_value=0.0, max_value=1.0)
 
 
+def as_pairs(probs: dict) -> dict:
+    """Each leaf's probability as analytic._run takes it: an integer pair, or (x, 1.0) for a float x."""
+    return {e: (p, 1.0) if isinstance(p, float) else (p.numerator, p.denominator) for e, p in probs.items()}
+
+
 class TestEqualsRecursiveReference:
     @settings(deadline=None)
     @given(structures(), st.booleans(), st.data())
     def test_compose(self, structure, exact, data):
         tree, events = structure
         probs = {e: data.draw(exact_probs if exact else float_probs, label=e) for e in events}
-        got, want = analytic.compose(tree, probs), reference_compose(tree, probs)
+        got = analytic._run(compile_structure(tree).steps, as_pairs(probs))
+        want = reference_compose(tree, probs)
         if exact:
             assert isinstance(got, Fraction) and got == want
         else:
@@ -88,6 +95,28 @@ class TestEqualsRecursiveReference:
         leaves = {e: rng.random(64) < 0.5 for e in events}
         got = oracle._signal(program, leaves)
         assert got.dtype == bool and np.array_equal(got, reference_signal(tree, leaves))
+
+
+class TestSharedEvents:
+    @settings(deadline=None)
+    @given(st.booleans().flatmap(trees), st.booleans(), st.data())
+    def test_run_equals_enumeration(self, tree, exact, data):
+        # the leaves of the repeated events are one event each: _run's
+        # decision diagram equals summing over the truth table
+        events = sorted(set(reference_leaves(tree)))
+        probs = {e: data.draw(exact_probs if exact else float_probs, label=e) for e in events}
+        program = compile_structure(tree)
+        shared = {e for e in events if program.leaves.count(e) > 1}
+        got = analytic._run(program.steps, as_pairs(probs), shared)
+        want = sum(
+            math.prod(probs[e] if truth[e] else 1 - probs[e] for e in events)
+            for truth in assignments(events)
+            if reference_holds(tree, truth)
+        )
+        if exact:
+            assert isinstance(got, Fraction) and got == want
+        else:
+            assert isinstance(got, float) and got == pytest.approx(want, abs=1e-12)
 
 
 class TestProgram:
