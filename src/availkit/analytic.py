@@ -46,10 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
-# expand_to_cutsets and minimize are not called here: they stay imported only
-# because perfbench/tracing.py looks them up in this module to wrap them.
-from .cutsets import CutSetCollection, expand_to_cutsets, minimize  # noqa: F401
-from .model import AND, LEAF, NAND, NOR, NOT, OR, XOR, RatePair, SystemModel, validate
+from .cutsets import CutSetCollection
+from .cutsets import expand_to_cutsets, minimize  # noqa: F401 -- unused; perfbench/tracing.py wraps them here
+from .model import AND, LEAF, NAND, NOR, NOT, OR, XOR, RatePair, SystemModel, _require_valid
+from .model import validate  # noqa: F401 -- unused; perfbench/tracing.py wraps analytic.validate
 
 __all__ = [
     "Probability",
@@ -392,12 +392,6 @@ def pie_probability(
 # --- whole-model evaluation ---------------------------------------------------
 
 
-def _require_valid(model: SystemModel) -> None:
-    diags = validate(model)
-    if diags:
-        raise ValueError("invalid model: " + "; ".join(str(d) for d in diags))
-
-
 def _step(op: int, arg: object, stack: list) -> tuple:
     """Pop one gate's independent pair operands off stack; return the gate's unreduced pair.
 
@@ -618,11 +612,6 @@ def evaluate_steady(model: SystemModel) -> AnalysisResult:
     exact rational.  Repeated leaves are handled by the decision diagram.
     """
     _require_valid(model)
-    return _steady(model)
-
-
-def _steady(model: SystemModel) -> AnalysisResult:
-    """evaluate_steady of a model already validated (parse_model validates)."""
     up = not model.is_fault_tree
     components = model.components
     return _evaluate(model, {e: _steady_pair(components[e].rates, up) for e in model.program.events})
@@ -635,11 +624,6 @@ def evaluate_point(model: SystemModel, t: float) -> AnalysisResult:
     handled as in evaluate_steady.
     """
     _require_valid(model)
-    return _point(model, t)
-
-
-def _point(model: SystemModel, t: float) -> AnalysisResult:
-    """evaluate_point of a model already validated (parse_model validates)."""
     t = _check_time(t)
     up = not model.is_fault_tree
     pairs = {}

@@ -24,17 +24,9 @@ from typing import Optional, Sequence, Union
 
 from . import __version__
 
-# The commands evaluate only models read by parse_model, which validates
-# them, so they call the engines' bodies that skip validating again.  The
-# public entry points are not called here: they stay imported only because
-# perfbench/tracing.py looks them up in this module to wrap them.  Its
-# analytic.evaluate_* and oracle.mc_* layer metrics therefore read 0 on the
-# CLI path until the tracer wraps _steady, _point, _mc_point and _mc_steady.
 from .analytic import (
     AnalysisResult,
     RequiresOracleError,
-    _point,
-    _steady,
     evaluate_point,
     evaluate_steady,
     steady_availability,
@@ -50,8 +42,6 @@ from .oracle import (
     EXHAUSTIVE_EVENT_LIMIT,
     Estimate,
     SimConfig,
-    _mc_point,
-    _mc_steady,
     exhaustive_probability,
     mc_point_availability,
     mc_steady_availability,
@@ -184,9 +174,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise _CliError("--exact applies to steady-state quantities; omit --at")
 
     quantity = _quantity(model)
-    rows = [_analysis_row(quantity, _steady(model))]
+    rows = [_analysis_row(quantity, evaluate_steady(model))]
     for t in times:
-        rows.append(_analysis_row(quantity, _point(model, t)))
+        rows.append(_analysis_row(quantity, evaluate_point(model, t)))
 
     report = {
         "tool": "availkit",
@@ -225,9 +215,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     quantity = _quantity(model)
     rows = []
     if cfg.horizon is not None:
-        rows.append(_estimate_row(quantity, None, _mc_steady(model, cfg)))
+        rows.append(_estimate_row(quantity, None, mc_steady_availability(model, cfg)))
     for t in times:
-        rows.append(_estimate_row(quantity, t, _mc_point(model, t, cfg)))
+        rows.append(_estimate_row(quantity, t, mc_point_availability(model, t, cfg)))
 
     report = {
         "tool": "availkit",
@@ -265,7 +255,7 @@ def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict
     analytic_value = None
     analytic_note = None
     try:
-        result = _steady(model) if t is None else _point(model, t)
+        result = evaluate_steady(model) if t is None else evaluate_point(model, t)
         analytic_value = result.probability.value
     except RequiresOracleError:
         analytic_note = "n/a (oracle only)"
@@ -278,7 +268,7 @@ def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict
     else:
         exhaustive_note = f"n/a ({n_events} events exceed the {EXHAUSTIVE_EVENT_LIMIT}-event limit)"
 
-    est = _mc_steady(model, cfg) if t is None else _mc_point(model, t, cfg)
+    est = mc_steady_availability(model, cfg) if t is None else mc_point_availability(model, t, cfg)
 
     diff_ae = None
     ae_ok = True

@@ -73,36 +73,46 @@ def expand_to_cutsets(tree: GateExpr, max_cutsets: int = DEFAULT_EXPANSION_LIMIT
     OR gates union their children's collections; AND gates distribute,
     taking the cross-product union of the children's cut sets.  The
     intermediate collection is bounded by max_cutsets to keep the
-    exponential blowup explicit rather than silent.
+    exponential blowup explicit rather than silent.  Children are expanded
+    in document order with an explicit stack, so any nesting depth works.
     """
 
-    def expand(node: GateExpr, path: str) -> list[frozenset[str]]:
-        if isinstance(node, Basic):
-            return [frozenset((node.event,))]
-        if isinstance(node, Or):
-            acc: list[frozenset[str]] = []
-            for i, child in enumerate(node.children):
-                acc.extend(expand(child, f"{path}.children[{i}]"))
-            _check_size(acc)
-            return acc
-        if isinstance(node, And):
-            acc = [frozenset()]
-            for i, child in enumerate(node.children):
-                parts = expand(child, f"{path}.children[{i}]")
-                acc = [left | right for left in acc for right in parts]
-                _check_size(acc)
-            return acc
-        raise NonCoherentError(
-            f"non-coherent tree: {type(node).__name__} gate at {path}"
-        )
-
-    def _check_size(acc: list) -> None:
+    def check(acc: list) -> list:
         if len(acc) > max_cutsets:
             raise ExpansionLimitError(
                 f"cut-set expansion exceeds the {max_cutsets}-set limit"
             )
+        return acc
 
-    return CutSetCollection(tuple(expand(tree, "tree")), minimized=False)
+    # [node, its cut sets so far (None before its first visit), children taken];
+    # each frame below the top is expanding its child number children taken - 1
+    stack: list[list] = [[tree, None, 0]]
+    done: list[frozenset[str]] = []  # the cut sets of the node finished last
+    while stack:
+        frame = stack[-1]
+        node, acc, taken = frame
+        if acc is None:
+            if isinstance(node, Basic):
+                done = [frozenset((node.event,))]
+                stack.pop()
+                continue
+            if not isinstance(node, (And, Or)):
+                path = "tree" + "".join(f".children[{f[2] - 1}]" for f in stack[:-1])
+                raise NonCoherentError(
+                    f"non-coherent tree: {type(node).__name__} gate at {path}"
+                )
+            acc = frame[1] = [frozenset()] if isinstance(node, And) else []
+        elif isinstance(node, And):
+            acc = frame[1] = check([left | right for left in acc for right in done])
+        else:
+            acc.extend(done)
+        if taken < len(node.children):
+            frame[2] = taken + 1
+            stack.append([node.children[taken], None, 0])
+        else:
+            done = check(acc) if isinstance(node, Or) else acc
+            stack.pop()
+    return CutSetCollection(tuple(done), minimized=False)
 
 
 def minimize(collection: CutSetCollection) -> CutSetCollection:

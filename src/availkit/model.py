@@ -313,12 +313,26 @@ def compile_structure(expr: Expr) -> Program:
 
 
 @dataclass(frozen=True)
+class Diagnostic:
+    """One validation finding, locating the offending node by path."""
+
+    message: str
+    path: str = ""
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.message}" if self.path else self.message
+
+
+@dataclass(frozen=True)
 class SystemModel:
     """A named set of components plus one structure over them.
 
     The body is either a block diagram (instantaneous/steady availability
     semantics) or a fault tree (unavailability semantics).  The component
     map preserves declaration order, which fixes the order of basic_events.
+    The compiled program and the validation findings are computed once and
+    cached, so neither the components nor the body may be mutated after
+    construction.
     """
 
     name: str
@@ -338,6 +352,51 @@ class SystemModel:
         __dict__, which the frozen dataclass allows and eq/repr ignore."""
         return compile_structure(self.body)
 
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        """validate's findings, from one walk per model, cached like program."""
+        diags: list[Diagnostic] = []
+
+        for cid, comp in self.components.items():
+            path = f"components[{cid}]"
+            if not IDENT_PATTERN.match(cid or ""):
+                diags.append(Diagnostic(f"invalid component identifier {cid!r}", path))
+            if comp.id != cid:
+                diags.append(Diagnostic(f"component keyed {cid!r} declares id {comp.id!r}", path))
+            for problem in comp.rates.problems():
+                diags.append(Diagnostic(f"{problem} at {cid}", path))
+
+        want_gate = self.is_fault_tree
+        stack: list[tuple[Expr, str]] = [(self.body, "body")]  # explicit, so any nesting depth works
+        while stack:
+            expr, path = stack.pop()
+            is_gate = isinstance(expr, _GATE_NODES)
+            is_block = isinstance(expr, _BLOCK_NODES)
+            if not (is_gate or is_block):
+                diags.append(Diagnostic(f"unexpected node {type(expr).__name__}", path))
+                continue
+            if is_gate != want_gate:
+                kind = "gate" if is_gate else "block"
+                diags.append(Diagnostic(f"{kind} node {type(expr).__name__} in the wrong structure kind", path))
+                continue
+
+            if isinstance(expr, (Unit, Basic)):
+                leaf = expr.component if isinstance(expr, Unit) else expr.event
+                if leaf not in self.components:
+                    diags.append(Diagnostic(f"unknown component reference {leaf!r}", path))
+                continue
+
+            if isinstance(expr, (Series, Parallel, And, Or, Nor)) and not expr.children:
+                diags.append(Diagnostic(f"{type(expr).__name__} node has no children", path))
+            if isinstance(expr, Nand):
+                if not expr.negated:
+                    diags.append(Diagnostic("Nand node has an empty negated group", path))
+                if not expr.plain:
+                    diags.append(Diagnostic("Nand node has an empty plain group", path))
+            for segment, child in reversed(_node_children(expr)):
+                stack.append((child, path + segment))
+        return tuple(diags)
+
     @property
     def leaves_distinct(self) -> bool:
         """True iff no component id appears at more than one leaf.
@@ -349,65 +408,21 @@ class SystemModel:
         return self.program.distinct
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding, locating the offending node by path."""
-
-    message: str
-    path: str = ""
-
-    def __str__(self) -> str:
-        return f"{self.path}: {self.message}" if self.path else self.message
-
-
 def validate(model: SystemModel) -> list[Diagnostic]:
     """Check every structural invariant; empty result means the model is valid.
 
     One diagnostic is produced per violation: bad identifiers, nonpositive
     or non-finite rates, empty gate/block argument lists, dangling leaf
     references, and gate nodes mixed into block bodies (or vice versa).
+    The model is walked once; each call returns a new list of its findings.
     """
-    diags: list[Diagnostic] = []
+    return list(model._diagnostics)
 
-    for cid, comp in model.components.items():
-        path = f"components[{cid}]"
-        if not IDENT_PATTERN.match(cid or ""):
-            diags.append(Diagnostic(f"invalid component identifier {cid!r}", path))
-        if comp.id != cid:
-            diags.append(Diagnostic(f"component keyed {cid!r} declares id {comp.id!r}", path))
-        for problem in comp.rates.problems():
-            diags.append(Diagnostic(f"{problem} at {cid}", path))
 
-    want_gate = model.is_fault_tree
-    stack: list[tuple[Expr, str]] = [(model.body, "body")]  # explicit, so any nesting depth works
-    while stack:
-        expr, path = stack.pop()
-        is_gate = isinstance(expr, _GATE_NODES)
-        is_block = isinstance(expr, _BLOCK_NODES)
-        if not (is_gate or is_block):
-            diags.append(Diagnostic(f"unexpected node {type(expr).__name__}", path))
-            continue
-        if is_gate != want_gate:
-            kind = "gate" if is_gate else "block"
-            diags.append(Diagnostic(f"{kind} node {type(expr).__name__} in the wrong structure kind", path))
-            continue
-
-        if isinstance(expr, (Unit, Basic)):
-            leaf = expr.component if isinstance(expr, Unit) else expr.event
-            if leaf not in model.components:
-                diags.append(Diagnostic(f"unknown component reference {leaf!r}", path))
-            continue
-
-        if isinstance(expr, (Series, Parallel, And, Or, Nor)) and not expr.children:
-            diags.append(Diagnostic(f"{type(expr).__name__} node has no children", path))
-        if isinstance(expr, Nand):
-            if not expr.negated:
-                diags.append(Diagnostic("Nand node has an empty negated group", path))
-            if not expr.plain:
-                diags.append(Diagnostic("Nand node has an empty plain group", path))
-        for segment, child in reversed(_node_children(expr)):
-            stack.append((child, path + segment))
-    return diags
+def _require_valid(model: SystemModel) -> None:
+    """Raise ValueError naming every finding of validate, if there is one."""
+    if model._diagnostics:
+        raise ValueError("invalid model: " + "; ".join(str(d) for d in model._diagnostics))
 
 
 def basic_events(model: SystemModel) -> list[str]:

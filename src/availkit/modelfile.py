@@ -60,9 +60,10 @@ from .model import (
 
 __all__ = ["SourceSpan", "ParseDiagnostic", "ModelFileError", "parse_model", "serialize_model"]
 
-# brace levels a model text may open; the parser and the deepest walk over
-# the model take about two stack frames per level, so this uses about half
-# of Python's default recursion limit of 1000 and leaves the rest to callers
+# brace levels a model text may open; the recursive-descent parser takes
+# about two stack frames per level, so this uses about half of Python's
+# default recursion limit of 1000 and leaves the rest to callers, such as the
+# dataclass-generated == and repr of the nodes, which recurse too
 NESTING_LIMIT = 256
 
 
@@ -369,40 +370,45 @@ def parse_model(text: str) -> SystemModel:
 # --- canonical serialization --------------------------------------------------
 
 
-def _block_lines(expr: BlockExpr, depth: int) -> list[str]:
-    pad = "  " * depth
-    if isinstance(expr, Unit):
-        return [f"{pad}unit {expr.component}"]
-    keyword = "series" if isinstance(expr, Series) else "parallel"
-    return _group_lines(keyword, [_block_lines(c, depth + 1) for c in expr.children], depth)
+_GROUP_KEYWORDS = {Series: "series", Parallel: "parallel", And: "and", Or: "or", Nor: "nor"}
 
 
-def _gate_lines(expr: GateExpr, depth: int) -> list[str]:
-    pad = "  " * depth
-    if isinstance(expr, Basic):
-        return [f"{pad}basic {expr.event}"]
-    if isinstance(expr, (And, Or, Nor)):
-        keyword = {And: "and", Or: "or", Nor: "nor"}[type(expr)]
-        return _group_lines(keyword, [_gate_lines(c, depth + 1) for c in expr.children], depth)
-    if isinstance(expr, Nand):
-        neg = _group_lines("neg", [_gate_lines(c, depth + 2) for c in expr.negated], depth + 1)
-        pos = _group_lines("pos", [_gate_lines(c, depth + 2) for c in expr.plain], depth + 1)
-        neg[-1] += ";"
-        return [f"{pad}nand {{"] + neg + pos + [f"{pad}}}"]
-    if isinstance(expr, Xor):
-        parts = [_gate_lines(expr.left, depth + 1), _gate_lines(expr.right, depth + 1)]
-        return _group_lines("xor", parts, depth)
-    return _group_lines("not", [_gate_lines(expr.child, depth + 1)], depth)
+def _body_lines(body: Union[BlockExpr, GateExpr]) -> list[str]:
+    """The body's canonical lines, indented from one level.
 
-
-def _group_lines(keyword: str, children: list[list[str]], depth: int) -> list[str]:
-    pad = "  " * depth
-    lines = [f"{pad}{keyword} {{"]
-    for i, child in enumerate(children):
-        if i + 1 < len(children):
-            child = child[:-1] + [child[-1] + ";"]
-        lines.extend(child)
-    lines.append(f"{pad}}}")
+    A group prints its keyword and '{', then its children one level deeper,
+    each but the last ending in ';', then '}'; a nand's groups are 'neg' and
+    'pos'.  Walks with an explicit stack of (item, depth, end) entries, so any
+    nesting depth works: an item is a node, a (keyword, children) group or a
+    closing '}', and end is what its last line ends with.
+    """
+    lines: list[str] = []
+    stack: list[tuple] = [(body, 1, "")]
+    while stack:
+        item, depth, end = stack.pop()
+        pad = "  " * depth
+        if isinstance(item, str):
+            lines.append(f"{pad}{item}{end}")
+            continue
+        if isinstance(item, Unit):
+            lines.append(f"{pad}unit {item.component}{end}")
+            continue
+        if isinstance(item, Basic):
+            lines.append(f"{pad}basic {item.event}{end}")
+            continue
+        if isinstance(item, tuple):
+            keyword, children = item
+        elif isinstance(item, Nand):
+            keyword, children = "nand", (("neg", item.negated), ("pos", item.plain))
+        elif isinstance(item, Xor):
+            keyword, children = "xor", (item.left, item.right)
+        elif isinstance(item, Not):
+            keyword, children = "not", (item.child,)
+        else:
+            keyword, children = _GROUP_KEYWORDS[type(item)], item.children
+        lines.append(f"{pad}{keyword} {{")
+        stack.append(("}", depth, end))
+        stack.extend((child, depth + 1, ";" if i else "") for i, child in enumerate(reversed(children)))
     return lines
 
 
@@ -420,10 +426,6 @@ def serialize_model(model: SystemModel) -> str:
             f"lambda={comp.rates.failure_rate} "
             f"mu={comp.rates.repair_rate}"
         )
-    if model.is_fault_tree:
-        lines.append("ft")
-        lines.extend(_gate_lines(model.body, 1))
-    else:
-        lines.append("abd")
-        lines.extend(_block_lines(model.body, 1))
+    lines.append("ft" if model.is_fault_tree else "abd")
+    lines.extend(_body_lines(model.body))
     return "\n".join(lines) + "\n"

@@ -52,7 +52,7 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .analytic import Probability, _exact_probability, _float_rates, _require_valid
+from .analytic import Probability, _check_time, _exact_probability, _float_rates
 from .model import (
     AND,
     LEAF,
@@ -63,10 +63,11 @@ from .model import (
     Expr,
     Program,
     SystemModel,
+    _require_valid,
     basic_events,
     compile_structure,
-    validate,  # unused here, but perfbench/tracing.py wraps oracle.validate
 )
+from .model import validate  # noqa: F401 -- unused; perfbench/tracing.py wraps oracle.validate
 
 __all__ = [
     "EXHAUSTIVE_EVENT_LIMIT",
@@ -457,15 +458,8 @@ def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estim
     Trials are drawn in batches, not on threads, so cfg.threads is unused.
     """
     _require_valid(model)
-    return _mc_point(model, t, cfg)
-
-
-def _mc_point(model: SystemModel, t: float, cfg: SimConfig) -> Estimate:
-    """mc_point_availability of a model already validated (parse_model validates)."""
     _check_trials(cfg)
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
+    t = _check_time(t)
     comps = _component_rates(model)
     widest = max(_first_round_cycles(lam, mu, t) for _, lam, mu in comps)
     step = max(1, POINT_BLOCK_WORDS // (2 * widest))  # trials whose first rounds fill a block
@@ -491,11 +485,6 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     not on threads, so cfg.threads is unused.
     """
     _require_valid(model)
-    return _mc_steady(model, cfg)
-
-
-def _mc_steady(model: SystemModel, cfg: SimConfig) -> Estimate:
-    """mc_steady_availability of a model already validated (parse_model validates)."""
     _check_trials(cfg)
     if cfg.horizon is None or not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")

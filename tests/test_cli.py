@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import availkit as ak
-from availkit import analytic, model, modelfile, oracle
+from availkit import analytic, cli, model, modelfile, oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
 from availkit.modelfile import NESTING_LIMIT
@@ -368,7 +368,7 @@ class TestCasestudy:
 
 
 class TestValidation:
-    """parse_model validates; the engines the commands call do not again."""
+    """parse_model validates; the engines the commands call reuse the model's cached findings."""
 
     RUNS = {
         "analyze-exact": ["analyze", "{abd}", "--exact"],
@@ -423,6 +423,30 @@ class TestValidation:
         dangling = ak.SystemModel("m", {"A": ak.ComponentDef("A", ak.RatePair(1, 2))}, ak.Series((ak.Unit("A"), ak.Unit("ghost"))))
         with pytest.raises(ValueError, match="invalid model: .*unknown component reference 'ghost'"):
             call(dangling)
+
+    def test_commands_call_the_public_engines(self, abd_file, ft_file, capsys, monkeypatch):
+        # perfbench/tracing.py wraps these names as bound in availkit.cli
+        calls = []
+        for name in ("evaluate_steady", "evaluate_point", "mc_point_availability", "mc_steady_availability"):
+
+            def counting(*args, _name=name, _engine=getattr(cli, name)):
+                calls.append(_name)
+                return _engine(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        sim = ["--horizon", "5", "--at", "1", "--trials", "4"]
+        runs = [
+            (["analyze", abd_file, "--at", "1,2"], ["evaluate_steady", "evaluate_point", "evaluate_point"]),
+            (["simulate", abd_file] + sim, ["mc_steady_availability", "mc_point_availability"]),
+            (
+                ["compare", ft_file] + sim,
+                ["evaluate_steady", "mc_steady_availability", "evaluate_point", "mc_point_availability"],
+            ),
+        ]
+        for argv, expected in runs:
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == expected, argv
 
 
 FUZZ_BASES = [

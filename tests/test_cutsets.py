@@ -48,6 +48,23 @@ class TestExpand:
         assert "Not" in str(err.value)
         assert "children[1]" in str(err.value)
 
+    @pytest.mark.parametrize("gate", [ak.And, ak.Or])
+    def test_deep_chain(self, gate):
+        # gate((Basic(e_k), level k - 1)) for k = 1 .. 3000 over Basic(e0)
+        tree = ak.Basic("e0")
+        for k in range(1, 3001):
+            tree = gate((ak.Basic(f"e{k}"), tree))
+        events = [f"e{k}" for k in range(3001)]
+        expected = {fs(*events)} if gate is ak.And else {fs(e) for e in events}
+        assert set(ak.expand_to_cutsets(tree).sets) == expected
+
+    def test_non_coherent_path_at_depth(self):
+        tree = ak.Not(ak.Basic("b"))
+        for _ in range(3000):
+            tree = ak.Or((ak.Basic("a"), tree))
+        with pytest.raises(ak.NonCoherentError, match=r"Not gate at tree(\.children\[1\]){3000}$"):
+            ak.expand_to_cutsets(tree)
+
     def test_expansion_limit(self):
         # 13 two-way ORs under one AND distribute to 2^13 = 8192 cut sets
         ors = tuple(

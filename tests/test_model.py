@@ -7,6 +7,7 @@ import pytest
 
 import availkit as ak
 from availkit.casestudies import dfh3_abd, dfh3_ft
+from availkit import model as model_module
 from availkit.model import iter_leaves
 from support import corrupt, random_model, reference_body_diagnostics, reference_leaves
 
@@ -84,6 +85,26 @@ class TestValidate:
         comp = ak.ComponentDef("not an ident", ak.RatePair(1, 1))
         model = ak.SystemModel("m", {"not an ident": comp}, ak.Unit("not an ident"))
         assert any("invalid component identifier" in d.message for d in ak.validate(model))
+
+    def test_walks_once_per_model(self, monkeypatch):
+        walked = []
+
+        def counting(expr, _children=model_module._node_children):
+            walked.append(expr)
+            return _children(expr)
+
+        monkeypatch.setattr(model_module, "_node_children", counting)
+        body = ak.Parallel((ak.Series(()), ak.Unit("A"), ak.Unit("B")))
+        model = one_component_model(body=body)
+        first = ak.validate(model)
+        assert len(walked) == 2 and len(first) == 2
+        second = ak.validate(model)
+        assert second == first and second is not first
+        first.clear()  # each call returns its own list
+        assert ak.validate(model) == second
+        assert len(walked) == 2
+        assert ak.validate(one_component_model(body=body)) == second  # an equal model is walked anew
+        assert len(walked) == 4
 
     def test_diagnostics_carry_paths(self):
         model = one_component_model(body=ak.Parallel((ak.Series(()), ak.Unit("A"))))

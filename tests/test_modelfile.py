@@ -248,6 +248,21 @@ class TestSerialize:
         with pytest.raises(ValueError):
             ak.serialize_model(model)
 
+    def test_deep_chain(self):
+        # Or((Basic(b), And((Basic(a), Or(...))))) 5000 levels deep, over Basic(a)
+        tree = ak.Basic("a")
+        for k in range(5000):
+            tree = (ak.And, ak.Or)[k % 2]((ak.Basic("ab"[k % 2]), tree))
+        comps = {c: ak.ComponentDef(c, ak.RatePair(1, 2)) for c in "ab"}
+        text = ak.serialize_model(ak.SystemModel("deep", comps, tree))
+        opening, closing = [], []
+        for depth, k in enumerate(range(4999, -1, -1), start=1):
+            pad = "  " * depth
+            opening += [f"{pad}{('and', 'or')[k % 2]} {{", f"{pad}  basic {'ab'[k % 2]};"]
+            closing.append(f"{pad}}}")
+        head = 'model "deep"\ncomponent a lambda=1 mu=2\ncomponent b lambda=1 mu=2\nft\n'
+        assert text == head + "\n".join(opening + ["  " * 5001 + "basic a"] + closing[::-1]) + "\n"
+
     def test_seeded_fuzz_round_trip(self):
         rng = random.Random(2024)
         for _ in range(60):
