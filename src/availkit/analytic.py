@@ -149,14 +149,22 @@ def _steady_pair(rates: RatePair, up: bool) -> tuple[int, int]:
     return part // g, total // g
 
 
+def _check_rates(rates: RatePair) -> RatePair:
+    """rates, or a ValueError naming its problems (RatePair.problems)."""
+    problems = rates.problems()
+    if problems:
+        raise ValueError(f"{' and '.join(problems)} in {rates}")
+    return rates
+
+
 def steady_availability(rates: RatePair) -> Probability:
     """Long-run availability mu / (mu + lam)."""
-    return Probability(Fraction(*_steady_pair(rates, True)))
+    return Probability(Fraction(*_steady_pair(_check_rates(rates), True)))
 
 
 def steady_unavailability(rates: RatePair) -> Probability:
     """Long-run unavailability lam / (lam + mu)."""
-    return Probability(Fraction(*_steady_pair(rates, False)))
+    return Probability(Fraction(*_steady_pair(_check_rates(rates), False)))
 
 
 def _check_time(t: float) -> float:
@@ -166,15 +174,18 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _float_rates(cid: str, rates: RatePair) -> tuple[float, float]:
-    """A component's rates as floats, or a ValueError naming it if one overflows."""
+def _float_rates(rates: RatePair, cid: Optional[str] = None) -> tuple[float, float]:
+    """Rates as floats, or a ValueError naming component cid (or the pair) if one overflows or both round to 0."""
     try:
-        return float(rates.failure_rate), float(rates.repair_rate)
+        lam, mu = float(rates.failure_rate), float(rates.repair_rate)
     except OverflowError:
-        raise ValueError(
-            f"a rate of component {cid!r} is too large for floating point; "
-            "only exact steady-state analysis applies to this model"
-        ) from None
+        problem = "a rate of {} is too large"
+    else:
+        if lam + mu != 0.0:
+            return lam, mu
+        problem = "the rates of {} are too small"
+    owner = "this pair" if cid is None else f"component {cid!r}"
+    raise ValueError(problem.format(owner) + " for floating point; only exact steady-state analysis applies")
 
 
 def _inst(lam: float, mu: float, t: float, up: bool) -> float:
@@ -189,19 +200,22 @@ def _inst(lam: float, mu: float, t: float, up: bool) -> float:
 def inst_availability(rates: RatePair, t: float) -> Probability:
     """Availability at time t, starting from the working state at t=0."""
     t = _check_time(t)
-    return Probability(_inst(float(rates.failure_rate), float(rates.repair_rate), t, True))
+    return Probability(_inst(*_float_rates(_check_rates(rates)), t, True))
 
 
 def inst_unavailability(rates: RatePair, t: float) -> Probability:
     """Unavailability at time t; the pointwise complement of inst_availability."""
     t = _check_time(t)
-    return Probability(_inst(float(rates.failure_rate), float(rates.repair_rate), t, False))
+    return Probability(_inst(*_float_rates(_check_rates(rates)), t, False))
 
 
 def reliability_exp(failure_rate: Number, t: float) -> Probability:
     """Survival probability exp(-lam t) of an exponential lifetime."""
     t = _check_time(t)
-    lam = float(failure_rate)
+    try:
+        lam = float(failure_rate)
+    except OverflowError:
+        raise ValueError("failure rate is too large for floating point") from None
     if lam <= 0:
         raise ValueError(f"failure rate must be > 0, got {failure_rate}")
     return Probability(math.exp(-lam * t))
@@ -628,6 +642,6 @@ def evaluate_point(model: SystemModel, t: float) -> AnalysisResult:
     up = not model.is_fault_tree
     pairs = {}
     for e in model.program.events:
-        lam, mu = _float_rates(e, model.components[e].rates)
+        lam, mu = _float_rates(model.components[e].rates, e)
         pairs[e] = (_inst(lam, mu, t, up), 1.0)
     return _evaluate(model, pairs, t)

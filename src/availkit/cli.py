@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -112,28 +111,15 @@ def _parse_times(raw: Optional[str]) -> list[float]:
     return times
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("AVAILKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise _CliError(f"AVAILKIT_THREADS must be an integer, got {raw!r}") from None
-
-
-def _sim_config(args: argparse.Namespace, horizon_required: bool = False) -> SimConfig:
+def _sim_config(args: argparse.Namespace, default_horizon: Optional[float] = None) -> SimConfig:
     if args.trials < 1:
         raise _CliError(f"--trials must be >= 1, got {args.trials}")
     horizon = args.horizon
-    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+    if horizon is None:
+        horizon = default_horizon
+    elif not (math.isfinite(horizon) and horizon > 0):
         raise _CliError(f"--horizon must be finite and > 0, got {horizon}")
-    if horizon_required and horizon is None:
-        raise _CliError("--horizon is required for steady-state simulation")
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        raise _CliError(f"--threads must be >= 1, got {threads}")
-    return SimConfig(trials=args.trials, horizon=horizon, seed=args.seed, threads=threads)
+    return SimConfig(trials=args.trials, horizon=horizon, seed=args.seed)
 
 
 def _quantity(model: SystemModel) -> str:
@@ -226,14 +212,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "model": model.name,
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "horizon": fmt12(cfg.horizon) if cfg.horizon is not None else None,
-        "threads": cfg.threads,
+        "horizon": fmt12(cfg.horizon),
         "results": rows,
     }
     table = [["quantity", "time", "mean", "std-error", "trials"]]
     for row in rows:
         table.append([row["quantity"], row["time"], row["mean"], row["std_error"] or "n/a", str(row["trials"])])
-    footer = f"seed={cfg.seed} trials={cfg.trials} horizon={fmt12(cfg.horizon) or '-'} threads={cfg.threads}"
+    footer = f"seed={cfg.seed} trials={cfg.trials} horizon={fmt12(cfg.horizon) or '-'}"
     _emit(report, args.json, [f"model: {model.name}"] + _table(table) + [footer])
     return EXIT_OK
 
@@ -310,9 +295,7 @@ def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict
 
 def _run_compare(model: SystemModel, args: argparse.Namespace, command: str, extra: Optional[dict] = None) -> int:
     times = _parse_times(args.at)
-    cfg = _sim_config(args)
-    if cfg.horizon is None:
-        cfg = SimConfig(trials=cfg.trials, horizon=10000.0, seed=cfg.seed, threads=cfg.threads)
+    cfg = _sim_config(args, default_horizon=10000.0)
 
     rows = [_compare_row(model, None, cfg)]
     for t in times:
@@ -334,7 +317,6 @@ def _run_compare(model: SystemModel, args: argparse.Namespace, command: str, ext
         "seed": cfg.seed,
         "trials": cfg.trials,
         "horizon": fmt12(cfg.horizon),
-        "threads": cfg.threads,
         "results": rows,
         "verdict": overall,
     }
@@ -423,7 +405,6 @@ def _add_sim_flags(sub: argparse.ArgumentParser, trials_default: int) -> None:
     sub.add_argument("--horizon", type=float, default=None, help="long-run simulation horizon")
     sub.add_argument("--at", default=None, help="comma-separated time points")
     sub.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
-    sub.add_argument("--threads", type=int, default=None, help="accepted and reported, but changes nothing: simulation runs trials in batches without threads (default $AVAILKIT_THREADS or 1)")
     sub.add_argument("--json", action="store_true", help="machine-readable report")
 
 

@@ -29,7 +29,7 @@ doubled in each later one, for as long as the sum of its durations so
 far is <= target (the time point, or the horizon).  Words are consumed
 in order across rounds, and within a round they alternate up duration,
 down duration.  Streams never overlap, so results are bitwise identical
-for a fixed seed regardless of trial ordering, blocking or thread count.
+for a fixed seed regardless of trial ordering or blocking.
 
 Both estimators simulate trials in blocks and share one round loop
 (_rounds).  Point estimates generate the words of every trial of a
@@ -39,8 +39,7 @@ re-pointed at the stream's counter, and integrate a whole block of
 trials at once: every boundary of every component goes into one
 (trials, columns) grid, one row-wise sort orders each trial's state
 changes, and each component's state at each change is the parity of its
-boundaries so far.  Neither uses threads, so SimConfig.threads changes
-nothing.  Every stream may draw at most STREAM_DRAW_LIMIT words.
+boundaries so far.  Every stream may draw at most STREAM_DRAW_LIMIT words.
 """
 
 from __future__ import annotations
@@ -168,16 +167,11 @@ def exhaustive_probability(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation request: trial count, long-run horizon, seed, threads.
-
-    threads is accepted for compatibility and changes nothing: both
-    estimators simulate trials in batches, without threads.
-    """
+    """Simulation request: trial count, long-run horizon, seed."""
 
     trials: int
     horizon: Optional[float] = None
     seed: int = 0
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -427,7 +421,7 @@ def _signal(program: Program, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
 def _component_rates(model: SystemModel) -> list[tuple[str, float, float]]:
     out = []
     for comp in basic_events(model):
-        lam, mu = _float_rates(comp, model.components[comp].rates)
+        lam, mu = _float_rates(model.components[comp].rates, comp)
         if not (lam > 0 and mu > 0):  # a positive rate below the float range rounds to 0
             raise ValueError(f"a rate of component {comp!r} is too small for floating point; its durations cannot be drawn")
         out.append((comp, lam, mu))
@@ -455,7 +449,7 @@ def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estim
     the structure function is evaluated on the component states at t.
     For block diagrams the mean estimates availability at t; for fault
     trees it estimates the top event probability (unavailability) at t.
-    Trials are drawn in batches, not on threads, so cfg.threads is unused.
+    Trials are drawn in batches.
     """
     _require_valid(model)
     _check_trials(cfg)
@@ -481,8 +475,7 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     structure function is integrated exactly over the segments between
     state changes (no time-step sampling).  For block diagrams the mean
     estimates steady availability; for fault trees, steady unavailability.
-    Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words,
-    not on threads, so cfg.threads is unused.
+    Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words.
     """
     _require_valid(model)
     _check_trials(cfg)

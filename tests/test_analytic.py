@@ -71,6 +71,26 @@ class TestComponentLevel:
             with pytest.raises(ValueError):
                 fn(R13, -0.5)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ak.steady_availability(ak.RatePair(-1, 1)), "nonpositive failure rate"),
+            (lambda: ak.steady_unavailability(ak.RatePair(1, 0)), "nonpositive repair rate"),
+            (lambda: ak.steady_availability(ak.RatePair(math.inf, 1)), "non-finite failure rate"),
+            (lambda: ak.inst_availability(ak.RatePair(-1, 1), 1.0), "nonpositive failure rate"),
+            (lambda: ak.inst_availability(ak.RatePair(10**400, 1), 1.0), "too large for floating point"),
+            (lambda: ak.inst_unavailability(ak.RatePair(1, 10**400), 1.0), "too large for floating point"),
+            (lambda: ak.inst_unavailability(ak.RatePair(Fraction(1, 10**400), Fraction(1, 10**400)), 1.0), "too small for floating point"),
+            (lambda: ak.reliability_exp(10**400, 1.0), "too large for floating point"),
+            (lambda: ak.series_steady([R13, ak.RatePair(0, 1)]), "nonpositive failure rate"),
+        ],
+        ids=["steady-negative", "steady-zero", "steady-inf", "inst-negative", "inst-overflow", "inst-unavail-overflow", "inst-underflow", "reliability-overflow", "series-zero"],
+    )
+    def test_bad_rates_raise_value_error(self, call, message):
+        # a bad rate is a ValueError naming the problem, never ZeroDivisionError or OverflowError
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_reliability(self):
         assert ak.reliability_exp(Fraction(1, 10), 0.0).value == 1.0
         assert ak.reliability_exp(Fraction(1, 10), 10.0).value == pytest.approx(math.exp(-1.0), abs=1e-15)

@@ -201,21 +201,6 @@ class TestSimulate:
         assert main(["simulate", abd_file, "--trials", str(trials)] + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"trials must be <= {oracle.TRIAL_LIMIT}, got {trials}"]
 
-    def test_threads_default_from_env(self, abd_file, capsys, monkeypatch):
-        monkeypatch.setenv("AVAILKIT_THREADS", "3")
-        assert main(["simulate", abd_file, "--horizon", "100", "--trials", "12", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == 3
-
-    def test_bad_env_threads_exit_2(self, abd_file, capsys, monkeypatch):
-        monkeypatch.setenv("AVAILKIT_THREADS", "many")
-        assert main(["simulate", abd_file, "--horizon", "100", "--trials", "5"]) == 2
-
-    def test_explicit_threads_beats_env(self, abd_file, capsys, monkeypatch):
-        monkeypatch.setenv("AVAILKIT_THREADS", "many")  # not consulted when --threads given
-        args = ["simulate", abd_file, "--horizon", "100", "--trials", "12", "--threads", "2", "--json"]
-        assert main(args) == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == 2
-
 
 class TestCompare:
     def test_dfh3_passes(self, abd_file, capsys):
@@ -520,7 +505,6 @@ def fuzzed_argv(draw, targets: list, out: str) -> list:
     choices = [
         ["--at", draw(times)],
         ["--seed", draw(token(st.integers(-(2**70), 2**70)))],
-        ["--threads", draw(token(st.integers(-2, 8)))],
         ["--json"],
         ["--exact"],
         ["--minimize"],
@@ -609,6 +593,15 @@ class TestInputLimits:
         else:
             assert code == 2
             assert len(err) == 1 and f"rate of component 'A' is {problem} for floating point" in err[0]
+
+    def test_both_rates_below_float_range_exit_2(self, tmp_path, capsys):
+        # both rates round to 0.0, so no point availability exists in floating point
+        tiny = "0." + "0" * 400 + "1"
+        path = write_model(tmp_path, "m.avm", f'model "m" component A lambda={tiny} mu={tiny} abd unit A')
+        assert main(["analyze", path, "--at", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "the rates of component 'A' are too small for floating point; only exact steady-state analysis applies"
+        ]
 
     def test_rate_past_float_range_stays_exact(self, tmp_path, capsys):
         big = 10 ** 400 - 1

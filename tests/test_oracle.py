@@ -238,10 +238,9 @@ class TestMonteCarlo:
         assert point == ak.mc_point_availability(dfh3_abd(), 4.0, cfg)
 
     def test_point_thread_invariance(self):
-        model = dfh3_abd()
-        serial = ak.mc_point_availability(model, 4.0, ak.SimConfig(trials=120, seed=9, threads=1))
-        threaded = ak.mc_point_availability(model, 4.0, ak.SimConfig(trials=120, seed=9, threads=4))
-        assert serial == threaded
+        # the estimators run no threads: the invariance left to pin is one config, one estimate, bitwise
+        cfg = ak.SimConfig(trials=120, seed=9)
+        assert ak.mc_point_availability(dfh3_abd(), 4.0, cfg) == ak.mc_point_availability(dfh3_abd(), 4.0, cfg)
 
     def test_point_matches_closed_form(self):
         model = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Unit("C"))
@@ -255,10 +254,9 @@ class TestMonteCarlo:
         assert abs(est.mean - 0.5) <= 4 * est.std_error
 
     def test_steady_determinism_and_threads(self):
-        model = dfh3_abd()
-        cfg1 = ak.SimConfig(trials=50, horizon=500.0, seed=77, threads=1)
-        cfg4 = ak.SimConfig(trials=50, horizon=500.0, seed=77, threads=4)
-        assert ak.mc_steady_availability(model, cfg1) == ak.mc_steady_availability(model, cfg4)
+        # as test_point_thread_invariance: the same config twice gives the same estimate
+        cfg = ak.SimConfig(trials=50, horizon=500.0, seed=77)
+        assert ak.mc_steady_availability(dfh3_abd(), cfg) == ak.mc_steady_availability(dfh3_abd(), cfg)
 
     def test_steady_requires_horizon(self):
         model = dfh3_abd()
