@@ -175,15 +175,15 @@ def _check_time(t: float) -> float:
 
 
 def _float_rates(rates: RatePair, cid: Optional[str] = None) -> tuple[float, float]:
-    """Rates as floats, or a ValueError naming component cid (or the pair) if one overflows or both round to 0."""
+    """Rates as floats, or a ValueError naming component cid (or the pair) if one or their sum overflows or both round to 0."""
     try:
         lam, mu = float(rates.failure_rate), float(rates.repair_rate)
     except OverflowError:
         problem = "a rate of {} is too large"
     else:
-        if lam + mu != 0.0:
+        if 0.0 < lam + mu < math.inf:
             return lam, mu
-        problem = "the rates of {} are too small"
+        problem = "the rates of {} are too small" if lam + mu == 0.0 else "the sum of the rates of {} is too large"
     owner = "this pair" if cid is None else f"component {cid!r}"
     raise ValueError(problem.format(owner) + " for floating point; only exact steady-state analysis applies")
 

@@ -330,9 +330,9 @@ class SystemModel:
     The body is either a block diagram (instantaneous/steady availability
     semantics) or a fault tree (unavailability semantics).  The component
     map preserves declaration order, which fixes the order of basic_events.
-    The compiled program and the validation findings are computed once and
-    cached, so neither the components nor the body may be mutated after
-    construction.
+    The compiled program and the validation findings (none for a parsed
+    model, which is never walked) are computed once and cached, so neither
+    the components nor the body may be mutated after construction.
     """
 
     name: str
@@ -354,7 +354,7 @@ class SystemModel:
 
     @cached_property
     def _diagnostics(self) -> tuple[Diagnostic, ...]:
-        """validate's findings, from one walk per model, cached like program."""
+        """validate's findings from one walk, cached like program; parse_model stores () unwalked."""
         diags: list[Diagnostic] = []
 
         for cid, comp in self.components.items():
@@ -414,7 +414,7 @@ def validate(model: SystemModel) -> list[Diagnostic]:
     One diagnostic is produced per violation: bad identifiers, nonpositive
     or non-finite rates, empty gate/block argument lists, dangling leaf
     references, and gate nodes mixed into block bodies (or vice versa).
-    The model is walked once; each call returns a new list of its findings.
+    An API-built model is walked once, a parsed one never; each call returns a new list.
     """
     return list(model._diagnostics)
 

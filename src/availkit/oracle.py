@@ -223,10 +223,13 @@ def _philox_words(seed: int, trials: np.ndarray, component: int, start: int, cou
 
 def _first_round_cycles(lam: float, mu: float, target: float) -> int:
     """Cycles in a stream's first round: 1.2 times the expected count, plus 8."""
-    return max(4, int(target / (1.0 / lam + 1.0 / mu) * 1.2) + 8)
+    cycles = target / (1.0 / lam + 1.0 / mu) * 1.2
+    if cycles == math.inf:  # more cycles than a float counts, far past the limit
+        _check_draws(cycles)
+    return max(4, int(cycles) + 8)
 
 
-def _check_draws(drawn: int) -> None:
+def _check_draws(drawn: float) -> None:
     if drawn > STREAM_DRAW_LIMIT:
         raise ValueError(
             f"simulation refused: a renewal stream would draw {drawn} random words, "

@@ -81,10 +81,11 @@ class TestComponentLevel:
             (lambda: ak.inst_availability(ak.RatePair(10**400, 1), 1.0), "too large for floating point"),
             (lambda: ak.inst_unavailability(ak.RatePair(1, 10**400), 1.0), "too large for floating point"),
             (lambda: ak.inst_unavailability(ak.RatePair(Fraction(1, 10**400), Fraction(1, 10**400)), 1.0), "too small for floating point"),
+            (lambda: ak.inst_availability(ak.RatePair(10**308, 10**308), 1.0), "sum of the rates of this pair is too large"),
             (lambda: ak.reliability_exp(10**400, 1.0), "too large for floating point"),
             (lambda: ak.series_steady([R13, ak.RatePair(0, 1)]), "nonpositive failure rate"),
         ],
-        ids=["steady-negative", "steady-zero", "steady-inf", "inst-negative", "inst-overflow", "inst-unavail-overflow", "inst-underflow", "reliability-overflow", "series-zero"],
+        ids=["steady-negative", "steady-zero", "steady-inf", "inst-negative", "inst-overflow", "inst-unavail-overflow", "inst-underflow", "inst-sum-overflow", "reliability-overflow", "series-zero"],
     )
     def test_bad_rates_raise_value_error(self, call, message):
         # a bad rate is a ValueError naming the problem, never ZeroDivisionError or OverflowError

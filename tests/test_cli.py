@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import availkit as ak
-from availkit import analytic, cli, model, modelfile, oracle
+from availkit import analytic, cli, model, oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
 from availkit.modelfile import NESTING_LIMIT
@@ -353,7 +353,9 @@ class TestCasestudy:
 
 
 class TestValidation:
-    """parse_model validates; the engines the commands call reuse the model's cached findings."""
+    """The parser is the only checker of model text: a parsed model is valid by
+    construction and is never walked again, while the engines still walk an
+    API-built model once and refuse it if it is invalid."""
 
     RUNS = {
         "analyze-exact": ["analyze", "{abd}", "--exact"],
@@ -365,17 +367,18 @@ class TestValidation:
 
     @pytest.mark.parametrize("run", RUNS)
     def test_each_command_validates_once(self, abd_file, ft_file, capsys, monkeypatch, run):
-        calls = []
-        for module in (modelfile, analytic, oracle):  # each module's own binding
+        # the parser's check is the one validation: the validity walk, which steps
+        # through the body with _node_children, never runs on a parsed model
+        walked = []
 
-            def counting(model, _validate=module.validate):
-                calls.append(model.name)
-                return _validate(model)
+        def counting(expr, _children=model._node_children):
+            walked.append(expr)
+            return _children(expr)
 
-            monkeypatch.setattr(module, "validate", counting)
+        monkeypatch.setattr(model, "_node_children", counting)
         argv = [arg.format(abd=abd_file, ft=ft_file) for arg in self.RUNS[run]]
         assert main(argv) == 0
-        assert len(calls) == 1, calls
+        assert walked == []
 
     @pytest.mark.parametrize("run", [r for r in RUNS if r != "cutsets"])
     def test_each_command_compiles_its_model_once(self, abd_file, ft_file, capsys, monkeypatch, run):
@@ -602,6 +605,26 @@ class TestInputLimits:
         assert capsys.readouterr().err.splitlines() == [
             "the rates of component 'A' are too small for floating point; only exact steady-state analysis applies"
         ]
+
+    @pytest.mark.parametrize(
+        "flags", [["analyze", "--at", "0,1"], ["compare"]], ids=["analyze-at", "compare"]
+    )
+    def test_rates_summing_past_float_range_exit_2(self, tmp_path, capsys, flags):
+        # each rate is a float, their sum is not: no point value and no durations in floating point
+        path = write_model(tmp_path, "m.avm", f'model "m" component A lambda={10 ** 308} mu={10 ** 308} abd unit A')
+        name, *rest = flags
+        assert main([name, path, *rest]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "the sum of the rates of component 'A' is too large for floating point; only exact steady-state analysis applies"
+        ]
+
+    @pytest.mark.parametrize("flags", [["--horizon", "1e10"], ["--at", "1e10"]], ids=["steady", "point"])
+    def test_stream_past_float_range_exit_2(self, tmp_path, capsys, flags):
+        # rates of 10^300 have a finite sum, but 10^10 time units hold more cycles than a float counts
+        path = write_model(tmp_path, "m.avm", f'model "m" component A lambda={10 ** 300} mu={10 ** 300} abd unit A')
+        assert main(["simulate", path, *flags, "--trials", "3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("simulation refused:") and "per-stream limit" in err[0]
 
     def test_rate_past_float_range_stays_exact(self, tmp_path, capsys):
         big = 10 ** 400 - 1

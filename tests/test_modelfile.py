@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import availkit as ak
+from availkit import model as model_module
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.modelfile import NESTING_LIMIT, _lex, _Positions
 from support import nested_model_text, random_model, reference_lex
@@ -213,6 +215,51 @@ class TestLexerMatchesReference:
     @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
     def test_same_tokens_or_diagnostic(self, text):
         assert lexed(regex_lex, text) == lexed(reference_lex, text)
+
+
+class TestParserIsTheValidityCheck:
+    """parse_model hands back an empty validity record and never walks the
+    model: the parser reports what validate would find in model text, and the
+    grammar rules out the rest."""
+
+    KINDS = ["abd", "coherent-ft", "ft"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_parsed_valid_text_walks_clean(self, seed):
+        rng = random.Random(seed)
+        text = ak.serialize_model(random_model(rng, rng.choice(self.KINDS)))
+        with mock.patch.object(model_module, "_node_children", wraps=model_module._node_children) as walk:
+            parsed = ak.parse_model(text)
+            assert ak.validate(parsed) == []
+        assert walk.call_count == 0
+        # a model built through the API from the same parts is walked afresh
+        assert ak.validate(ak.SystemModel(parsed.name, parsed.components, parsed.body)) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_parser_findings_equal_validate(self, seed):
+        # zero rates, and dangling references from dropped declarations
+        rng = random.Random(seed)
+        valid = random_model(rng, rng.choice(self.KINDS))
+        head, *lines = ak.serialize_model(valid).splitlines()
+        structure = lines[len(valid.components):]  # after one line per declaration
+        components, kept = {}, []
+        for cid, comp in valid.components.items():
+            if rng.random() < 0.2:
+                continue
+            lam, mu = comp.rates.failure_rate, comp.rates.repair_rate
+            lam, mu = (0 if rng.random() < 0.3 else lam), (0 if rng.random() < 0.3 else mu)
+            components[cid] = ak.ComponentDef(cid, ak.RatePair(lam, mu))
+            kept.append(f"component {cid} lambda={lam} mu={mu}")
+        text = "\n".join([head, *kept, *structure]) + "\n"
+        try:
+            ak.parse_model(text)
+            found = []
+        except ak.ModelFileError as err:
+            found = [d.message for d in err.diagnostics]
+        walked = ak.validate(ak.SystemModel(valid.name, components, valid.body))
+        assert found == [d.message for d in walked]
 
 
 class TestSerialize:

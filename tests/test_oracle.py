@@ -509,6 +509,15 @@ class TestSimulationInputs:
             ak.mc_steady_availability(self.SINGLE, cfg)
         assert ak.mc_point_availability(self.SINGLE, 100.0, cfg).trials == 3  # 2 * 17 words
 
+    def test_stream_past_float_range_refused(self):
+        # the first round's cycle count overflows a float, so it cannot become an int
+        huge = ak.SystemModel("m", {"A": ak.ComponentDef("A", ak.RatePair(10**300, 10**300))}, ak.Unit("A"))
+        cfg = ak.SimConfig(trials=3, horizon=1e10, seed=1)
+        with pytest.raises(ValueError, match="per-stream limit"):
+            ak.mc_point_availability(huge, 1e10, cfg)
+        with pytest.raises(ValueError, match="per-stream limit"):
+            ak.mc_steady_availability(huge, cfg)
+
     def test_trial_budget(self):
         # refused before the estimators allocate their per-trial value arrays
         cfg = ak.SimConfig(trials=oracle.TRIAL_LIMIT + 1, horizon=10.0, seed=1)
