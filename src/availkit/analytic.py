@@ -9,15 +9,16 @@ Component level, for exponential failure/repair rates (lam, mu):
     reliability (no repair)  R(t) = exp(-lam t)
 
 System level, one loop evaluates a structure in its native polarity:
-series and AND multiply, parallel and OR complement-multiply, and NAND,
-NOR, XOR and NOT follow their set definitions.  It runs the structure's
-post-order program (see model.compile_structure; a SystemModel compiles
-its body once and keeps the program) over an operand stack, so it takes
-any nesting depth.  Its operands are (numerator, denominator) pairs:
-exact leaves enter as reduced integer pairs, multiply without a gcd per
-step, and the result is reduced once; float leaves enter as (x, 1.0), so
-the float operations, and their order, are those of the gate formulas
-evaluated child by child on plain floats.
+series and AND multiply, parallel and OR complement-multiply, and NOR,
+XOR and NOT follow their set definitions.  It runs the structure's
+post-order program (see model.compile_structure, which lowers NAND to an
+AND over NOTs; a SystemModel compiles its body once and keeps the
+program) over an operand stack, so it takes any nesting depth.  Its
+operands are (numerator, denominator) pairs: exact leaves enter as
+reduced integer pairs, multiply without a gcd per step, and the result
+is reduced once; float leaves enter as (x, 1.0), so the float
+operations, and their order, are those of the gate formulas evaluated
+child by child on plain floats.
 
 Leaves naming the same component are one event.  In the same loop such
 events become the variables of a reduced ordered binary decision diagram
@@ -48,7 +49,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .cutsets import CutSetCollection
 from .cutsets import expand_to_cutsets, minimize  # noqa: F401 -- unused; perfbench/tracing.py wraps them here
-from .model import AND, LEAF, NAND, NOR, NOT, OR, XOR, RatePair, SystemModel, _require_valid
+from .model import AND, LEAF, NOR, NOT, OR, XOR, RatePair, SystemModel, _require_valid
 from .model import validate  # noqa: F401 -- unused; perfbench/tracing.py wraps analytic.validate
 
 __all__ = [
@@ -406,11 +407,11 @@ def pie_probability(
 # --- whole-model evaluation ---------------------------------------------------
 
 
-def _step(op: int, arg: object, stack: list) -> tuple:
-    """Pop one gate's independent pair operands off stack; return the gate's unreduced pair.
+def _step(op: int, arg: int, stack: list) -> tuple:
+    """Pop a gate's arg independent pair operands off stack; return the gate's unreduced pair.
 
     Series and AND multiply, parallel and OR complement-multiply (1 - n/d
-    is (d - n)/d), and NAND, NOR, XOR and NOT follow their set definitions.
+    is (d - n)/d), and NOR, XOR and NOT follow their set definitions.
     (x, 1.0) operands keep every denominator 1.0, and the numerators take
     the float operations of the gate formulas, in operand order.
     """
@@ -421,19 +422,13 @@ def _step(op: int, arg: object, stack: list) -> tuple:
     if op == NOT:
         n, d = stack.pop()
         return d - n, d
-    top = len(stack) - (sum(arg) if op == NAND else arg)
+    top = len(stack) - arg
     operands = stack[top:]
     del stack[top:]
     n = d = 1
     if op == AND:
         for cn, cd in operands:
             n *= cn
-            d *= cd
-        return n, d
-    if op == NAND:
-        negated = arg[0]
-        for i, (cn, cd) in enumerate(operands):
-            n *= cd - cn if i < negated else cn
             d *= cd
         return n, d
     for cn, cd in operands:  # OR or NOR
@@ -525,7 +520,7 @@ class _Diagram:
             tasks.append((lo[f] if vf == level else f, lo[g] if vg == level else g))
         return done.pop()
 
-    def gate(self, op: int, arg: object, operands: list) -> int:
+    def gate(self, op: int, operands: list) -> int:
         """One program step over operands of which at least one is a node.
 
         The pair operands are independent of everything else, so _step first
@@ -535,19 +530,11 @@ class _Diagram:
         """
         if op == NOT:
             return self.apply(XOR, 1, operands[0])
-        negated = arg[0] if op == NAND else 0
         nodes, loose = [], []
-        for i, x in enumerate(operands):
-            if type(x) is not int:
-                loose.append(x)
-            else:
-                nodes.append(self.apply(XOR, 1, x) if i < negated else x)
-        if loose:
-            if op == OR or op == NOR:
-                pair = _step(OR, len(loose), loose)
-            else:  # AND, XOR (one pair) and NAND: the negated pairs all false, the plain ones all true
-                plain = sum(1 for x in operands[negated:] if type(x) is not int)
-                pair = _step(NAND, (len(loose) - plain, plain), loose)
+        for x in operands:
+            (nodes if type(x) is int else loose).append(x)
+        if loose:  # XOR has one pair at most, which AND passes through
+            pair = _step(OR if op == OR or op == NOR else AND, len(loose), loose)
             nodes.append(self.variable(pair))
         combine = OR if op == OR or op == NOR else XOR if op == XOR else AND
         nodes.sort(key=self.var.__getitem__)  # deepest first: each apply then adds few nodes
@@ -599,11 +586,11 @@ def _run(steps: Sequence[tuple[int, object]], pairs: Mapping[str, tuple], shared
             push(diagram.event(arg, pairs[arg]) if diagram is not None and arg in shared else pairs[arg])
             continue
         if diagram is not None:
-            top = len(stack) - (2 if op == XOR else 1 if op == NOT else sum(arg) if op == NAND else arg)
+            top = len(stack) - arg
             if any(type(x) is int for x in stack[top:]):
                 operands = stack[top:]
                 del stack[top:]
-                push(diagram.gate(op, arg, operands))
+                push(diagram.gate(op, operands))
                 continue
         push(_step(op, arg, stack))
     result = stack.pop()

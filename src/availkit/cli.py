@@ -55,12 +55,6 @@ EXIT_INPUT = 2
 EXIT_NOT_APPLICABLE = 3
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
-
-
 def fmt12(value: Union[Fraction, float, None]) -> Optional[str]:
     """Decimal string with 12 significant digits, correctly rounded."""
     if value is None:
@@ -91,7 +85,7 @@ def _load_model(path: str) -> SystemModel:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     return parse_model(text)
 
 
@@ -104,21 +98,21 @@ def _parse_times(raw: Optional[str]) -> list[float]:
         try:
             t = float(part)
         except ValueError:
-            raise _CliError(f"bad time value {part!r} in --at") from None
+            raise ValueError(f"bad time value {part!r} in --at") from None
         if not (math.isfinite(t) and t >= 0):
-            raise _CliError(f"time values must be finite and >= 0, got {part!r}")
+            raise ValueError(f"time values must be finite and >= 0, got {part!r}")
         times.append(t)
     return times
 
 
 def _sim_config(args: argparse.Namespace, default_horizon: Optional[float] = None) -> SimConfig:
     if args.trials < 1:
-        raise _CliError(f"--trials must be >= 1, got {args.trials}")
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     horizon = args.horizon
     if horizon is None:
         horizon = default_horizon
     elif not (math.isfinite(horizon) and horizon > 0):
-        raise _CliError(f"--horizon must be finite and > 0, got {horizon}")
+        raise ValueError(f"--horizon must be finite and > 0, got {horizon}")
     return SimConfig(trials=args.trials, horizon=horizon, seed=args.seed)
 
 
@@ -157,7 +151,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
     times = _parse_times(args.at)
     if args.exact and times:
-        raise _CliError("--exact applies to steady-state quantities; omit --at")
+        raise ValueError("--exact applies to steady-state quantities; omit --at")
 
     quantity = _quantity(model)
     rows = [_analysis_row(quantity, evaluate_steady(model))]
@@ -195,7 +189,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
     times = _parse_times(args.at)
     if args.horizon is None and not times:
-        raise _CliError("nothing to simulate: pass --horizon and/or --at")
+        raise ValueError("nothing to simulate: pass --horizon and/or --at")
     cfg = _sim_config(args)
 
     quantity = _quantity(model)
@@ -269,8 +263,6 @@ def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict
     if reference is not None:
         diff_sim = abs(float(reference) - est.mean)
         sim_ok = est.std_error is not None and diff_sim <= 4.0 * est.std_error
-        if est.std_error == 0.0:
-            sim_ok = diff_sim == 0.0
 
     if reference is None:
         verdict = "NO-REFERENCE"
@@ -385,14 +377,14 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
     builder = CASE_STUDIES.get(args.name)
     if builder is None:
         known = ", ".join(sorted(CASE_STUDIES))
-        raise _CliError(f"unknown case study {args.name!r} (known: {known})")
+        raise ValueError(f"unknown case study {args.name!r} (known: {known})")
     model = builder()
     text = serialize_model(model)
     out = Path(args.out) if args.out else Path(f"{args.name}.avm")
     try:
         out.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _CliError(f"cannot write {out}: {exc}") from exc
+        raise ValueError(f"cannot write {out}: {exc}") from exc
     reparsed = parse_model(out.read_text(encoding="utf-8"))
     return _run_compare(reparsed, args, "casestudy", extra={"file": str(out)})
 
@@ -467,9 +459,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NonCoherentError, ExpansionLimitError) as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except _CliError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -246,18 +246,18 @@ def iter_leaves(expr: Expr) -> Iterator[str]:
 
 
 # Opcodes of a compiled structure program (see compile_structure).
-LEAF, AND, OR, NOR, NAND, XOR, NOT = range(7)
+LEAF, AND, OR, NOR, XOR, NOT = range(6)
 
 
 @dataclass(frozen=True)
 class Program:
     """A structure flattened into post-order steps, for evaluators with an operand stack.
 
-    Each step is (opcode, argument): (LEAF, component id), (AND, k),
-    (OR, k) or (NOR, k) over the k operands on top of the stack,
-    (NAND, (k, m)) over k negated then m plain operands, and (XOR, None)
-    or (NOT, None) over two or one.  Series compiles to AND and Parallel
-    to OR, so every evaluator reads a block diagram in its own polarity.
+    Each step is (LEAF, component id) or (opcode, k) over the k operands on
+    top of the stack: AND, OR and NOR over their children, XOR over two and
+    NOT over one.  Series compiles to AND and Parallel to OR, so every
+    evaluator reads a block diagram in its own polarity.  Nand is derived:
+    it compiles to an AND over its inputs, with a NOT after each negated one.
     """
 
     steps: tuple[tuple[int, object], ...]
@@ -296,14 +296,14 @@ def compile_structure(expr: Expr) -> Program:
             children = node.children
             steps.append((op, len(children)))
         elif isinstance(node, Nand):
-            children = node.negated + node.plain
-            steps.append((NAND, (len(node.negated), len(node.plain))))
+            children = tuple(map(Not, node.negated)) + node.plain
+            steps.append((AND, len(children)))
         elif isinstance(node, Xor):
             children = (node.left, node.right)
-            steps.append((XOR, None))
+            steps.append((XOR, 2))
         elif isinstance(node, Not):
             children = (node.child,)
-            steps.append((NOT, None))
+            steps.append((NOT, 1))
         else:
             raise TypeError(f"not a structure node: {node!r}")
         stack.extend(children)

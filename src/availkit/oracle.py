@@ -45,6 +45,7 @@ boundaries so far.  Every stream may draw at most STREAM_DRAW_LIMIT words.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional, Union
@@ -55,7 +56,6 @@ from .analytic import Probability, _check_time, _exact_probability, _float_rates
 from .model import (
     AND,
     LEAF,
-    NAND,
     NOT,
     OR,
     XOR,
@@ -231,8 +231,10 @@ def _first_round_cycles(lam: float, mu: float, target: float) -> int:
 
 def _check_draws(drawn: float) -> None:
     if drawn > STREAM_DRAW_LIMIT:
+        # an int past the float range cannot be formatted with .3g (OverflowError)
+        count = f"{drawn:.3g}" if drawn <= sys.float_info.max else f"more than {sys.float_info.max:.2g}"
         raise ValueError(
-            f"simulation refused: a renewal stream would draw {drawn} random words, "
+            f"simulation refused: a renewal stream would draw {count} random words, "
             f"over the per-stream limit of {STREAM_DRAW_LIMIT}; shorten the time or horizon"
         )
 
@@ -402,13 +404,6 @@ def _signal(program: Program, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
         elif op == XOR:
             right = stack.pop()
             push(stack.pop() != right)
-        elif op == NAND:
-            negated, plain = arg
-            top = len(stack) - negated - plain
-            neg = np.logical_and.reduce([~a for a in stack[top:top + negated]])
-            pos = np.logical_and.reduce(stack[top + negated:])
-            del stack[top:]
-            push(neg & pos)
         else:
             top = len(stack) - arg
             children = stack[top:]

@@ -626,6 +626,20 @@ class TestInputLimits:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("simulation refused:") and "per-stream limit" in err[0]
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [(["compare"], "1.2e+304"), (["simulate", "--horizon", "1e10"], "more than 1.8e+308")],
+        ids=["compare", "past-float-range"],
+    )
+    def test_stream_refusal_prints_a_short_count(self, tmp_path, capsys, argv, count):
+        # the word count is a 305-digit int for compare's default horizon, and inf at 1e10
+        path = write_model(tmp_path, "m.avm", f'model "m" component A lambda={10 ** 300} mu={10 ** 300} abd unit A')
+        name, *rest = argv
+        assert main([name, path, *rest]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and len(err[0]) < 200
+        assert f"would draw {count} random words" in err[0] and f"limit of {oracle.STREAM_DRAW_LIMIT}" in err[0]
+
     def test_rate_past_float_range_stays_exact(self, tmp_path, capsys):
         big = 10 ** 400 - 1
         path = write_model(tmp_path, "m.avm", f'model "m" component A lambda={big} mu=1 abd unit A')

@@ -1,6 +1,7 @@
 """Compiled structure programs: equal to the recursive evaluators they replaced, at any depth."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 import availkit as ak
 from availkit import analytic, oracle
-from availkit.model import LEAF, NAND, NOT, OR, compile_structure
-from support import assignments, reference_compose, reference_holds, reference_leaves, reference_signal
+from availkit.model import AND, LEAF, NOR, NOT, OR, XOR, compile_structure
+from support import assignments, random_model, reference_compose, reference_holds, reference_leaves, reference_signal
 
 NAMES = ("a", "b", "c", "d")
 
@@ -126,13 +127,40 @@ class TestProgram:
         assert program.steps == (
             (LEAF, "a"),
             (LEAF, "b"),
+            (NOT, 1),  # the NAND's negated input
             (LEAF, "a"),
-            (NOT, None),
+            (NOT, 1),
             (LEAF, "c"),
-            (NAND, (1, 2)),
+            (AND, 3),  # the NAND
             (OR, 2),
         )
         assert program.events == ("a", "b", "c") and not program.distinct
+
+    @settings(deadline=None)
+    @given(st.sampled_from(["abd", "coherent-ft", "ft"]), st.integers(0, 2**32 - 1))
+    def test_well_formed(self, kind, seed):
+        # every step's argument is its operand count: the stack never
+        # underflows and ends at the one operand of the top gate
+        depth = 0
+        for op, arg in random_model(random.Random(seed), kind).program.steps:
+            assert op in (LEAF, AND, OR, NOR, XOR, NOT)
+            if op == LEAF:
+                depth += 1
+                continue
+            if op in (XOR, NOT):
+                assert arg == (2 if op == XOR else 1)
+            assert type(arg) is int and arg >= 1
+            assert depth >= arg
+            depth += 1 - arg
+        assert depth == 1
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_nand_is_and_over_not(self, data):
+        group = st.lists(trees(block=False), min_size=1, max_size=3).map(tuple)
+        negated, plain = data.draw(group), data.draw(group)
+        want = compile_structure(ak.And(tuple(ak.Not(c) for c in negated) + plain))
+        assert compile_structure(ak.Nand(negated, plain)) == want
 
     def test_series_is_and_parallel_is_or(self):
         block = compile_structure(ak.Series((ak.Unit("a"), ak.Parallel((ak.Unit("b"), ak.Unit("c"))))))
