@@ -20,15 +20,15 @@ is reduced once; float leaves enter as (x, 1.0), so the float
 operations, and their order, are those of the gate formulas evaluated
 child by child on plain floats.
 
-Leaves naming the same component are one event.  In the same loop such
-events become the variables of a reduced ordered binary decision diagram
-(Bryant, 1986; Rauzy, 1993, for fault trees).  A part of the structure
-with no repeated event is still computed as a pair and enters the
-diagram as one variable.  P(top) is one bottom-up pass over the nodes,
+Leaves naming the same component are one event.  Such events are the
+variables of a reduced ordered binary decision diagram (Bryant, 1986;
+Rauzy, 1993, for fault trees), built once per model from its program
+alone.  A part of the structure with no repeated event enters it as one
+variable, computed as a pair at each evaluation.  At each time point,
+and in steady state, P(top) is one bottom-up pass over the nodes,
 P(u) = p P(hi) + (1 - p) P(lo): pivotal (Shannon) decomposition with
-shared sub-results.  It is exact for every gate, in steady state and at
-a point in time; a diagram past NODE_LIMIT nodes is referred to the
-oracle module.
+shared sub-results.  It is exact for every gate; a diagram past
+NODE_LIMIT nodes is referred to the oracle module.
 
 Steady-state quantities involve no exponential, so with rational rates
 they are computed in exact rational arithmetic: each leaf's pair comes
@@ -45,11 +45,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cutsets import CutSetCollection
 from .cutsets import expand_to_cutsets, minimize  # noqa: F401 -- unused; perfbench/tracing.py wraps them here
-from .model import AND, LEAF, NOR, NOT, OR, XOR, RatePair, SystemModel, _require_valid
+from .model import AND, LEAF, NOR, NOT, OR, XOR, Program, RatePair, SystemModel, _require_valid
 from .model import validate  # noqa: F401 -- unused; perfbench/tracing.py wraps analytic.validate
 
 __all__ = [
@@ -86,7 +86,7 @@ METHOD_CLOSED_FORM = "closed-form"
 METHOD_COMPOSITIONAL = "compositional"
 METHOD_PIVOTAL = "pivotal-decomposition"
 
-# Most nodes the decision diagram of one evaluation may build before it is refused.
+# Most nodes the decision diagram of one model may build before it is refused.
 # Counted as apply's memo entries: each makes at most one node, and bounds the
 # work also where the nodes already exist.
 NODE_LIMIT = 1 << 16
@@ -437,25 +437,59 @@ def _step(op: int, arg: int, stack: list) -> tuple:
     return (d - n, d) if op == OR else (n, d)
 
 
+def _fold(steps: Sequence[tuple[int, object]], pairs: Mapping[str, tuple]) -> tuple:
+    """The unreduced pair of a program, or of a span of one, whose leaves are all independent."""
+    stack: list = []
+    for op, arg in steps:
+        stack.append(pairs[arg] if op == LEAF else _step(op, arg, stack))
+    return stack.pop()
+
+
 class _Diagram:
-    """A reduced ordered binary decision diagram (Bryant, 1986) over one program's events.
+    """A reduced ordered binary decision diagram (Bryant, 1986) of one program, with no probabilities in it.
 
     Node 0 is false and node 1 is true.  Node u > 1 tests the variable at
     level var[u]: it goes to hi[u] when that variable is true and to lo[u]
     when it is false.  Levels count up in the order the program meets the
     variables, and the newest sits on top, nearest the root, so a gate's
     own variable goes above its subtrees' diagrams.  Children are older
-    nodes, with smaller ids.  probs[level] is the variable's pair.
+    nodes, with smaller ids.  levels[k] is (op, spans): the variable at
+    level k is the OR or AND of the parts steps[a:b], one per span (a, b),
+    each a post-order subtree with no shared event.  A shared event is the
+    span of its first leaf; a program with none is one variable.  The
+    shape depends on the program alone, so a model builds its diagram
+    once (see _evaluate) and every evaluation passes it its own leaf pairs.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, program: Program) -> None:
         self.var = [-1, -1]  # the terminals sit below every variable
         self.lo = [0, 1]
         self.hi = [0, 1]
         self.unique: dict[tuple, int] = {}
         self.memo: dict[tuple, int] = {}  # (op, f, g) -> the node of f op g
-        self.probs: list[tuple] = []
-        self.events: dict[str, int] = {}
+        self.levels: list[tuple[int, tuple]] = []
+        self.steps = program.steps
+        shared = {e for e, n in Counter(program.leaves).items() if n > 1}
+        events: dict[str, int] = {}
+        stack: list = []  # operands: spans (a, b) and node ids
+        for i, (op, arg) in enumerate(self.steps):
+            if op == LEAF:
+                if arg in shared and arg not in events:
+                    events[arg] = self.variable(AND, ((i, i + 1),))
+                stack.append(events.get(arg, (i, i + 1)))
+                continue
+            top = len(stack) - arg
+            operands = stack[top:]
+            del stack[top:]
+            stack.append(self.gate(op, operands) if any(type(x) is int for x in operands) else (operands[0][0], i + 1))
+        root = self.root = stack.pop() if shared else self.variable(AND, (stack.pop(),))
+        reached = [False] * (root + 1)
+        reached[root] = True
+        for u in range(root, 1, -1):
+            if reached[u]:
+                reached[self.lo[u]] = reached[self.hi[u]] = True
+        self.reached = [u for u in range(2, root + 1) if reached[u]]  # the nodes the pass visits, children first
+        del self.unique, self.memo  # needed only while building
 
     def node(self, level: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -469,15 +503,10 @@ class _Diagram:
             self.hi.append(hi)
         return u
 
-    def variable(self, pair: tuple) -> int:
-        """A new variable, true with probability pair, above every earlier one."""
-        self.probs.append(pair)
-        return self.node(len(self.probs) - 1, 0, 1)
-
-    def event(self, name: str, pair: tuple) -> int:
-        if name not in self.events:
-            self.events[name] = self.variable(pair)
-        return self.events[name]
+    def variable(self, op: int, spans: tuple) -> int:
+        """A new variable, the op of the parts that spans compute, above every earlier one."""
+        self.levels.append((op, spans))
+        return self.node(len(self.levels) - 1, 0, 1)
 
     def apply(self, op: int, f: int, g: int) -> int:
         """The node of f op g for op in AND, OR, XOR; f XOR 1 is not f.
@@ -523,19 +552,18 @@ class _Diagram:
     def gate(self, op: int, operands: list) -> int:
         """One program step over operands of which at least one is a node.
 
-        The pair operands are independent of everything else, so _step first
-        combines them into one pair (a NOR's under OR, negated with the rest
-        at the end), which enters as a new variable; then apply combines the
-        nodes two at a time.
+        The span operands are independent of everything else, so they enter
+        as one new variable, their fold under OR (for OR and NOR; a NOR is
+        negated with the rest at the end) or AND (XOR has one span at most,
+        which AND passes through); then apply combines the nodes two at a time.
         """
         if op == NOT:
             return self.apply(XOR, 1, operands[0])
-        nodes, loose = [], []
+        nodes, spans = [], []
         for x in operands:
-            (nodes if type(x) is int else loose).append(x)
-        if loose:  # XOR has one pair at most, which AND passes through
-            pair = _step(OR if op == OR or op == NOR else AND, len(loose), loose)
-            nodes.append(self.variable(pair))
+            (nodes if type(x) is int else spans).append(x)
+        if spans:
+            nodes.append(self.variable(OR if op == OR or op == NOR else AND, tuple(spans)))
         combine = OR if op == OR or op == NOR else XOR if op == XOR else AND
         nodes.sort(key=self.var.__getitem__)  # deepest first: each apply then adds few nodes
         top = nodes[0]
@@ -543,67 +571,47 @@ class _Diagram:
             top = self.apply(combine, top, u)
         return self.apply(XOR, 1, top) if op == NOR else top
 
-    def probability(self, root: int) -> tuple:
-        """P(root) as a pair, from one bottom-up pass over the nodes root reaches.
+    def probability(self, pairs: Mapping[str, tuple]) -> tuple:
+        """P(root) as an unreduced pair, given each leaf's pair, from one bottom-up pass.
 
-        Node u gets the numerator N[u] of P(u) = N[u] / scale[var[u] + 1],
-        where scale[k] is the product of the denominators of the levels
-        below k, so P(u) = p P(hi) + (1 - p) P(lo) needs integer products only.
+        A level's pair is _step over the folds of its parts.  Node u gets
+        the numerator N[u] of P(u) = N[u] / scale[var[u] + 1], where
+        scale[k] is the product of the denominators of the levels below k,
+        so P(u) = p P(hi) + (1 - p) P(lo) needs integer products only.
         """
-        var, lo, hi, probs = self.var, self.lo, self.hi, self.probs
+        steps = self.steps
+        probs = [_step(op, len(spans), [_fold(steps[a:b], pairs) for a, b in spans]) for op, spans in self.levels]
+        var, lo, hi, root = self.var, self.lo, self.hi, self.root
         scale = [1.0 if isinstance(probs[0][1], float) else 1]
         for _, d in probs:
             scale.append(scale[-1] * d)
-        reached = [False] * (root + 1)
-        reached[root] = True
-        for u in range(root, 1, -1):
-            if reached[u]:
-                reached[lo[u]] = reached[hi[u]] = True
         value = [0, scale[0]] + [0] * (root - 1)
-        for u in range(2, root + 1):
-            if reached[u]:
-                level, h, g = var[u], hi[u], lo[u]
-                n, d = probs[level]
-                up, down = scale[level] // scale[var[h] + 1], scale[level] // scale[var[g] + 1]
-                value[u] = n * value[h] * up + (d - n) * value[g] * down
+        for u in self.reached:
+            level, h, g = var[u], hi[u], lo[u]
+            n, d = probs[level]
+            up, down = scale[level] // scale[var[h] + 1], scale[level] // scale[var[g] + 1]
+            value[u] = n * value[h] * up + (d - n) * value[g] * down
         return value[root], scale[var[root] + 1]
 
 
-def _run(steps: Sequence[tuple[int, object]], pairs: Mapping[str, tuple], shared: Collection[str] = ()) -> Number:
-    """The probability that a program's structure holds: a Fraction, reduced once, or a float.
-
-    pairs gives each leaf's probability of being true as a pair:
-    integers for an exact value, (x, 1.0) for a float x.  The leaves of an
-    event in shared are one event; all others are independent.  Operands
-    are pairs, combined by _step, up to the gates that meet a shared event;
-    from there they are nodes of one decision diagram.
-    """
-    diagram = _Diagram() if shared else None
-    stack: list = []
-    push = stack.append
-    for op, arg in steps:
-        if op == LEAF:
-            push(diagram.event(arg, pairs[arg]) if diagram is not None and arg in shared else pairs[arg])
-            continue
-        if diagram is not None:
-            top = len(stack) - arg
-            if any(type(x) is int for x in stack[top:]):
-                operands = stack[top:]
-                del stack[top:]
-                push(diagram.gate(op, operands))
-                continue
-        push(_step(op, arg, stack))
-    result = stack.pop()
-    n, d = diagram.probability(result) if type(result) is int else result
-    return Fraction(n, d) if isinstance(d, int) else n / d
-
-
 def _evaluate(model: SystemModel, pairs: Mapping[str, tuple], t: Optional[float] = None) -> AnalysisResult:
-    """_run on the compiled body, with the events that more than one leaf names shared."""
+    """The probability that the model's structure holds, reduced once to a Fraction or a float.
+
+    pairs gives each leaf's probability of being true as a pair: integers
+    for an exact value, (x, 1.0) for a float x.  With every leaf distinct
+    the program folds straight into one pair; leaves naming one component
+    are one event, which the model's decision diagram handles.
+    """
     program = model.program
-    shared = set() if program.distinct else {e for e, n in Counter(program.leaves).items() if n > 1}
-    method = METHOD_PIVOTAL if shared else METHOD_CLOSED_FORM if len(program.steps) == 1 else METHOD_COMPOSITIONAL
-    return AnalysisResult(Probability(_run(program.steps, pairs, shared)), method, time=t)
+    if program.distinct:
+        n, d = _fold(program.steps, pairs)
+        method = METHOD_CLOSED_FORM if len(program.steps) == 1 else METHOD_COMPOSITIONAL
+    else:
+        if "_diagram" not in vars(model):  # built once, kept in the __dict__ like program; a refusal is not kept
+            vars(model)["_diagram"] = _Diagram(program)
+        n, d = vars(model)["_diagram"].probability(pairs)
+        method = METHOD_PIVOTAL
+    return AnalysisResult(Probability(Fraction(n, d) if isinstance(d, int) else n / d), method, time=t)
 
 
 def evaluate_steady(model: SystemModel) -> AnalysisResult:

@@ -230,19 +230,8 @@ def _node_children(expr: Expr) -> list[tuple[str, Expr]]:
 
 
 def iter_leaves(expr: Expr) -> Iterator[str]:
-    """Component ids at the leaves, in document order (with repeats).
-
-    Walks with an explicit stack, so any nesting depth works.
-    """
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Unit):
-            yield node.component
-        elif isinstance(node, Basic):
-            yield node.event
-        else:
-            stack.extend(child for _, child in reversed(_node_children(node)))
+    """Component ids at the leaves, in document order (with repeats): compile_structure's leaves."""
+    return iter(compile_structure(expr).leaves)
 
 
 # Opcodes of a compiled structure program (see compile_structure).
@@ -330,9 +319,10 @@ class SystemModel:
     The body is either a block diagram (instantaneous/steady availability
     semantics) or a fault tree (unavailability semantics).  The component
     map preserves declaration order, which fixes the order of basic_events.
-    The compiled program and the validation findings (none for a parsed
-    model, which is never walked) are computed once and cached, so neither
-    the components nor the body may be mutated after construction.
+    The compiled program, the validation findings (none for a parsed
+    model, which is never walked) and the analytic decision diagram are
+    computed once and cached, so neither the components nor the body may
+    be mutated after construction.
     """
 
     name: str

@@ -202,6 +202,29 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [f"trials must be <= {oracle.TRIAL_LIMIT}, got {trials}"]
 
 
+SHARED_TEXT = """model "shared"
+component a lambda=1 mu=3
+component b lambda=1 mu=1
+component c lambda=1 mu=1
+ft or { and { basic a; basic b }; and { basic a; basic c } }
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--at", "0.5,1,2"], ["compare", "--at", "0.5,1,2", "--trials", "20", "--horizon", "100"]]
+)
+def test_decision_diagram_built_once_per_model(tmp_path, capsys, monkeypatch, argv):
+    # the steady row and every time point reuse the diagram of the one parsed model
+    builds = []
+    build = analytic._Diagram
+    monkeypatch.setattr(analytic, "_Diagram", lambda program: builds.append(program) or build(program))
+    path = write_model(tmp_path, "shared.avm", SHARED_TEXT)
+    assert main([argv[0], path, *argv[1:], "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert len(builds) == 1 and len(rows) == 4
+    assert rows[0]["exact" if argv[0] == "analyze" else "analytic_exact"] == "3/16"
+
+
 class TestCompare:
     def test_dfh3_passes(self, abd_file, capsys):
         args = ["compare", abd_file, "--trials", "60", "--horizon", "2000", "--seed", "7", "--json"]

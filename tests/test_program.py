@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 import availkit as ak
 from availkit import analytic, oracle
 from availkit.model import AND, LEAF, NOR, NOT, OR, XOR, compile_structure
-from support import assignments, random_model, reference_compose, reference_holds, reference_leaves, reference_signal
+from support import (
+    assignments,
+    complete_graph_model,
+    random_model,
+    reference_compose,
+    reference_holds,
+    reference_leaves,
+    reference_signal,
+)
 
 NAMES = ("a", "b", "c", "d")
 
@@ -67,8 +75,14 @@ float_probs = st.floats(min_value=0.0, max_value=1.0)
 
 
 def as_pairs(probs: dict) -> dict:
-    """Each leaf's probability as analytic._run takes it: an integer pair, or (x, 1.0) for a float x."""
+    """Each leaf's probability as the analytic engines take it: an integer pair, or (x, 1.0) for a float x."""
     return {e: (p, 1.0) if isinstance(p, float) else (p.numerator, p.denominator) for e, p in probs.items()}
+
+
+def reduced(pair: tuple):
+    """A pair reduced once, as analytic._evaluate does: a Fraction for integers, else a float."""
+    n, d = pair
+    return Fraction(n, d) if isinstance(d, int) else n / d
 
 
 class TestEqualsRecursiveReference:
@@ -77,7 +91,7 @@ class TestEqualsRecursiveReference:
     def test_compose(self, structure, exact, data):
         tree, events = structure
         probs = {e: data.draw(exact_probs if exact else float_probs, label=e) for e in events}
-        got = analytic._run(compile_structure(tree).steps, as_pairs(probs))
+        got = reduced(analytic._fold(compile_structure(tree).steps, as_pairs(probs)))
         want = reference_compose(tree, probs)
         if exact:
             assert isinstance(got, Fraction) and got == want
@@ -102,13 +116,11 @@ class TestSharedEvents:
     @settings(deadline=None)
     @given(st.booleans().flatmap(trees), st.booleans(), st.data())
     def test_run_equals_enumeration(self, tree, exact, data):
-        # the leaves of the repeated events are one event each: _run's
+        # the leaves of the repeated events are one event each: the
         # decision diagram equals summing over the truth table
         events = sorted(set(reference_leaves(tree)))
         probs = {e: data.draw(exact_probs if exact else float_probs, label=e) for e in events}
-        program = compile_structure(tree)
-        shared = {e for e in events if program.leaves.count(e) > 1}
-        got = analytic._run(program.steps, as_pairs(probs), shared)
+        got = reduced(analytic._Diagram(compile_structure(tree)).probability(as_pairs(probs)))
         want = sum(
             math.prod(probs[e] if truth[e] else 1 - probs[e] for e in events)
             for truth in assignments(events)
@@ -251,3 +263,68 @@ class TestDeepModels:
         point = ak.evaluate_point(model, 0.4).probability.value
         assert point == pytest.approx(and_or_closed_form(DEPTH, 1, ak.inst_unavailability(RATES, 0.4).value), rel=1e-12)
         assert len(ak.basic_events(model)) == DEPTH + 1 and model.leaves_distinct
+
+
+# --- one decision diagram per model: built from the program alone, reused at every evaluation ---
+
+TIMES = (0.3, 0.0, 2.0, 7.5)
+
+
+def evaluations(model: ak.SystemModel) -> list:
+    """The model at TIMES[0], in steady state, then at the other TIMES: Fractions and float.hex strings."""
+    first = ak.evaluate_point(model, TIMES[0]).probability.value.hex()
+    rest = [ak.evaluate_point(model, t).probability.value.hex() for t in TIMES[1:]]
+    return [first, ak.evaluate_steady(model).probability.value] + rest
+
+
+def count_builds(monkeypatch) -> list:
+    """A list that gains the program of each decision diagram built from now on."""
+    builds = []
+    build = analytic._Diagram
+    monkeypatch.setattr(analytic, "_Diagram", lambda program: builds.append(program) or build(program))
+    return builds
+
+
+class TestDiagramReuse:
+    def test_built_once_per_model(self, monkeypatch):
+        builds = count_builds(monkeypatch)
+        model = complete_graph_model(8)
+        assert evaluations(model) == evaluations(model)
+        assert builds == [model.program]
+        evaluations(and_or_chain(50, 1))  # distinct leaves build none
+        assert len(builds) == 1
+
+    def check_equals_fresh_models(self, model: ak.SystemModel) -> None:
+        # every value of the reused diagram equals, bit for bit, that of a
+        # model that evaluates only that one quantity
+        fresh = [ak.SystemModel(model.name, model.components, model.body) for _ in range(len(TIMES) + 1)]
+        want = [ak.evaluate_point(fresh[0], TIMES[0]).probability.value.hex(), ak.evaluate_steady(fresh[1]).probability.value]
+        want += [ak.evaluate_point(m, t).probability.value.hex() for m, t in zip(fresh[2:], TIMES[1:])]
+        assert evaluations(model) == want
+
+    @settings(deadline=None)
+    @given(st.booleans().flatmap(trees), st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=4, max_size=4))
+    def test_equals_fresh_models(self, tree, rates):
+        comps = {c: ak.ComponentDef(c, ak.RatePair(*r)) for c, r in zip(NAMES, rates)}
+        self.check_equals_fresh_models(ak.SystemModel("m", comps, tree))
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_k8_equals_fresh_models(self, block):
+        self.check_equals_fresh_models(complete_graph_model(8, block=block))
+
+    def test_deep_chain_with_a_leaf_used_twice(self):
+        # the distinct chain is one span of the program, folded once per
+        # evaluation, not a copy of its steps per level
+        chain = and_or_chain(DEPTH, 1)
+        comps = dict(chain.components, s=ak.ComponentDef("s", ak.RatePair(1, 1)))
+        model = ak.SystemModel("chain-or-s", comps, ak.Or((chain.body, ak.Basic("s"), ak.Basic("s"))))
+        q, t = ak.steady_unavailability(RATES).value, 0.4
+        steady = ak.evaluate_steady(model)
+        assert steady.method == "pivotal-decomposition"
+        assert steady.probability.value == 1 - (1 - and_or_closed_form(DEPTH, 1, q)) / 2
+        point = ak.evaluate_point(model, t).probability.value
+        chain_at_t = and_or_closed_form(DEPTH, 1, ak.inst_unavailability(RATES, t).value)
+        s_at_t = ak.inst_unavailability(ak.RatePair(1, 1), t).value
+        assert point == pytest.approx(1 - (1 - chain_at_t) * (1 - s_at_t), rel=1e-12)
+        n = len(chain.program.steps)
+        assert vars(model)["_diagram"].levels == [(AND, ((n, n + 1),)), (OR, ((0, n),))]
