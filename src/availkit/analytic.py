@@ -361,16 +361,18 @@ def pie_probability(
         by_index[idx] = value
         exact = exact and value_exact
 
-    set_events: list[list[int]] = [sorted(events[e] for e in cs) for cs in sets]
+    # A cut set holding a zero-probability event never occurs and adds 0 to
+    # every term it joins, so it is left out; the products below then never
+    # divide by zero.
+    set_events: list[list[int]] = [sorted(events[e] for e in cs) for cs in sets if all(by_index[events[e]] for e in cs)]
+    m = len(set_events)
 
     # Walk the subsets of cut sets in Gray-code order: exactly one cut set
     # is toggled per step, so the union is maintained by per-event
     # inclusion counts and the product by one multiply or divide per
-    # event entering or leaving the union.  Zero-probability events are
-    # counted separately to keep division safe.
+    # event entering or leaving the union.
     counts = [0] * len(events)
     product = Fraction(1)
-    zero_events_in_union = 0
     size = 0
     total = Fraction(0)
     for step in range(1, 1 << m):
@@ -382,21 +384,13 @@ def pie_probability(
             for idx in set_events[toggled]:
                 counts[idx] += 1
                 if counts[idx] == 1:
-                    if by_index[idx]:
-                        product *= by_index[idx]
-                    else:
-                        zero_events_in_union += 1
+                    product *= by_index[idx]
         else:
             size -= 1
             for idx in set_events[toggled]:
                 counts[idx] -= 1
                 if counts[idx] == 0:
-                    if by_index[idx]:
-                        product /= by_index[idx]
-                    else:
-                        zero_events_in_union -= 1
-        if zero_events_in_union:
-            continue
+                    product /= by_index[idx]
         if size & 1:
             total += product
         else:
@@ -607,9 +601,18 @@ def _evaluate(model: SystemModel, pairs: Mapping[str, tuple], t: Optional[float]
         n, d = _fold(program.steps, pairs)
         method = METHOD_CLOSED_FORM if len(program.steps) == 1 else METHOD_COMPOSITIONAL
     else:
-        if "_diagram" not in vars(model):  # built once, kept in the __dict__ like program; a refusal is not kept
-            vars(model)["_diagram"] = _Diagram(program)
-        n, d = vars(model)["_diagram"].probability(pairs)
+        # built once and kept in the __dict__ like program; so is a refusal,
+        # as (message, the NODE_LIMIT it was made under), until the limit changes
+        kept = vars(model).get("_diagram")
+        if kept is None or (isinstance(kept, tuple) and kept[1] != NODE_LIMIT):
+            try:
+                kept = _Diagram(program)
+            except RequiresOracleError as refusal:
+                kept = (str(refusal), NODE_LIMIT)
+            vars(model)["_diagram"] = kept
+        if isinstance(kept, tuple):
+            raise RequiresOracleError(kept[0])
+        n, d = kept.probability(pairs)
         method = METHOD_PIVOTAL
     return AnalysisResult(Probability(Fraction(n, d) if isinstance(d, int) else n / d), method, time=t)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -462,6 +463,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout by choice; the rest of the output goes to
+        # devnull, so that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

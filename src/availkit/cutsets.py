@@ -2,15 +2,17 @@
 
 A cut set is a set of basic events whose joint occurrence triggers the
 top event; the tree's disjunctive normal form is a collection of cut
-sets.  Collections are kept canonically ordered (by size, then by the
-sorted event ids) so output is reproducible byte for byte.
+sets, found bottom-up by substituting each gate's cut sets into its
+parent (Vesely et al., Fault Tree Handbook, NUREG-0492, 1981, ch. XI).
+Collections are kept canonically ordered (by size, then by the sorted
+event ids) so output is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import And, Basic, GateExpr, Or
+from .model import AND, LEAF, And, Basic, GateExpr, Or, compile_structure
 
 __all__ = [
     "CutSetCollection",
@@ -55,64 +57,57 @@ class CutSetCollection:
         return len(self.sets)
 
 
+def _incoherence(tree: GateExpr) -> str | None:
+    """NonCoherentError's message for the first node in document order that is not AND, OR or basic, or None."""
+    stack: list[tuple] = [(tree, None)]  # (node, link): link is (child index, parent's link), spelled out on failure
+    while stack:
+        node, link = stack.pop()
+        if isinstance(node, (And, Or)):
+            children = node.children
+            for i in range(len(children) - 1, -1, -1):
+                stack.append((children[i], (i, link)))
+        elif not isinstance(node, Basic):
+            segments = []
+            while link is not None:
+                i, link = link
+                segments.append(f".children[{i}]")
+            return f"non-coherent tree: {type(node).__name__} gate at tree{''.join(reversed(segments))}"
+    return None
+
+
 def is_coherent(tree: GateExpr) -> bool:
     """True iff the tree contains only basic events, AND and OR gates."""
-    stack = [tree]  # explicit, so any nesting depth works
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (And, Or)):
-            stack.extend(node.children)
-        elif not isinstance(node, Basic):
-            return False
-    return True
+    return _incoherence(tree) is None
 
 
 def expand_to_cutsets(tree: GateExpr, max_cutsets: int = DEFAULT_EXPANSION_LIMIT) -> CutSetCollection:
-    """Top-down DNF expansion of a coherent tree.
+    """The DNF of a coherent tree as cut sets; a non-coherent tree raises NonCoherentError.
 
-    OR gates union their children's collections; AND gates distribute,
-    taking the cross-product union of the children's cut sets.  The
-    intermediate collection is bounded by max_cutsets to keep the
-    exponential blowup explicit rather than silent.  Children are expanded
-    in document order with an explicit stack, so any nesting depth works.
+    Runs the tree's post-order program (model.compile_structure) on a stack
+    of cut-set lists: a leaf is one singleton set, and a gate combines its
+    children's lists one at a time, OR by concatenation and AND by cross
+    product union.  Each partial list is bounded by max_cutsets to keep the
+    exponential blowup explicit rather than silent.
     """
-
-    def check(acc: list) -> list:
-        if len(acc) > max_cutsets:
-            raise ExpansionLimitError(
-                f"cut-set expansion exceeds the {max_cutsets}-set limit"
-            )
-        return acc
-
-    # [node, its cut sets so far (None before its first visit), children taken];
-    # each frame below the top is expanding its child number children taken - 1
-    stack: list[list] = [[tree, None, 0]]
-    done: list[frozenset[str]] = []  # the cut sets of the node finished last
-    while stack:
-        frame = stack[-1]
-        node, acc, taken = frame
-        if acc is None:
-            if isinstance(node, Basic):
-                done = [frozenset((node.event,))]
-                stack.pop()
-                continue
-            if not isinstance(node, (And, Or)):
-                path = "tree" + "".join(f".children[{f[2] - 1}]" for f in stack[:-1])
-                raise NonCoherentError(
-                    f"non-coherent tree: {type(node).__name__} gate at {path}"
-                )
-            acc = frame[1] = [frozenset()] if isinstance(node, And) else []
-        elif isinstance(node, And):
-            acc = frame[1] = check([left | right for left in acc for right in done])
-        else:
-            acc.extend(done)
-        if taken < len(node.children):
-            frame[2] = taken + 1
-            stack.append([node.children[taken], None, 0])
-        else:
-            done = check(acc) if isinstance(node, Or) else acc
-            stack.pop()
-    return CutSetCollection(tuple(done), minimized=False)
+    message = _incoherence(tree)
+    if message is not None:
+        raise NonCoherentError(message)
+    stack: list[list[frozenset[str]]] = []
+    for op, arg in compile_structure(tree).steps:
+        if op == LEAF:
+            stack.append([frozenset((arg,))])
+            continue
+        sets: list[frozenset[str]] = [frozenset()] if op == AND else []
+        for child in stack[len(stack) - arg:]:
+            if op == AND:
+                sets = [left | right for left in sets for right in child]
+            else:
+                sets.extend(child)
+            if len(sets) > max_cutsets:
+                raise ExpansionLimitError(f"cut-set expansion exceeds the {max_cutsets}-set limit")
+        del stack[len(stack) - arg:]
+        stack.append(sets)
+    return CutSetCollection(tuple(stack.pop()), minimized=False)
 
 
 def minimize(collection: CutSetCollection) -> CutSetCollection:

@@ -125,23 +125,21 @@ class Unit:
 
 
 @dataclass(frozen=True)
-class Series:
+class _Group:
+    """Series, Parallel, And, Or and Nor over their children: the generated == checks the class and repr names it."""
+
+    children: tuple["Expr", ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "children", tuple(self.children))
+
+
+class Series(_Group):
     """Available iff every child is available."""
 
-    children: tuple["BlockExpr", ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-
-
-@dataclass(frozen=True)
-class Parallel:
+class Parallel(_Group):
     """Available iff at least one child is available."""
-
-    children: tuple["BlockExpr", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
 
 
 BlockExpr = Union[Unit, Series, Parallel]
@@ -157,28 +155,16 @@ class Basic:
     event: str
 
 
-@dataclass(frozen=True)
-class And:
-    children: tuple["GateExpr", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+class And(_Group):
+    """Occurs iff every input occurs."""
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple["GateExpr", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+class Or(_Group):
+    """Occurs iff at least one input occurs."""
 
 
-@dataclass(frozen=True)
-class Nor:
-    children: tuple["GateExpr", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+class Nor(_Group):
+    """Occurs iff no input occurs."""
 
 
 @dataclass(frozen=True)
@@ -216,7 +202,7 @@ _GATE_NODES = (Basic, And, Or, Nor, Nand, Xor, Not)
 
 def _node_children(expr: Expr) -> list[tuple[str, Expr]]:
     """Children of a node with the path segment that reaches each one."""
-    if isinstance(expr, (Series, Parallel, And, Or, Nor)):
+    if isinstance(expr, _Group):
         return [(f".children[{i}]", c) for i, c in enumerate(expr.children)]
     if isinstance(expr, Nand):
         pairs = [(f".negated[{i}]", c) for i, c in enumerate(expr.negated)]
@@ -376,7 +362,7 @@ class SystemModel:
                     diags.append(Diagnostic(f"unknown component reference {leaf!r}", path))
                 continue
 
-            if isinstance(expr, (Series, Parallel, And, Or, Nor)) and not expr.children:
+            if isinstance(expr, _Group) and not expr.children:
                 diags.append(Diagnostic(f"{type(expr).__name__} node has no children", path))
             if isinstance(expr, Nand):
                 if not expr.negated:

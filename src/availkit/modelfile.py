@@ -40,14 +40,13 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional
 
 from .model import (
     And,
     Basic,
-    BlockExpr,
     ComponentDef,
-    GateExpr,
+    Expr,
     Nand,
     Nor,
     Not,
@@ -58,6 +57,7 @@ from .model import (
     SystemModel,
     Unit,
     Xor,
+    _Group,
     validate,
 )
 
@@ -191,16 +191,28 @@ def _lex(text: str) -> list[tuple]:
             raise _Positions(text).error(start, f"unexpected character {tok!r}")
 
 
-_BLOCK_KEYWORDS = {"unit", "series", "parallel"}
-_GATE_KEYWORDS = {"basic", "and", "or", "nor", "nand", "xor", "not"}
-_NARY_GATES = {"and": And, "or": Or, "nor": Nor}
+class _Grammar(NamedTuple):
+    """The nodes of one body kind, by the keyword that starts each, and the texts of its diagnostics."""
+
+    nodes: dict  # keyword -> node class
+    identifier: str  # what the identifier after the leaf keyword names
+    expected: str  # what a node may start with
+
+
+_BODIES = {
+    "abd": _Grammar({"unit": Unit, "series": Series, "parallel": Parallel}, "component identifier",
+                    "a block ('unit', 'series' or 'parallel')"),
+    "ft": _Grammar({"basic": Basic, "and": And, "or": Or, "nor": Nor, "nand": Nand, "xor": Xor, "not": Not},
+                   "event identifier", "a gate"),
+}
 
 
 class _Parser:
     """Recursive descent over the token list.
 
     A token's text alone tells keywords and symbols apart from every
-    other token, so matching one compares texts only.
+    other token, so matching one compares texts only.  One routine,
+    parse_node, reads either body kind from its _Grammar table.
     """
 
     def __init__(self, text: str):
@@ -273,12 +285,10 @@ class _Parser:
             components[cid] = ComponentDef(cid, RatePair(lam, mu))
 
         kind_tok = self.advance()
-        if kind_tok[1] == "abd":
-            body: Union[BlockExpr, GateExpr] = self.parse_block()
-        elif kind_tok[1] == "ft":
-            body = self.parse_gate()
-        else:
+        if kind_tok[1] not in _BODIES:
             raise self.fail(kind_tok, "expected 'abd' or 'ft' body")
+        self.grammar = _BODIES[kind_tok[1]]  # the body kind's table, which parse_node reads
+        body = self.parse_node()
 
         trailing = self.tokens[self.pos]
         if trailing[0] != "eof":
@@ -291,70 +301,51 @@ class _Parser:
             raise ModelFileError(self.diagnostics)
         return SystemModel(name=name_tok[3], components=components, body=body)
 
-    def parse_children(self, parse_item) -> tuple:
+    def parse_children(self) -> tuple:
         self.expect("{")
-        items = [parse_item()]
+        items = [self.parse_node()]
         while self.at(";"):
             self.pos += 1
-            items.append(parse_item())
+            items.append(self.parse_node())
         self.expect("}")
         return tuple(items)
 
-    def leaf(self, what: str) -> str:
-        _, ident, offset, _ = self.take("ident", what)
-        self.leaf_refs.append((ident, offset))
-        return ident
-
-    def parse_block(self) -> BlockExpr:
+    def parse_node(self) -> Expr:
         tok = self.advance()
         word = tok[1]
         if word == "{":
-            inner = self.parse_block()
+            inner = self.parse_node()
             self.expect("}")
             return inner
-        if word not in _BLOCK_KEYWORDS:
-            raise self.fail(tok, f"expected a block ('unit', 'series' or 'parallel'), found {word!r}")
-        if word == "unit":
-            return Unit(self.leaf("component identifier"))
-        children = self.parse_children(self.parse_block)
-        return Series(children) if word == "series" else Parallel(children)
-
-    def parse_gate(self) -> GateExpr:
-        tok = self.advance()
-        word = tok[1]
-        if word == "{":
-            inner = self.parse_gate()
-            self.expect("}")
-            return inner
-        if word not in _GATE_KEYWORDS:
-            raise self.fail(tok, f"expected a gate, found {word!r}")
-        if word == "basic":
-            return Basic(self.leaf("event identifier"))
-        if word in _NARY_GATES:
-            return _NARY_GATES[word](self.parse_children(self.parse_gate))
-        if word == "nand":
-            self.expect("{")
+        node = self.grammar.nodes.get(word)
+        if node is None:
+            raise self.fail(tok, f"expected {self.grammar.expected}, found {word!r}")
+        if node is Unit or node is Basic:
+            _, ident, offset, _ = self.take("ident", self.grammar.identifier)
+            self.leaf_refs.append((ident, offset))
+            return node(ident)
+        if issubclass(node, _Group):
+            return node(self.parse_children())
+        self.expect("{")
+        if node is Nand:
             self.expect("neg")
-            negated = self.parse_children(self.parse_gate)
+            negated = self.parse_children()
             self.expect(";")
             self.expect("pos")
-            plain = self.parse_children(self.parse_gate)
+            plain = self.parse_children()
             self.expect("}")
             return Nand(negated, plain)
-        if word == "xor":
-            self.expect("{")
-            left = self.parse_gate()
+        if node is Xor:
+            left = self.parse_node()
             self.expect(";")
-            right = self.parse_gate()
+            right = self.parse_node()
             closing = self.advance()
             if closing[1] == ";":
                 raise self.fail(closing, "xor takes exactly 2 operands")
             if closing[1] != "}":
                 raise self.fail(closing, f"expected '}}', found {closing[1]!r}")
             return Xor(left, right)
-        # not
-        self.expect("{")
-        child = self.parse_gate()
+        child = self.parse_node()
         self.expect("}")
         return Not(child)
 
@@ -369,42 +360,40 @@ def parse_model(text: str) -> SystemModel:
 # --- canonical serialization --------------------------------------------------
 
 
-_GROUP_KEYWORDS = {Series: "series", Parallel: "parallel", And: "and", Or: "or", Nor: "nor"}
+_KEYWORDS = {node: word for grammar in _BODIES.values() for word, node in grammar.nodes.items()}
 
 
-def _body_lines(body: Union[BlockExpr, GateExpr]) -> list[str]:
+def _body_lines(body: Expr) -> list[str]:
     """The body's canonical lines, indented from one level.
 
     A group prints its keyword and '{', then its children one level deeper,
     each but the last ending in ';', then '}'; a nand's groups are 'neg' and
     'pos'.  Walks with an explicit stack of (item, depth, end) entries, so any
-    nesting depth works: an item is a node, a (keyword, children) group or a
-    closing '}', and end is what its last line ends with.
+    depth works: an item is a node, a (keyword, children) group or a line
+    ('}' or a leaf's), and end is what its last line ends with.
     """
     lines: list[str] = []
     stack: list[tuple] = [(body, 1, "")]
     while stack:
         item, depth, end = stack.pop()
         pad = "  " * depth
+        if isinstance(item, Unit):
+            item = f"{_KEYWORDS[Unit]} {item.component}"
+        elif isinstance(item, Basic):
+            item = f"{_KEYWORDS[Basic]} {item.event}"
         if isinstance(item, str):
             lines.append(f"{pad}{item}{end}")
-            continue
-        if isinstance(item, Unit):
-            lines.append(f"{pad}unit {item.component}{end}")
-            continue
-        if isinstance(item, Basic):
-            lines.append(f"{pad}basic {item.event}{end}")
             continue
         if isinstance(item, tuple):
             keyword, children = item
         elif isinstance(item, Nand):
-            keyword, children = "nand", (("neg", item.negated), ("pos", item.plain))
+            keyword, children = _KEYWORDS[Nand], (("neg", item.negated), ("pos", item.plain))
         elif isinstance(item, Xor):
-            keyword, children = "xor", (item.left, item.right)
+            keyword, children = _KEYWORDS[Xor], (item.left, item.right)
         elif isinstance(item, Not):
-            keyword, children = "not", (item.child,)
+            keyword, children = _KEYWORDS[Not], (item.child,)
         else:
-            keyword, children = _GROUP_KEYWORDS[type(item)], item.children
+            keyword, children = _KEYWORDS[type(item)], item.children
         lines.append(f"{pad}{keyword} {{")
         stack.append(("}", depth, end))
         stack.extend((child, depth + 1, ";" if i else "") for i, child in enumerate(reversed(children)))

@@ -144,6 +144,13 @@ def complete_graph_model(n: int, block: bool = False) -> ak.SystemModel:
     return ak.SystemModel(f"k{n}", comps, body)
 
 
+def k8_and_implied_model() -> ak.SystemModel:
+    """K_8's tree ANDed with a function it implies: K_8's value, but a build
+    that a NODE_LIMIT of 2000 refuses and 4000 allows (K_8 alone fits 2000)."""
+    k8 = complete_graph_model(8)
+    return ak.SystemModel("k8-implied", k8.components, ak.And((k8.body, ak.Or((k8.body, ak.Basic("e0_1"))))))
+
+
 def nested_model_text(kind: str, depth: int) -> str:
     """.avm text whose braces nest exactly `depth` deep, over three shared components.
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import availkit as ak
 from availkit import analytic
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from support import complete_graph_model, random_model, steady_leaf_probs, xor_parity_model
+from support import brute_force_union_probability, complete_graph_model, k8_and_implied_model, random_model, steady_leaf_probs, xor_parity_model
 
 R13 = ak.RatePair("0.1", "0.3")
 R25 = ak.RatePair("0.2", "0.5")
@@ -282,6 +282,30 @@ class TestPie:
         # the {a,z} cut set can never occur
         assert ak.pie_probability(sets, probs).value == Fraction(1, 3)
 
+    def test_zero_probability_events_match_brute_force(self):
+        # sets holding a zero-probability event are left out of the walk,
+        # in exact and in float mode
+        rng = random.Random(12)
+        for _ in range(40):
+            sets = [frozenset(rng.sample("abcdef", rng.randint(1, 3))) for _ in range(rng.randint(1, 7))]
+            probs = {e: rng.choice([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(1)]) for e in "abcdef"}
+            expected = brute_force_union_probability(sets, probs)
+            assert ak.pie_probability(sets, probs).value == expected
+            floats = {e: float(p) for e, p in probs.items()}
+            assert ak.pie_probability(sets, floats).value == float(brute_force_union_probability(sets, floats))
+
+    def test_zero_probability_sets_still_checked(self):
+        # the term limit counts the caller's sets, and every event's probability is checked
+        sets = [frozenset({f"e{i}", "z"}) for i in range(21)]
+        probs = {f"e{i}": Fraction(1, 2) for i in range(21)} | {"z": Fraction(0)}
+        with pytest.raises(ak.CutSetLimitError, match="21 cut sets"):
+            ak.pie_probability(sets, probs)
+        assert ak.pie_probability(sets, probs, max_cutsets=21).value == 0
+        with pytest.raises(KeyError, match="'a'"):
+            ak.pie_probability([frozenset({"a", "z"})], {"z": Fraction(0)})
+        with pytest.raises(ValueError, match="'a' out of range"):
+            ak.pie_probability([frozenset({"a", "z"})], {"a": Fraction(3, 2), "z": Fraction(0)})
+
     def test_certain_event(self):
         sets = [frozenset({"a"}), frozenset({"b", "c"})]
         probs = {"a": Fraction(1), "b": Fraction(1, 2), "c": Fraction(1, 2)}
@@ -444,13 +468,30 @@ class TestEvaluateSteady:
         # pairs of cofactors: each counts against the limit, so this model
         # needs more of it than K_8 alone
         k8 = complete_graph_model(8)
-        model = ak.SystemModel("m", k8.components, ak.And((k8.body, ak.Or((k8.body, ak.Basic("e0_1"))))))
+        model = k8_and_implied_model()
         monkeypatch.setattr(analytic, "NODE_LIMIT", 2000)
         assert ak.evaluate_steady(k8).probability.value
         with pytest.raises(ak.RequiresOracleError, match="2000-node limit"):
             ak.evaluate_steady(model)
         monkeypatch.setattr(analytic, "NODE_LIMIT", 4000)
         assert ak.evaluate_steady(model).probability.value == ak.evaluate_steady(k8).probability.value
+
+    def test_node_limit_refusal_is_kept(self, monkeypatch):
+        # a refusal is kept with the limit it was made under: the steady state
+        # and three time points build once, and a raised limit builds again
+        model = k8_and_implied_model()
+        builds = []
+        build = analytic._Diagram
+        monkeypatch.setattr(analytic, "_Diagram", lambda program: builds.append(program) or build(program))
+        monkeypatch.setattr(analytic, "NODE_LIMIT", 2000)
+        for t in (None, 0.5, 1.0, 2.0):
+            with pytest.raises(ak.RequiresOracleError, match="2000-node limit"):
+                ak.evaluate_steady(model) if t is None else ak.evaluate_point(model, t)
+        assert len(builds) == 1
+        monkeypatch.setattr(analytic, "NODE_LIMIT", 4000)
+        assert ak.evaluate_steady(model).method == "pivotal-decomposition"
+        assert ak.evaluate_point(model, 0.5).method == "pivotal-decomposition"
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("kind", ["and-not", "and-or"])
     def test_deep_chain_with_a_repeated_leaf(self, kind):

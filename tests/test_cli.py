@@ -4,9 +4,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,7 @@ from availkit import analytic, cli, model, oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
 from availkit.modelfile import NESTING_LIMIT
-from support import complete_graph_model, nested_model_text, prime_series_model, xor_parity_model
+from support import complete_graph_model, k8_and_implied_model, nested_model_text, prime_series_model, xor_parity_model
 
 
 @pytest.fixture()
@@ -223,6 +227,38 @@ def test_decision_diagram_built_once_per_model(tmp_path, capsys, monkeypatch, ar
     rows = json.loads(capsys.readouterr().out)["results"]
     assert len(builds) == 1 and len(rows) == 4
     assert rows[0]["exact" if argv[0] == "analyze" else "analytic_exact"] == "3/16"
+
+
+def test_node_limit_refusal_built_once_per_model(tmp_path, capsys, monkeypatch):
+    # a refusal is kept with the limit it was made under: the steady row and
+    # every time point of one model build its diagram once
+    monkeypatch.setattr(analytic, "NODE_LIMIT", 2000)
+    builds = []
+    build = analytic._Diagram
+    monkeypatch.setattr(analytic, "_Diagram", lambda program: builds.append(program) or build(program))
+    path = write_model(tmp_path, "refused.avm", ak.serialize_model(k8_and_implied_model()))
+    assert main(["compare", path, "--at", "0.5,1,2", "--trials", "20", "--horizon", "100", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [row["analytic_note"] for row in rows] == ["n/a (oracle only)"] * 4
+    assert len(builds) == 1
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # `availkit cutsets wide.avm --json | head -c 10`: the reader stops after
+    # 10 bytes of a report larger than a pipe holds; the run still exits 0
+    # and prints no traceback
+    names = [f"e{i}" for i in range(4000)]
+    text = 'model "wide"\n' + "".join(f"component {c} lambda=1 mu=1\n" for c in names)
+    path = write_model(tmp_path, "wide.avm", text + "ft or { " + "; ".join(f"basic {c}" for c in names) + " }\n")
+    src = str(Path(ak.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "availkit", "cutsets", path, "--json"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b'{\n  "tool"'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err.decode()
+    assert err == b""
 
 
 class TestCompare:

@@ -75,6 +75,13 @@ class TestExpand:
         assert "4096" in str(err.value)
         assert len(ak.expand_to_cutsets(ak.And(ors), max_cutsets=10000)) == 8192
 
+    def test_non_coherence_reported_before_the_limit(self):
+        # the 13 ORs would pass the limit before the Not is reached in
+        # document order; the coherence walk runs first and names the Not
+        ors = tuple(ak.Or((ak.Basic(f"a{i}"), ak.Basic(f"b{i}"))) for i in range(13))
+        with pytest.raises(ak.NonCoherentError, match=r"^non-coherent tree: Not gate at tree\.children\[13\]$"):
+            ak.expand_to_cutsets(ak.And(ors + (ak.Not(ak.Basic("b")),)))
+
     def test_canonical_order(self):
         tree = ak.Or((ak.And((ak.Basic("z"), ak.Basic("y"))), ak.Basic("m"), ak.Basic("b")))
         assert ak.expand_to_cutsets(tree).sets == (fs("b"), fs("m"), fs("y", "z"))

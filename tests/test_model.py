@@ -1,5 +1,6 @@
 """Model types, validation diagnostics, and basic-event extraction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -181,3 +182,30 @@ class TestIterativeWalks:
     def test_deep_dangling_leaf_has_full_path(self):
         diags = ak.validate(nand_chain(3000, bottom="ghost"))
         assert diags == [ak.Diagnostic("unknown component reference 'ghost'", "body" + ".plain[0]" * 3000)]
+
+
+GROUP_KINDS = [ak.Series, ak.Parallel, ak.And, ak.Or, ak.Nor]
+
+
+class TestGroupNodes:
+    """The five n-ary kinds share one frozen dataclass and stay distinct node types."""
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    def test_dataclass_surface(self, kind):
+        children = [ak.Unit("a"), ak.Unit("b")]
+        node = kind(children)
+        assert node.children == (ak.Unit("a"), ak.Unit("b"))  # coerced to a tuple
+        assert repr(node) == f"{kind.__name__}(children=(Unit(component='a'), Unit(component='b')))"
+        assert node == kind(tuple(children)) and hash(node) == hash(kind(tuple(children)))
+        assert [f.name for f in dataclasses.fields(kind)] == ["children"]
+        replaced = dataclasses.replace(node, children=[ak.Unit("c")])
+        assert type(replaced) is kind and replaced.children == (ak.Unit("c"),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.children = ()
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    def test_equality_checks_the_kind(self, kind):
+        children = (ak.Basic("a"),)
+        for other in GROUP_KINDS:
+            assert (kind(children) == other(children)) == (kind is other)
+        assert len({kind(children) for kind in GROUP_KINDS}) == len(GROUP_KINDS)

@@ -122,6 +122,28 @@ class TestParseErrors:
     def test_missing_body(self):
         self.assert_error('model "m" component A lambda=1 mu=1', "expected 'abd' or 'ft'")
 
+    @pytest.mark.parametrize(
+        "body, message, at",
+        [
+            ("abd and { unit A }", "expected a block ('unit', 'series' or 'parallel'), found 'and'", "and"),
+            ("abd series { nand { neg { unit A }; pos { unit A } } }", "expected a block ('unit', 'series' or 'parallel'), found 'nand'", "nand"),
+            ("abd series { unit A; basic A }", "expected a block ('unit', 'series' or 'parallel'), found 'basic'", "basic"),
+            ("abd", "expected a block ('unit', 'series' or 'parallel'), found ''", None),
+            ("ft series { basic A }", "expected a gate, found 'series'", "series"),
+            ("ft or { basic A; unit A }", "expected a gate, found 'unit'", "unit"),
+            ("ft not { { 7 } }", "expected a gate, found '7'", "7"),
+            ("abd parallel { unit 7 }", "expected component identifier, found '7'", "7"),
+            ("ft and { basic }", "expected event identifier, found '}'", "}"),
+            ("ft basic", "expected event identifier", None),
+        ],
+    )
+    def test_node_errors_of_both_body_kinds(self, body, message, at):
+        text = f'model "m" component A lambda=1 mu=1 {body}'
+        err = self.assert_error(text, message)
+        assert [d.message for d in err.diagnostics] == [message]
+        offset = err.diagnostics[0].span.offset
+        assert text[offset:] == "" if at is None else text[offset:].startswith(at)
+
     def test_unexpected_character(self):
         self.assert_error('model "m" component A lambda=1 mu=1 abd unit A %', "unexpected character")
 
