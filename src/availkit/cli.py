@@ -83,9 +83,10 @@ def _fmt_time(t: Optional[float]) -> str:
 
 
 def _load_model(path: str) -> SystemModel:
+    # utf-8-sig drops the byte-order mark some editors write at the start
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     return parse_model(text)
 

@@ -76,7 +76,9 @@ class RatePair:
 
     Both rates must be strictly positive and finite for the analysis
     operations to be meaningful; violations are reported by validate()
-    rather than rejected at construction time.
+    rather than rejected at construction time.  A pair is frozen, so
+    components may share one: the parser gives every component declared
+    with the same two rate literals the same pair.
     """
 
     failure_rate: Rate

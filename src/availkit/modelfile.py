@@ -28,7 +28,16 @@ fractions (0.1 is 1/10, never a binary float) and 'p/q' is a rational
 literal.  Braces nest at most NESTING_LIMIT deep.  The parser reports
 every semantic fault with its line:column and the grammar rules out the
 rest of what validate checks, so a parsed model is valid by construction
-and is never walked again.  The serializer emits the canonical form
+and is never walked again.
+
+One regex reads the tokens, by two routes.  A parse reads the token
+texts with one findall and walks them by index; no token carries an
+offset.  Only a diagnostic runs the positioned match loop, once per
+parse, to find where each token starts and to report the text's first
+lexical fault before any other, so positions and messages are those of
+lexing the whole text first.
+
+The serializer emits the canonical form
 (components in declaration order, two-space indentation, one construct
 per line, rates as exact rationals); parsing it back gives a structurally
 equal model, and serialization is idempotent.
@@ -37,6 +46,7 @@ equal model, and serialization is idempotent.
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,33 +110,39 @@ class ModelFileError(Exception):
 
 
 # One match per token: the whitespace and comments before it, then the
-# token, whose kind is the name of the group that matched.  The greedy
-# prefix stops at the end of the text or at a character that is not
-# whitespace, and there some alternative always matches ('other' takes any
-# character but a newline, which \s has already taken), so a match never
-# backtracks into the prefix.
+# token, the one group.  A token's kind follows from its first character:
+# a letter or '_' starts an identifier, a digit a number, '"' a string (a
+# lone '"' is an unterminated one), and the empty token is the end of the
+# text; any other character is a token of its own, a symbol if it is one
+# of '{};=' and else an unexpected character.  The greedy prefix stops at
+# the end of the text or at a character that is not whitespace, and there
+# some alternative always matches ('.' takes any character but a newline,
+# which \s has already taken), so a match never backtracks into the prefix.
 _TOKEN = re.compile(
     r"""
     \s* (?: \#[^\n]* \s* )*
-    (?:
-        (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
-      | (?P<sym> [{};=] )
-      | (?P<number> [0-9]+ (?: [./][0-9]+ )? )
-      | (?P<string> "[^"\n]*" )
-      | (?P<unterminated> " )
-      | (?P<eof> \Z )
-      | (?P<other> . )
+    (
+        [A-Za-z_][A-Za-z0-9_]*
+      | [0-9]+ (?: [./][0-9]+ )?
+      | "[^"\n]*"
+      | \Z
+      | .
     )
     """,
     re.VERBOSE,
 )
 
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset(string.digits)
+_SYMBOLS = frozenset("{};=")
+
 
 class _Positions:
     """Turns offsets in one text into 1-based line:column spans.
 
-    Tokens carry offsets only; the line-start table is built on the first
-    diagnostic, so a text that parses cleanly never pays for it.
+    Offsets exist only on the diagnostics route (_lex), and the line-start
+    table is built on the first span asked for, so a text that parses
+    cleanly pays for neither.
     """
 
     def __init__(self, text: str):
@@ -143,11 +159,26 @@ class _Positions:
         return ModelFileError([ParseDiagnostic(message, self.span(offset))])
 
 
+def _number(tok: str) -> Fraction:
+    """A number token's exact value; a ValueError gives the diagnostic if it has none."""
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal {tok!r}") from None
+    except ValueError:  # past Python's int-string digit limit
+        raise ValueError(f"number literal too long to read ({len(tok)} characters)") from None
+
+
 def _lex(text: str) -> list[tuple]:
-    """Tokens as (kind, text, offset, value) tuples, ending with 'eof'.
+    """The diagnostics route: tokens as (kind, text, offset, value) tuples, ending with 'eof'.
 
     kind is 'ident', 'number', 'string', 'sym' or 'eof'; value is a
-    number's Fraction or a string's contents, else None.
+    number's Fraction or a string's contents, else None.  Raises the
+    text's first lexical fault: an unexpected character, an unterminated
+    string, an unreadable number or nesting past NESTING_LIMIT.  The
+    parser runs this positioned match loop only to place a diagnostic, at
+    most once per parse; a clean parse reads the same token texts with
+    one findall.
     """
     tokens: list[tuple] = []
     append = tokens.append
@@ -156,37 +187,35 @@ def _lex(text: str) -> list[tuple]:
     pos = depth = 0
     while True:
         m = match(text, pos)
-        kind = m.lastgroup
+        tok = m[1]
+        start = m.start(1)
         pos = m.end()
-        tok = m[kind]
-        start = pos - len(tok)
-        if kind == "ident":
-            append((kind, tok, start, None))
-        elif kind == "sym":
+        first = tok[:1]
+        if first in _IDENT_START:
+            append(("ident", tok, start, None))
+        elif first in _SYMBOLS:
             if tok == "{":
                 depth += 1
                 if depth > NESTING_LIMIT:
                     raise _Positions(text).error(start, f"nesting deeper than {NESTING_LIMIT} levels")
             elif tok == "}":
                 depth -= 1
-            append((kind, tok, start, None))
-        elif kind == "number":
+            append(("sym", tok, start, None))
+        elif first in _DIGITS:
             value = values.get(tok)
             if value is None:
                 try:
-                    value = values[tok] = Fraction(tok)
-                except ZeroDivisionError:
-                    raise _Positions(text).error(start, f"zero denominator in rational literal {tok!r}") from None
-                except ValueError:  # past Python's int-string digit limit
-                    raise _Positions(text).error(start, f"number literal too long to read ({len(tok)} characters)") from None
-            append((kind, tok, start, value))
-        elif kind == "string":
-            append((kind, tok, start, tok[1:-1]))
-        elif kind == "eof":
-            append((kind, tok, start, None))
+                    value = values[tok] = _number(tok)
+                except ValueError as exc:
+                    raise _Positions(text).error(start, str(exc)) from None
+            append(("number", tok, start, value))
+        elif not tok:
+            append(("eof", tok, start, None))
             return tokens
-        elif kind == "unterminated":
+        elif tok == '"':
             raise _Positions(text).error(start, "unterminated string")
+        elif first == '"':
+            append(("string", tok, start, tok[1:-1]))
         else:
             raise _Positions(text).error(start, f"unexpected character {tok!r}")
 
@@ -208,145 +237,215 @@ _BODIES = {
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Recursive descent over the token texts of one text, by index.
 
-    A token's text alone tells keywords and symbols apart from every
-    other token, so matching one compares texts only.  One routine,
-    parse_node, reads either body kind from its _Grammar table.
+    The texts come from one findall, so the loop over the text runs in C.
+    A token's text alone tells keywords and symbols apart from every other
+    token, and its first character gives its kind, so matching one
+    compares texts only.  One routine, parse_node, reads either body kind
+    from its _Grammar table.  The parser counts brace levels as it takes
+    braces and reads the rate literals it takes, so a text it accepts has
+    no lexical fault.
+
+    A diagnostic runs the positioned route, _lex, once: it raises the
+    text's first lexical fault, as lexing the whole text before parsing
+    would, and otherwise gives each token index its offset.
     """
 
     def __init__(self, text: str):
-        self.tokens = _lex(text)
+        self.text = text
+        self.tokens: list[str] = _TOKEN.findall(text)  # ends with at least one '' (the end)
         self.pos = 0
+        self.depth = 0  # brace levels open
+        self.offsets: Optional[list[int]] = None  # by token index, from _lex on the first diagnostic
         self.positions = _Positions(text)
         self.diagnostics: list[ParseDiagnostic] = []
-        self.leaf_refs: list[tuple[str, int]] = []  # (identifier, offset)
+        self.leaf_refs: list[int] = []  # token index of each leaf's identifier
 
     # -- token plumbing --------------------------------------------------
 
-    def note(self, offset: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(message, self.positions.span(offset)))
+    def span(self, index: int) -> SourceSpan:
+        if self.offsets is None:
+            self.offsets = [tok[2] for tok in _lex(self.text)]
+        return self.positions.span(self.offsets[index])
 
-    def fail(self, tok: tuple, message: str) -> ModelFileError:
-        return ModelFileError(self.diagnostics + [ParseDiagnostic(message, self.positions.span(tok[2]))])
+    def note(self, index: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(message, self.span(index)))
 
-    def unexpected(self, tok: tuple, what: str) -> ModelFileError:
-        return self.fail(tok, f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}")
+    def fail(self, index: int, message: str) -> ModelFileError:
+        return ModelFileError(self.diagnostics + [ParseDiagnostic(message, self.span(index))])
 
-    def at(self, word: str) -> bool:
-        return self.tokens[self.pos][1] == word
+    def unexpected(self, index: int, what: str) -> ModelFileError:
+        tok = self.tokens[index]
+        return self.fail(index, f"expected {what}, found {tok!r}" if tok else f"expected {what}")
 
-    def advance(self) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
+    def advance(self) -> int:
+        """The index of the current token, which is consumed unless it is the end."""
+        index = self.pos
+        if self.tokens[index]:
             self.pos += 1
-        return tok
+        return index
 
     def expect(self, word: str) -> None:
         """Consume the keyword or symbol word."""
-        tok = self.tokens[self.pos]
-        if tok[1] != word:
-            raise self.unexpected(tok, f"'{word}'")
+        if self.tokens[self.pos] != word:
+            raise self.unexpected(self.pos, f"'{word}'")
         self.pos += 1
 
-    def take(self, kind: str, what: str) -> tuple:
-        """Consume and return a token of kind ('ident' or 'number')."""
+    def take(self, first: frozenset, what: str) -> str:
+        """Consume and return a token whose first character is in first."""
         tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise self.unexpected(tok, what)
+        if tok[:1] not in first:
+            raise self.unexpected(self.pos, what)
         self.pos += 1
         return tok
 
+    def open(self) -> None:
+        """Consume '{', one brace level deeper."""
+        self.expect("{")
+        self.depth += 1
+        if self.depth > NESTING_LIMIT:
+            raise self.fail(self.pos - 1, f"nesting deeper than {NESTING_LIMIT} levels")
+
+    def close(self) -> None:
+        self.expect("}")
+        self.depth -= 1
+
     # -- grammar ----------------------------------------------------------
 
-    def parse_model(self) -> SystemModel:
-        self.expect("model")
-        name_tok = self.advance()
-        if name_tok[0] != "string":
-            raise self.fail(name_tok, "expected model name string")
+    def declaration(self) -> list[str]:
+        """Consume one component declaration and return its 8 token texts.
 
-        components: dict[str, ComponentDef] = {}
-        while self.at("component"):
-            self.pos += 1
-            _, cid, id_at, _ = self.take("ident", "component identifier")
+        A declaration is a fixed run, 'component' IDENT 'lambda' '=' NUMBER
+        'mu' '=' NUMBER, checked in one slice; a run out of that shape is
+        read again token by token, which raises at its first token out of
+        place.
+        """
+        at = self.pos
+        run = self.tokens[at : at + 8]
+        if not (len(run) == 8 and run[1][:1] in _IDENT_START and run[2] == "lambda" and run[3] == "="
+                and run[4][:1] in _DIGITS and run[5] == "mu" and run[6] == "=" and run[7][:1] in _DIGITS):
+            self.pos = at + 1
+            self.take(_IDENT_START, "component identifier")
             self.expect("lambda")
             self.expect("=")
-            _, _, lam_at, lam = self.take("number", "failure rate")
+            self.take(_DIGITS, "failure rate")
             self.expect("mu")
             self.expect("=")
-            _, _, mu_at, mu = self.take("number", "repair rate")
-            if cid in components:
-                self.note(id_at, f"duplicate component id {cid!r}")
-                continue
-            if lam <= 0:
-                self.note(lam_at, f"nonpositive failure rate at {cid}")
-            if mu <= 0:
-                self.note(mu_at, f"nonpositive repair rate at {cid}")
-            components[cid] = ComponentDef(cid, RatePair(lam, mu))
+            self.take(_DIGITS, "repair rate")
+        self.pos = at + 8
+        return run
 
-        kind_tok = self.advance()
-        if kind_tok[1] not in _BODIES:
-            raise self.fail(kind_tok, "expected 'abd' or 'ft' body")
-        self.grammar = _BODIES[kind_tok[1]]  # the body kind's table, which parse_node reads
+    def rate(self, index: int, values: dict[str, tuple[Fraction, bool]]) -> tuple[Fraction, bool]:
+        """The value of the rate literal at index and whether it is positive, read once per literal."""
+        literal = self.tokens[index]
+        known = values.get(literal)
+        if known is None:
+            try:
+                value = _number(literal)
+            except ValueError as exc:
+                raise self.fail(index, str(exc)) from None
+            known = values[literal] = (value, value > 0)
+        return known
+
+    def parse_model(self) -> SystemModel:
+        tokens = self.tokens
+        self.expect("model")
+        at = self.advance()
+        name = tokens[at]
+        if name[:1] != '"' or len(name) < 2:
+            raise self.fail(at, "expected model name string")
+
+        components: dict[str, ComponentDef] = {}
+        values: dict[str, tuple[Fraction, bool]] = {}
+        # each pair of positive rates by its two literals, shared by the components
+        # declaring them; a pair with a nonpositive rate is not kept, so every
+        # declaration of it is reported
+        pairs: dict[tuple[str, str], RatePair] = {}
+        while tokens[self.pos] == "component":
+            at = self.pos
+            _, cid, _, _, lam, _, _, mu = self.declaration()
+            if cid in components:
+                self.note(at + 1, f"duplicate component id {cid!r}")
+                continue
+            rates = pairs.get((lam, mu))
+            if rates is None:
+                lam_value, lam_ok = self.rate(at + 4, values)
+                mu_value, mu_ok = self.rate(at + 7, values)
+                if not lam_ok:
+                    self.note(at + 4, f"nonpositive failure rate at {cid}")
+                if not mu_ok:
+                    self.note(at + 7, f"nonpositive repair rate at {cid}")
+                rates = RatePair(lam_value, mu_value)
+                if lam_ok and mu_ok:
+                    pairs[lam, mu] = rates
+            components[cid] = ComponentDef(cid, rates)
+
+        at = self.advance()
+        if tokens[at] not in _BODIES:
+            raise self.fail(at, "expected 'abd' or 'ft' body")
+        self.grammar = _BODIES[tokens[at]]  # the body kind's table, which parse_node reads
         body = self.parse_node()
 
-        trailing = self.tokens[self.pos]
-        if trailing[0] != "eof":
-            raise self.fail(trailing, f"unexpected trailing input {trailing[1]!r}")
+        if tokens[self.pos]:
+            raise self.fail(self.pos, f"unexpected trailing input {tokens[self.pos]!r}")
 
-        for leaf, offset in self.leaf_refs:
-            if leaf not in components:
-                self.note(offset, f"unknown component reference {leaf!r}")
+        for index in self.leaf_refs:
+            if tokens[index] not in components:
+                self.note(index, f"unknown component reference {tokens[index]!r}")
         if self.diagnostics:
             raise ModelFileError(self.diagnostics)
-        return SystemModel(name=name_tok[3], components=components, body=body)
+        return SystemModel(name=name[1:-1], components=components, body=body)
 
     def parse_children(self) -> tuple:
-        self.expect("{")
+        self.open()
         items = [self.parse_node()]
-        while self.at(";"):
+        while self.tokens[self.pos] == ";":
             self.pos += 1
             items.append(self.parse_node())
-        self.expect("}")
+        self.close()
         return tuple(items)
 
     def parse_node(self) -> Expr:
-        tok = self.advance()
-        word = tok[1]
-        if word == "{":
-            inner = self.parse_node()
-            self.expect("}")
-            return inner
+        at = self.pos
+        word = self.tokens[at]
         node = self.grammar.nodes.get(word)
         if node is None:
-            raise self.fail(tok, f"expected {self.grammar.expected}, found {word!r}")
+            if word != "{":
+                raise self.fail(at, f"expected {self.grammar.expected}, found {word!r}")
+            self.open()
+            inner = self.parse_node()
+            self.close()
+            return inner
+        self.pos = at + 1
         if node is Unit or node is Basic:
-            _, ident, offset, _ = self.take("ident", self.grammar.identifier)
-            self.leaf_refs.append((ident, offset))
+            ident = self.take(_IDENT_START, self.grammar.identifier)
+            self.leaf_refs.append(at + 1)
             return node(ident)
         if issubclass(node, _Group):
             return node(self.parse_children())
-        self.expect("{")
+        self.open()
         if node is Nand:
             self.expect("neg")
             negated = self.parse_children()
             self.expect(";")
             self.expect("pos")
             plain = self.parse_children()
-            self.expect("}")
+            self.close()
             return Nand(negated, plain)
         if node is Xor:
             left = self.parse_node()
             self.expect(";")
             right = self.parse_node()
-            closing = self.advance()
-            if closing[1] == ";":
-                raise self.fail(closing, "xor takes exactly 2 operands")
-            if closing[1] != "}":
-                raise self.fail(closing, f"expected '}}', found {closing[1]!r}")
+            at = self.pos
+            if self.tokens[at] == ";":
+                raise self.fail(at, "xor takes exactly 2 operands")
+            if self.tokens[at] != "}":
+                raise self.fail(at, f"expected '}}', found {self.tokens[at]!r}")
+            self.close()
             return Xor(left, right)
         child = self.parse_node()
-        self.expect("}")
+        self.close()
         return Not(child)
 
 

@@ -82,6 +82,19 @@ class TestAnalyze:
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "does-not-exist.avm"]) == 2
 
+    def test_byte_order_mark_is_read(self, tmp_path, capsys):
+        path = tmp_path / "bom.avm"
+        path.write_bytes(b"\xef\xbb\xbf" + ak.serialize_model(dfh3_abd()).encode("utf-8"))
+        assert main(["analyze", str(path), "--exact"]) == 0
+        assert "40/343" in capsys.readouterr().out
+
+    def test_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.avm"
+        path.write_bytes('model "m\u00e9"\n'.encode("latin-1"))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 8: invalid continuation byte\n"
+
     def test_exact_with_at_exit_2(self, abd_file, capsys):
         assert main(["analyze", abd_file, "--exact", "--at", "5"]) == 2
 

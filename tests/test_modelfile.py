@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import availkit as ak
 from availkit import model as model_module
+from availkit import modelfile
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from availkit.modelfile import NESTING_LIMIT, _lex, _Positions
-from support import nested_model_text, random_model, reference_lex
+from availkit.modelfile import NESTING_LIMIT, _lex, _Parser, _Positions
+from support import nested_model_text, rand_rate_pair, random_model, reference_lex
 
 MINIMAL = 'model "m" component A lambda=0.5 mu=0.5 abd { unit A }'
 
@@ -237,6 +238,82 @@ class TestLexerMatchesReference:
     @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
     def test_same_tokens_or_diagnostic(self, text):
         assert lexed(regex_lex, text) == lexed(reference_lex, text)
+
+
+class TestFastRouteMatchesPositioned:
+    """The parser reads token texts from one findall, and _lex, the
+    positioned match loop, runs only to place a diagnostic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
+    def test_same_token_texts_or_diagnostic(self, text):
+        fast = _Parser(text).tokens
+        try:
+            positioned = [tok[1] for tok in _lex(text)]
+        except ak.ModelFileError as err:
+            # the fast route accepts no text with a lexical fault, and reports its first one
+            assert lexed(ak.parse_model, text) == str(err)
+        else:
+            end = fast.index("")  # the end of the text; an empty match may follow it
+            assert fast[: end + 1] == positioned
+            assert set(fast[end:]) == {""}
+
+    @pytest.fixture()
+    def lex_calls(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return _lex(text)
+
+        monkeypatch.setattr(modelfile, "_lex", counted)
+        return calls
+
+    def test_clean_parse_never_runs_the_positioned_loop(self, lex_calls):
+        rng = random.Random(3)
+        comps = {f"c{i}": ak.ComponentDef(f"c{i}", rand_rate_pair(rng)) for i in range(3000)}
+        body = ak.Or(tuple(ak.And((ak.Basic(f"c{i}"), ak.Basic(f"c{i + 1}"))) for i in range(0, 3000, 2)))
+        model = ak.SystemModel("big", comps, body)
+        assert ak.parse_model(ak.serialize_model(model)) == model
+        assert lex_calls == []
+
+    def test_several_faults_run_it_once(self, lex_calls):
+        text = (
+            'model "m"\n'
+            "component A lambda=0 mu=1\n"
+            "component A lambda=1 mu=1\n"
+            "component B lambda=1 mu=0\n"
+            "abd series { unit A; unit C; unit D }\n"
+        )
+        with pytest.raises(ak.ModelFileError) as err:
+            ak.parse_model(text)
+        assert str(err.value).splitlines() == [
+            "2:20: nonpositive failure rate at A",
+            "3:11: duplicate component id 'A'",
+            "4:25: nonpositive repair rate at B",
+            "5:27: unknown component reference 'C'",
+            "5:35: unknown component reference 'D'",
+        ]
+        assert len(lex_calls) == 1
+
+    def test_syntax_fault_runs_it_once(self, lex_calls):
+        with pytest.raises(ak.ModelFileError) as err:
+            ak.parse_model('model "m"\ncomponent A lambda=1 mu=0\nabd series { unit A unit A }\n')
+        assert str(err.value).splitlines() == ["2:25: nonpositive repair rate at A", "3:21: expected '}', found 'unit'"]
+        assert len(lex_calls) == 1
+
+    def test_each_repeated_nonpositive_literal_reported_at_its_place(self):
+        # a literal is read and its sign checked once, but every use is reported
+        text = 'model "m"\ncomponent A lambda=0 mu=1\n  component B lambda=0 mu=1\nabd series { unit A; unit B }\n'
+        with pytest.raises(ak.ModelFileError) as err:
+            ak.parse_model(text)
+        assert str(err.value).splitlines() == ["2:20: nonpositive failure rate at A", "3:22: nonpositive failure rate at B"]
+
+    def test_equal_rate_literals_share_one_pair(self):
+        text = 'model "m" component A lambda=1/2 mu=3 component B lambda=1/2 mu=3 component C lambda=0.5 mu=3 abd series { unit A; unit B; unit C }'
+        comps = ak.parse_model(text).components
+        assert comps["A"].rates is comps["B"].rates
+        assert comps["C"].rates == comps["A"].rates
 
 
 class TestParserIsTheValidityCheck:
