@@ -15,31 +15,37 @@ Two independent routes:
   as an alternating renewal process (exponential up and down durations,
   starting up at t=0) and average the structure function over trials.
 
-Random number contract: each (trial, component) pair owns one stream of
-the Philox-4x64-10 counter-based generator (Salmon et al., SC'11), keyed
-by (seed mod 2**64, 0).  Word j of the stream (j = 0, 1, ...) is lane
-j mod 4 of the block at counter (j div 4 + 1, 0, trial, component): the
-first block is at counter word 0 = 1, because numpy's Philox increments
-the counter before it generates a block, so the stream is exactly what
-np.random.Philox(key=seed, counter=[0, 0, trial, component]) yields.
-A word w becomes the open-interval uniform u = ((w >> 11) + 0.5) * 2**-53
-and a duration -ln(u) / rate.  A stream is drawn in rounds of 2n words,
-n = max(4, int(1.2 * target / mean cycle) + 8) in the first round and
+Random number contract: each estimate keys one Philox-4x64-10
+counter-based generator (Salmon et al., SC'11) with (seed mod 2**64, 0).
+Every (trial, component) stream is drawn in rounds of 2n words, n =
+max(4, int(1.2 * target / mean cycle) + 8) in the first round and
 doubled in each later one, for as long as the sum of its durations so
-far is <= target (the time point, or the horizon).  Words are consumed
-in order across rounds, and within a round they alternate up duration,
-down duration.  Streams never overlap, so results are bitwise identical
-for a fixed seed regardless of trial ordering or blocking.
+far is <= target (the time point, or the horizon).  n depends only on
+the rates and the target, so every stream of a component has the same
+round sizes, and round r of every trial sits in one contiguous counter
+range: word j (j = 0 .. 2n_r - 1) of round r of trial i of component c
+is lane j mod 4 of the block at counter (i * B_r + j div 4 + 1, r, 0, c),
+with B_r = ceil(2n_r / 4).  That is what np.random.Philox(key=seed mod
+2**64, counter=[i * B_r, r, 0, c]) yields first, because numpy's Philox
+increments the counter before it generates a block.  A word w becomes
+the open-interval uniform u = ((w >> 11) + 0.5) * 2**-53 and a duration
+-ln(u) / rate; within a round the words alternate up duration, down
+duration.  Streams never overlap, and counter word 0 stays below
+TRIAL_LIMIT * ceil(STREAM_DRAW_LIMIT / 4) < 2**63.  A trial's words depend
+only on the seed, the trial, the component and the round, so results are
+bitwise identical for a fixed seed regardless of trial ordering or
+blocking.
 
-Both estimators simulate trials in blocks and share one round loop
-(_rounds).  Point estimates generate the words of every trial of a
-component in one numpy evaluation of Philox over the counter grid.
-Steady-state estimates draw each stream from one C np.random.Philox,
-re-pointed at the stream's counter, and integrate a whole block of
-trials at once: every boundary of every component goes into one
-(trials, columns) grid, one row-wise sort orders each trial's state
-changes, and each component's state at each change is the parity of its
-boundaries so far.  Every stream may draw at most STREAM_DRAW_LIMIT words.
+Both estimators simulate trials in blocks, share one round loop
+(_rounds) and draw through one routine (_draw): one random_raw call of
+the C np.random.Philox per run of consecutive trials in a round of a
+component, so a block's first round is one call.  Point estimates read
+each component's state at t from the parity of its boundaries.
+Steady-state estimates integrate a whole block of trials at once: every
+boundary of every component goes into one (trials, columns) grid, one
+row-wise sort orders each trial's state changes, and each component's
+state at each change is the parity of its boundaries so far.  Every
+stream may draw at most STREAM_DRAW_LIMIT words.
 """
 
 from __future__ import annotations
@@ -98,11 +104,6 @@ _U_SCALE = 2.0 ** -53
 
 _MASK64 = 2 ** 64 - 1
 _INT64_MAX = 2 ** 63 - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments per round
-_PHILOX_ROUNDS = 10
 
 
 def structure_holds(expr: Expr, truth: Mapping[str, bool]) -> bool:
@@ -183,42 +184,30 @@ class Estimate:
     trials: int
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit products m * x, from 32-bit limbs."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    lo_lo = m_lo * x_lo
-    lo_hi = m_lo * x_hi
-    hi_lo = m_hi * x_lo
-    mid = (lo_lo >> _SHIFT32) + (lo_hi & _LO32) + (hi_lo & _LO32)
-    hi = m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, (mid << _SHIFT32) | (lo_lo & _LO32)
+def _draw(bitgen: np.random.Philox, trials: np.ndarray, component: int, round: int, count: int) -> np.ndarray:
+    """The count words of one round of one component in each of the given trials, one row each.
 
-
-def _philox_words(seed: int, trials: np.ndarray, component: int, start: int, count: int) -> np.ndarray:
-    """Words start .. start + count - 1 of one component's stream in each trial.
-
-    Returns a (len(trials), count) uint64 array equal, row by row, to the
-    words np.random.Philox(key=seed, counter=[0, 0, trial, component])
-    yields after skipping `start` words.
+    bitgen is the estimate's generator; it is re-pointed at the first
+    block of each run of consecutive trials, with an empty buffer, and
+    one random_raw call draws the run's blocks.  count is at most
+    STREAM_DRAW_LIMIT (_rounds checks it before the round's first draw),
+    which keeps every counter below 2**63.  For a single run the result
+    is that call's buffer, reshaped, not copied.
     """
-    first = start // 4
-    x0 = np.arange(first + 1, (start + count - 1) // 4 + 2, dtype=np.uint64)[None, :]
-    x1 = np.uint64(0)
-    x2 = trials.astype(np.uint64)[:, None]
-    x3 = np.uint64(component)
-    k0, k1 = seed & _MASK64, 0
-    # the (trial, block) grid fills in by broadcasting: after round 3 every word has its full shape
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = (k1 + _PHILOX_W[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
-    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(len(trials), -1)
-    offset = start - 4 * first
-    return words[:, offset:offset + count]
+    blocks = (count + 3) // 4  # B_r: counter blocks per trial in this round
+    state = bitgen.state
+    state["buffer_pos"] = 4  # empty: the next word comes from a fresh block
+    ids = trials.tolist()
+    parts = []
+    lo = 0
+    for hi in range(1, len(ids) + 1):
+        if hi == len(ids) or ids[hi] != ids[hi - 1] + 1:
+            state["state"]["counter"] = [ids[lo] * blocks, round, 0, component]
+            bitgen.state = state
+            words = bitgen.random_raw((hi - lo) * 4 * blocks).reshape(hi - lo, 4 * blocks)
+            parts.append(words[:, :count])
+            lo = hi
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _first_round_cycles(lam: float, mu: float, target: float) -> int:
@@ -257,17 +246,19 @@ def _rounds(
 
     Every stream draws rounds of 2n words, n = _first_round_cycles in the
     first round and doubled in each later one, for as long as the sum of its
-    durations so far is <= target.  draw(rows, start, count) returns words
-    start .. start + count - 1 of the streams at positions rows, one row
-    each.  Yields (rows, start, bounds): bounds[i] are boundaries start ..
-    of stream rows[i], the interleaved cumulative sums T1, T1+D1, T1+D1+T2,
-    ...  A later round's first duration is added to the stream's last
-    boundary before the cumulative sum, so every boundary is the same float
-    as in np.cumsum over all rounds.  At most block_words words are drawn
-    at a time.
+    durations so far is <= target.  draw(rows, round, count) returns the
+    count words of round `round` of the streams at positions rows, one row
+    each; rows is sorted.  The round's draw limit is checked before any of
+    its words are drawn.  Yields (rows, start, bounds): bounds[i] are
+    boundaries start .. of stream rows[i], the interleaved cumulative sums
+    T1, T1+D1, T1+D1+T2, ...  A later round's first duration is added to
+    the stream's last boundary before the cumulative sum, so every boundary
+    is the same float as in np.cumsum over all rounds.  At most block_words
+    words are drawn at a time.
     """
     n = _first_round_cycles(lam, mu, target)
     drawn = 0
+    round = 0
     span = np.zeros(streams)
     last = np.zeros(streams)  # each stream's latest boundary
     active = np.arange(streams)  # the streams still drawing
@@ -276,7 +267,7 @@ def _rounds(
         rows_per_block = max(1, block_words // (2 * n))
         for lo in range(0, active.size, rows_per_block):
             rows = active[lo:lo + rows_per_block]
-            up, down = _durations(draw(rows, drawn, 2 * n), lam, mu)
+            up, down = _durations(draw(rows, round, 2 * n), lam, mu)
             span[rows] += up.sum(axis=1) + down.sum(axis=1)
             steps = np.empty((rows.size, 2 * n))
             steps[:, 0::2] = up
@@ -287,41 +278,25 @@ def _rounds(
             yield rows, drawn, bounds
         drawn += 2 * n
         n *= 2
+        round += 1
         active = active[span[active] <= target]
 
 
-def _up_at(seed: int, component: int, lam: float, mu: float, t: float, trials: np.ndarray) -> np.ndarray:
+def _up_at(
+    bitgen: np.random.Philox, component: int, lam: float, mu: float, t: float, trials: np.ndarray
+) -> np.ndarray:
     """Whether one component is up at t, in each of the given trials.
 
-    The words of all these trials come from _philox_words, at most
-    POINT_BLOCK_WORDS at a time.  The state is the parity of the number of
-    boundaries <= t.
+    The words come from _draw, at most POINT_BLOCK_WORDS at a time.  The
+    state is the parity of the number of boundaries <= t.
     """
-    def draw(rows: np.ndarray, start: int, count: int) -> np.ndarray:
-        return _philox_words(seed, trials[rows], component, start, count)
+    def draw(rows: np.ndarray, round: int, count: int) -> np.ndarray:
+        return _draw(bitgen, trials[rows], component, round, count)
 
     passed = np.zeros(trials.size, dtype=np.int64)  # boundaries <= t
     for rows, _, bounds in _rounds(lam, mu, t, trials.size, draw, POINT_BLOCK_WORDS):
         passed[rows] += np.count_nonzero(bounds <= t, axis=1)
     return passed % 2 == 0
-
-
-def _stream_words(bitgen: np.random.Philox, trials: np.ndarray, component: int, start: int, count: int) -> np.ndarray:
-    """_philox_words drawn from the C generator bitgen, re-pointed at each stream in turn.
-
-    bitgen must be keyed by the seed.  Its counter is set to the block
-    before the one holding word `start`, with an empty buffer, so the next
-    block it generates is that one.
-    """
-    state = bitgen.state
-    state["buffer_pos"] = 4  # empty: the next word comes from a fresh block
-    skip = start % 4
-    words = np.empty((trials.size, count), dtype=np.uint64)
-    for i, trial in enumerate(trials):
-        state["state"]["counter"] = np.array([start // 4, 0, trial, component], dtype=np.uint64)
-        bitgen.state = state
-        words[i] = bitgen.random_raw(skip + count)[skip:]
-    return words
 
 
 def _steady_grid(
@@ -337,8 +312,8 @@ def _steady_grid(
     columns = [np.zeros((trials.size, 1))]
     owner = [np.full(1, -1)]
     for ci, (_, lam, mu) in enumerate(comps):
-        def draw(rows: np.ndarray, start: int, count: int) -> np.ndarray:
-            return _stream_words(bitgen, trials[rows], ci, start, count)
+        def draw(rows: np.ndarray, round: int, count: int) -> np.ndarray:
+            return _draw(bitgen, trials[rows], ci, round, count)
 
         rounds = list(_rounds(lam, mu, horizon, trials.size, draw, STEADY_BLOCK_WORDS))
         width = max(start + bounds.shape[1] for _, start, bounds in rounds)
@@ -455,12 +430,13 @@ def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estim
     comps = _component_rates(model)
     widest = max(_first_round_cycles(lam, mu, t) for _, lam, mu in comps)
     step = max(1, POINT_BLOCK_WORDS // (2 * widest))  # trials whose first rounds fill a block
+    bitgen = np.random.Philox(key=cfg.seed & _MASK64)
     values = np.empty(cfg.trials, dtype=np.float64)
     for lo in range(0, cfg.trials, step):
         trials = np.arange(lo, min(lo + step, cfg.trials))
         leaves = {}
         for ci, (comp, lam, mu) in enumerate(comps):
-            up = _up_at(cfg.seed, ci, lam, mu, t, trials)
+            up = _up_at(bitgen, ci, lam, mu, t, trials)
             leaves[comp] = ~up if model.is_fault_tree else up
         values[lo:lo + step] = _signal(model.program, leaves)
     return _estimate(values)

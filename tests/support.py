@@ -468,12 +468,17 @@ def brute_force_union_probability(cutsets: Iterable[frozenset], probs: dict) -> 
     return total
 
 
-def _reference_stream(seed: int, trial: int, component: int) -> np.random.Generator:
-    """The (trial, component) stream of the oracle module's random number contract."""
-    return np.random.Generator(np.random.Philox(key=seed % 2 ** 64, counter=[0, 0, trial, component]))
+def reference_round(seed: int, trial: int, component: int, round: int, count: int) -> np.ndarray:
+    """The count words of one round of a (trial, component) stream, per the oracle module's contract.
+
+    Each round has its own np.random.Philox, set at the counter just before
+    the trial's first block of the round.
+    """
+    counter = [trial * -(-count // 4), round, 0, component]
+    return np.random.Philox(key=seed % 2 ** 64, counter=counter).random_raw(count)
 
 
-def _reference_cycles(gen: np.random.Generator, lam: float, mu: float, target: float) -> np.ndarray:
+def _reference_cycles(seed: int, trial: int, component: int, lam: float, mu: float, target: float) -> np.ndarray:
     """One stream's boundaries: rounds of 2n words, n doubling, while the span so far is <= target.
 
     The first round's size is read from oracle._first_round_cycles, so a
@@ -483,7 +488,7 @@ def _reference_cycles(gen: np.random.Generator, lam: float, mu: float, target: f
     ups, downs = [], []
     span = 0.0
     while span <= target:
-        words = gen.integers(0, 1 << 64, size=2 * n, dtype=np.uint64)
+        words = reference_round(seed, trial, component, len(ups), 2 * n)
         u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
         up, down = -np.log(u[0::2]) / lam, -np.log(u[1::2]) / mu
         ups.append(up)
@@ -512,15 +517,15 @@ def _reference_estimate(values: np.ndarray) -> ak.Estimate:
 def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig) -> ak.Estimate:
     """The per-trial point estimator that the batched one must equal exactly.
 
-    One np.random.Philox generator per (trial, component), drawn in the
-    rounds of _reference_cycles; the state at t is read from the
+    One np.random.Philox generator per (trial, component, round), drawn
+    in the rounds of _reference_cycles; the state at t is read from the
     boundaries with searchsorted and the structure with reference_holds.
     """
     values = np.empty(cfg.trials, dtype=np.float64)
     for trial in range(cfg.trials):
         truth = {}
         for ci, (comp, lam, mu) in enumerate(_reference_rates(model)):
-            bounds = _reference_cycles(_reference_stream(cfg.seed, trial, ci), lam, mu, t)
+            bounds = _reference_cycles(cfg.seed, trial, ci, lam, mu, t)
             up = int(np.searchsorted(bounds, t, side="right")) % 2 == 0
             truth[comp] = (not up) if model.is_fault_tree else up
         values[trial] = 1.0 if reference_holds(model.body, truth) else 0.0
@@ -552,8 +557,8 @@ def reference_time_held(bounds_by_comp: dict[str, np.ndarray], horizon: float, h
 def reference_mc_steady(model: ak.SystemModel, cfg: ak.SimConfig) -> ak.Estimate:
     """The per-trial steady-state estimator that the batched one must equal exactly.
 
-    One np.random.Philox generator per (trial, component), drawn in the
-    rounds of _reference_cycles out to the horizon; the structure,
+    One np.random.Philox generator per (trial, component, round), drawn
+    in the rounds of _reference_cycles out to the horizon; the structure,
     read with reference_holds, is integrated over the epochs of
     reference_time_held.
     """
@@ -566,7 +571,7 @@ def reference_mc_steady(model: ak.SystemModel, cfg: ak.SimConfig) -> ak.Estimate
 
     for trial in range(cfg.trials):
         bounds = {
-            comp: _reference_cycles(_reference_stream(cfg.seed, trial, ci), lam, mu, horizon)
+            comp: _reference_cycles(cfg.seed, trial, ci, lam, mu, horizon)
             for ci, (comp, lam, mu) in enumerate(_reference_rates(model))
         }
         values[trial] = reference_time_held(bounds, horizon, holds) / horizon

@@ -19,6 +19,7 @@ from support import (
     reference_holds,
     reference_mc_point,
     reference_mc_steady,
+    reference_round,
     reference_time_held,
     steady_leaf_probs,
 )
@@ -198,7 +199,8 @@ class TestTrajectory:
         monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: (words[:, 0::2] * 1.0, words[:, 1::2] * 1.0))
         words = np.array([2, 1, 5, 1, 1, 4, 9, 9], dtype=np.uint64)
-        rounds = list(oracle._rounds(1.0, 1.0, 5.0, 1, lambda rows, start, count: words[None, start:start + count], 64))
+        starts = {0: 0, 1: 2}  # where each round's words begin
+        rounds = list(oracle._rounds(1.0, 1.0, 5.0, 1, lambda rows, r, count: words[None, starts[r]:starts[r] + count], 64))
         assert [start for _, start, _ in rounds] == [0, 2]
         assert np.concatenate([bounds[0] for _, _, bounds in rounds]).tolist() == [2.0, 3.0, 8.0, 9.0, 10.0, 14.0]
 
@@ -317,26 +319,30 @@ class TestMonteCarlo:
         assert abs(est_t.mean - point) <= 4 * est_t.std_error
 
 
-class TestPhilox:
-    # np.random.Philox reads counter entries of 2**63 and above through
-    # float64, so trial and component indices stay below that
+class TestDraw:
+    # sorted trial sets with gaps draw one run of consecutive trials at a time
     @settings(max_examples=200, deadline=None)
     @given(
-        seed=st.integers(0, 2 ** 64 - 1),
-        trials=st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=3),
-        component=st.integers(0, 2 ** 63 - 1),
-        start=st.integers(0, 70),
-        count=st.integers(1, 70),
+        seed=st.integers(-2 ** 70, 2 ** 70),
+        trials=st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True).map(sorted),
+        first=st.sampled_from([0, oracle.TRIAL_LIMIT - 41]),  # the last trials reach the largest counters
+        component=st.integers(0, 2 ** 20),
+        round=st.integers(0, 22),
+        count=st.integers(1, 35).map(lambda n: 2 * n),  # 2n words; an odd n part-fills each trial's last block
     )
-    def test_matches_numpy_philox(self, seed, trials, component, start, count):
-        # words start.. continue a stream that already gave `start` words,
-        # as a later round does: the draw crosses block and call boundaries
-        got = oracle._philox_words(seed, np.array(trials, dtype=np.uint64), component, start, count)
+    def test_equals_per_round_reference(self, seed, trials, first, component, round, count):
+        trials = [first + trial for trial in trials]
+        bitgen = np.random.Philox(key=seed & oracle._MASK64)
+        got = oracle._draw(bitgen, np.array(trials), component, round, count)
         assert got.shape == (len(trials), count)
         for row, trial in zip(got, trials):
-            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, trial, component]))
-            gen.integers(0, 1 << 64, size=start, dtype=np.uint64)
-            assert np.array_equal(row, gen.integers(0, 1 << 64, size=count, dtype=np.uint64))
+            assert np.array_equal(row, reference_round(seed, trial, component, round, count))
+
+    def test_counter_stays_below_two_to_the_63(self):
+        # np.random.Philox(counter=...), which the references use, reads entries of
+        # 2**63 and above through float64; the largest counter word 0 is TRIAL_LIMIT * B_r
+        # for the largest round
+        assert oracle.TRIAL_LIMIT * -(-oracle.STREAM_DRAW_LIMIT // 4) < 2 ** 63
 
 
 class TestBatchedPoint:
