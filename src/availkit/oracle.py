@@ -36,16 +36,18 @@ only on the seed, the trial, the component and the round, so results are
 bitwise identical for a fixed seed regardless of trial ordering or
 blocking.
 
-Both estimators simulate trials in blocks, share one round loop
-(_rounds) and draw through one routine (_draw): one random_raw call of
-the C np.random.Philox per run of consecutive trials in a round of a
-component, so a block's first round is one call.  Point estimates read
-each component's state at t from the parity of its boundaries.
-Steady-state estimates integrate a whole block of trials at once: every
-boundary of every component goes into one (trials, columns) grid, one
-row-wise sort orders each trial's state changes, and each component's
-state at each change is the parity of its boundaries so far.  Every
-stream may draw at most STREAM_DRAW_LIMIT words.
+Both estimators run one simulation (_simulate): trials in blocks, each
+block's streams drawn round by round (_rounds) through one routine
+(_draw), one random_raw call of the C np.random.Philox per run of
+consecutive trials in a round of a component, so a block's first round
+is one call.  Every boundary of every component of a block goes into one
+(trials, columns) grid (_grid), and the estimators read that grid in two
+ways.  A point estimate takes each component's state at t as the parity
+of its boundaries <= t.  A steady-state estimate sorts each row to order
+the trial's state changes and integrates the structure function over
+them, each component's state at a change being the parity of its
+boundaries so far.  Every stream may draw at most STREAM_DRAW_LIMIT
+words.
 """
 
 from __future__ import annotations
@@ -92,11 +94,12 @@ STREAM_DRAW_LIMIT = 1 << 22
 # estimators allocate up front, so this caps it at 80 MB; the tests run at
 # most 100000 trials and the benchmark workloads 300
 TRIAL_LIMIT = 10 ** 7
-# random words generated at once by the point sampler, bounding its memory
+# random words the first rounds of one block of trials draw, bounding the
+# block's boundary grid.  Point grids are short: at 2**15 a DFH-3 point
+# estimate of 300 trials made 30 _draw calls instead of 11.5.  At 2**18, a
+# DFH-3 casestudy process at horizon 3000 peaked at 54 MB RSS instead of
+# 38 MB, and ran no faster.
 POINT_BLOCK_WORDS = 1 << 18
-# random words the first rounds of one block of steady-state trials draw,
-# bounding the block's boundary grid; at 2**18, a DFH-3 casestudy process
-# at horizon 3000 peaked at 54 MB RSS instead of 38 MB, and ran no faster
 STEADY_BLOCK_WORDS = 1 << 15
 
 _WORD_SHIFT = np.uint64(11)
@@ -184,29 +187,25 @@ class Estimate:
     trials: int
 
 
-def _draw(bitgen: np.random.Philox, trials: np.ndarray, component: int, round: int, count: int) -> np.ndarray:
+def _draw(bitgen: np.random.Philox, state: dict, trials: np.ndarray, component: int, round: int, count: int) -> np.ndarray:
     """The count words of one round of one component in each of the given trials, one row each.
 
-    bitgen is the estimate's generator; it is re-pointed at the first
-    block of each run of consecutive trials, with an empty buffer, and
-    one random_raw call draws the run's blocks.  count is at most
+    bitgen is the estimate's generator and state its state dict, built
+    once per estimate with an empty buffer (buffer_pos 4).  The generator
+    is re-pointed at the first block of each run of consecutive trials,
+    and one random_raw call draws the run's blocks.  count is at most
     STREAM_DRAW_LIMIT (_rounds checks it before the round's first draw),
     which keeps every counter below 2**63.  For a single run the result
     is that call's buffer, reshaped, not copied.
     """
     blocks = (count + 3) // 4  # B_r: counter blocks per trial in this round
-    state = bitgen.state
-    state["buffer_pos"] = 4  # empty: the next word comes from a fresh block
-    ids = trials.tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(trials) != 1) + 1).tolist(), trials.size]
     parts = []
-    lo = 0
-    for hi in range(1, len(ids) + 1):
-        if hi == len(ids) or ids[hi] != ids[hi - 1] + 1:
-            state["state"]["counter"] = [ids[lo] * blocks, round, 0, component]
-            bitgen.state = state
-            words = bitgen.random_raw((hi - lo) * 4 * blocks).reshape(hi - lo, 4 * blocks)
-            parts.append(words[:, :count])
-            lo = hi
+    for lo, hi in zip(cuts, cuts[1:]):
+        state["state"]["counter"] = [int(trials[lo]) * blocks, round, 0, component]
+        bitgen.state = state
+        words = bitgen.random_raw((hi - lo) * 4 * blocks).reshape(hi - lo, 4 * blocks)
+        parts.append(words[:, :count])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -235,39 +234,33 @@ def _durations(words: np.ndarray, lam: float, mu: float) -> tuple[np.ndarray, np
 
 
 def _rounds(
-    lam: float,
-    mu: float,
-    target: float,
-    streams: int,
-    draw: Callable[[np.ndarray, int, int], np.ndarray],
-    block_words: int,
+    bitgen: np.random.Philox, state: dict, trials: np.ndarray, component: int, lam: float, mu: float, target: float, block_words: int
 ) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
-    """Boundaries of `streams` renewal streams of one component, round by round.
+    """Boundaries of one component's renewal stream in each of the given trials, round by round.
 
     Every stream draws rounds of 2n words, n = _first_round_cycles in the
     first round and doubled in each later one, for as long as the sum of its
-    durations so far is <= target.  draw(rows, round, count) returns the
-    count words of round `round` of the streams at positions rows, one row
-    each; rows is sorted.  The round's draw limit is checked before any of
-    its words are drawn.  Yields (rows, start, bounds): bounds[i] are
-    boundaries start .. of stream rows[i], the interleaved cumulative sums
-    T1, T1+D1, T1+D1+T2, ...  A later round's first duration is added to
-    the stream's last boundary before the cumulative sum, so every boundary
-    is the same float as in np.cumsum over all rounds.  At most block_words
-    words are drawn at a time.
+    durations so far is <= target.  Each round's words come from _draw, for
+    the trials still drawing, at most block_words words at a time; the
+    round's draw limit is checked before any of its words are drawn.
+    Yields (rows, start, bounds): bounds[i] are boundaries start .. of the
+    stream of trials[rows[i]], the interleaved cumulative sums T1, T1+D1,
+    T1+D1+T2, ...  A later round's first duration is added to the stream's
+    last boundary before the cumulative sum, so every boundary is the same
+    float as in np.cumsum over all rounds.
     """
     n = _first_round_cycles(lam, mu, target)
     drawn = 0
     round = 0
-    span = np.zeros(streams)
-    last = np.zeros(streams)  # each stream's latest boundary
-    active = np.arange(streams)  # the streams still drawing
+    span = np.zeros(trials.size)
+    last = np.zeros(trials.size)  # each stream's latest boundary
+    active = np.arange(trials.size)  # the streams still drawing
     while active.size:
         _check_draws(drawn + 2 * n)
         rows_per_block = max(1, block_words // (2 * n))
         for lo in range(0, active.size, rows_per_block):
             rows = active[lo:lo + rows_per_block]
-            up, down = _durations(draw(rows, round, 2 * n), lam, mu)
+            up, down = _durations(_draw(bitgen, state, trials[rows], component, round, 2 * n), lam, mu)
             span[rows] += up.sum(axis=1) + down.sum(axis=1)
             steps = np.empty((rows.size, 2 * n))
             steps[:, 0::2] = up
@@ -282,47 +275,41 @@ def _rounds(
         active = active[span[active] <= target]
 
 
-def _up_at(
-    bitgen: np.random.Philox, component: int, lam: float, mu: float, t: float, trials: np.ndarray
-) -> np.ndarray:
-    """Whether one component is up at t, in each of the given trials.
-
-    The words come from _draw, at most POINT_BLOCK_WORDS at a time.  The
-    state is the parity of the number of boundaries <= t.
-    """
-    def draw(rows: np.ndarray, round: int, count: int) -> np.ndarray:
-        return _draw(bitgen, trials[rows], component, round, count)
-
-    passed = np.zeros(trials.size, dtype=np.int64)  # boundaries <= t
-    for rows, _, bounds in _rounds(lam, mu, t, trials.size, draw, POINT_BLOCK_WORDS):
-        passed[rows] += np.count_nonzero(bounds <= t, axis=1)
-    return passed % 2 == 0
-
-
-def _steady_grid(
-    bitgen: np.random.Philox, comps: list[tuple[str, float, float]], trials: np.ndarray, horizon: float
+def _grid(
+    bitgen: np.random.Philox, state: dict, comps: list[tuple[str, float, float]], trials: np.ndarray, target: float, block_words: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every boundary of every component in the given trials, as a (trials, columns) grid.
 
-    Column 0 is 0.0; then each component's boundaries follow in order,
-    as wide as its longest stream, with the columns a shorter stream did
-    not draw set to +inf.  Also returns each column's component index
-    (-1 for column 0).
+    Each stream is drawn by _rounds out to target.  Column 0 is 0.0; then
+    each component's boundaries follow in order, as wide as its longest
+    stream, with the columns a shorter stream did not draw set to +inf.
+    Also returns each column's component index (-1 for column 0), which
+    is nondecreasing.
     """
-    columns = [np.zeros((trials.size, 1))]
-    owner = [np.full(1, -1)]
-    for ci, (_, lam, mu) in enumerate(comps):
-        def draw(rows: np.ndarray, round: int, count: int) -> np.ndarray:
-            return _draw(bitgen, trials[rows], ci, round, count)
+    rounds = [list(_rounds(bitgen, state, trials, ci, lam, mu, target, block_words)) for ci, (_, lam, mu) in enumerate(comps)]
+    widths = [max(start + bounds.shape[1] for _, start, bounds in comp) for comp in rounds]
+    owner = np.repeat(np.arange(-1, len(comps)), [1, *widths])
+    grid = np.full((trials.size, owner.size), np.inf)
+    grid[:, 0] = 0.0
+    first = 1  # the component's first column
+    for comp, width in zip(rounds, widths):
+        for rows, start, bounds in comp:
+            grid[rows, first + start:first + start + bounds.shape[1]] = bounds
+        first += width
+    return grid, owner
 
-        rounds = list(_rounds(lam, mu, horizon, trials.size, draw, STEADY_BLOCK_WORDS))
-        width = max(start + bounds.shape[1] for _, start, bounds in rounds)
-        cols = np.full((trials.size, width), np.inf)
-        for rows, start, bounds in rounds:
-            cols[rows, start:start + bounds.shape[1]] = bounds
-        columns.append(cols)
-        owner.append(np.full(width, ci))
-    return np.concatenate(columns, axis=1), np.concatenate(owner)
+
+def _held_at(model: SystemModel, events: list[str], grid: np.ndarray, owner: np.ndarray, t: float) -> np.ndarray:
+    """Per row of a _grid, whether the structure function holds at t.
+
+    A component is down at t when an odd number of its boundaries are
+    <= t, so a boundary at t itself is a state change; +inf padding never
+    counts.  owner is nondecreasing and every component has at least two
+    columns, so one reduceat over each component's columns reads them all.
+    """
+    down = np.logical_xor.reduceat(grid <= t, np.searchsorted(owner, np.arange(len(events))), axis=1)
+    leaves = down if model.is_fault_tree else ~down
+    return _signal(model.program, {event: leaves[:, i] for i, event in enumerate(events)})
 
 
 def _time_held(model: SystemModel, events: list[str], grid: np.ndarray, owner: np.ndarray, horizon: float) -> np.ndarray:
@@ -415,6 +402,27 @@ def _check_trials(cfg: SimConfig) -> None:
         raise ValueError(f"trials must be <= {TRIAL_LIMIT}, got {cfg.trials}")
 
 
+def _simulate(model: SystemModel, cfg: SimConfig, target: float, block_words: int, reduce: Callable) -> np.ndarray:
+    """Per trial, reduce(model, events, grid, owner, target) over the _grid of its block.
+
+    Trials run in blocks whose first rounds draw at most block_words words,
+    or one trial's; results do not depend on the blocking.
+    """
+    comps = _component_rates(model)
+    events = [comp for comp, _, _ in comps]
+    first_rounds = sum(2 * _first_round_cycles(lam, mu, target) for _, lam, mu in comps)
+    step = max(1, block_words // first_rounds)  # trials whose first rounds fill a block
+    bitgen = np.random.Philox(key=cfg.seed & _MASK64)
+    state = bitgen.state
+    state["buffer_pos"] = 4  # empty: the next word comes from a fresh block
+    values = np.empty(cfg.trials, dtype=np.float64)
+    for lo in range(0, cfg.trials, step):
+        trials = np.arange(lo, min(lo + step, cfg.trials))
+        grid, owner = _grid(bitgen, state, comps, trials, target, block_words)
+        values[lo:lo + step] = reduce(model, events, grid, owner, target)
+    return values
+
+
 def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estimate:
     """Estimate the structure function's probability at time t.
 
@@ -422,24 +430,13 @@ def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estim
     the structure function is evaluated on the component states at t.
     For block diagrams the mean estimates availability at t; for fault
     trees it estimates the top event probability (unavailability) at t.
-    Trials are drawn in batches.
+    Trials are simulated in blocks of POINT_BLOCK_WORDS first-round words,
+    and each block's grid is read at t.
     """
     _require_valid(model)
     _check_trials(cfg)
     t = _check_time(t)
-    comps = _component_rates(model)
-    widest = max(_first_round_cycles(lam, mu, t) for _, lam, mu in comps)
-    step = max(1, POINT_BLOCK_WORDS // (2 * widest))  # trials whose first rounds fill a block
-    bitgen = np.random.Philox(key=cfg.seed & _MASK64)
-    values = np.empty(cfg.trials, dtype=np.float64)
-    for lo in range(0, cfg.trials, step):
-        trials = np.arange(lo, min(lo + step, cfg.trials))
-        leaves = {}
-        for ci, (comp, lam, mu) in enumerate(comps):
-            up = _up_at(bitgen, ci, lam, mu, t, trials)
-            leaves[comp] = ~up if model.is_fault_tree else up
-        values[lo:lo + step] = _signal(model.program, leaves)
-    return _estimate(values)
+    return _estimate(_simulate(model, cfg, t, POINT_BLOCK_WORDS, _held_at))
 
 
 def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
@@ -449,21 +446,12 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     structure function is integrated exactly over the segments between
     state changes (no time-step sampling).  For block diagrams the mean
     estimates steady availability; for fault trees, steady unavailability.
-    Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words.
+    Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words,
+    and each block's grid is integrated up to the horizon.
     """
     _require_valid(model)
     _check_trials(cfg)
     if cfg.horizon is None or not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     horizon = float(cfg.horizon)
-    comps = _component_rates(model)
-    events = [comp for comp, _, _ in comps]
-    first_rounds = sum(2 * _first_round_cycles(lam, mu, horizon) for _, lam, mu in comps)
-    step = max(1, STEADY_BLOCK_WORDS // first_rounds)  # trials whose first rounds fill a block
-    bitgen = np.random.Philox(key=cfg.seed & _MASK64)
-    values = np.empty(cfg.trials, dtype=np.float64)
-    for lo in range(0, cfg.trials, step):
-        trials = np.arange(lo, min(lo + step, cfg.trials))
-        grid, owner = _steady_grid(bitgen, comps, trials, horizon)
-        values[lo:lo + step] = _time_held(model, events, grid, owner, horizon) / horizon
-    return _estimate(values)
+    return _estimate(_simulate(model, cfg, horizon, STEADY_BLOCK_WORDS, _time_held) / horizon)

@@ -166,7 +166,7 @@ class TestStructureHolds:
 
 
 class TestTrajectory:
-    """Renewal trajectories as the steady-state sampler holds them: boundary rounds and the sweep over them."""
+    """Renewal trajectories as the simulation grid holds them: boundary rounds, the sweep over them and the read at t."""
 
     SINGLE = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Unit("C"))
 
@@ -200,13 +200,34 @@ class TestTrajectory:
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: (words[:, 0::2] * 1.0, words[:, 1::2] * 1.0))
         words = np.array([2, 1, 5, 1, 1, 4, 9, 9], dtype=np.uint64)
         starts = {0: 0, 1: 2}  # where each round's words begin
-        rounds = list(oracle._rounds(1.0, 1.0, 5.0, 1, lambda rows, r, count: words[None, starts[r]:starts[r] + count], 64))
+        monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: words[None, starts[r]:starts[r] + count])
+        rounds = list(oracle._rounds(None, None, np.arange(1), 0, 1.0, 1.0, 5.0, 64))
         assert [start for _, start, _ in rounds] == [0, 2]
         assert np.concatenate([bounds[0] for _, _, bounds in rounds]).tolist() == [2.0, 3.0, 8.0, 9.0, 10.0, 14.0]
 
+    def test_point_read_at_boundaries(self, monkeypatch):
+        # words are durations, rounds 2 then 4 words; at t = 4 a boundary at 4 is a state change:
+        # trial 0 spans 2 <= 4 in its first round and reaches 4 in its second, trial 1 stops after
+        # one round (+inf padding after 7), trial 2 has no boundary up to 4
+        rounds = {0: ([1, 1], [2, 5, 5, 5]), 1: ([4, 3],), 2: ([5, 1],)}
+        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
+        monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: (words[:, 0::2] * 1.0, words[:, 1::2] * 1.0))
+        monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: np.array([rounds[i][r] for i in trials]))
+        grid, owner = oracle._grid(None, None, [("C", 1.0, 1.0)], np.arange(3), 4.0, 64)
+        assert grid.tolist() == [
+            [0.0, 1.0, 2.0, 4.0, 9.0, 14.0, 19.0],
+            [0.0, 4.0, 7.0, math.inf, math.inf, math.inf, math.inf],
+            [0.0, 5.0, 6.0, math.inf, math.inf, math.inf, math.inf],
+        ]
+        assert oracle._held_at(self.SINGLE, ["C"], grid, owner, 4.0).tolist() == [False, False, True]
+        assert ak.mc_point_availability(self.SINGLE, 4.0, ak.SimConfig(trials=3)).mean == 1 / 3
+        ft = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Basic("C"))
+        assert ak.mc_point_availability(ft, 4.0, ak.SimConfig(trials=3)).mean == 2 / 3
+
     def test_rounds_deterministic_and_long_enough(self):
         def grid(seed):
-            return oracle._steady_grid(np.random.Philox(key=seed), [("C", 0.1, 0.3)], np.arange(3), 50.0)
+            bitgen = np.random.Philox(key=seed)
+            return oracle._grid(bitgen, bitgen.state, [("C", 0.1, 0.3)], np.arange(3), 50.0, oracle.STEADY_BLOCK_WORDS)
 
         a, owner = grid(3)
         assert np.array_equal(a, grid(3)[0])
@@ -333,7 +354,7 @@ class TestDraw:
     def test_equals_per_round_reference(self, seed, trials, first, component, round, count):
         trials = [first + trial for trial in trials]
         bitgen = np.random.Philox(key=seed & oracle._MASK64)
-        got = oracle._draw(bitgen, np.array(trials), component, round, count)
+        got = oracle._draw(bitgen, bitgen.state, np.array(trials), component, round, count)
         assert got.shape == (len(trials), count)
         for row, trial in zip(got, trials):
             assert np.array_equal(row, reference_round(seed, trial, component, round, count))
