@@ -30,12 +30,11 @@ every semantic fault with its line:column and the grammar rules out the
 rest of what validate checks, so a parsed model is valid by construction
 and is never walked again.
 
-One regex reads the tokens, by two routes.  A parse reads the token
-texts with one findall and walks them by index; no token carries an
-offset.  Only a diagnostic runs the positioned match loop, once per
-parse, to find where each token starts and to report the text's first
-lexical fault before any other, so positions and messages are those of
-lexing the whole text first.
+One regex reads the tokens, as one stream.  A parse walks the token
+texts of one findall by index; no token carries an offset.  Only a
+diagnostic works out offsets, from a finditer of the same regex, and
+scans the texts for the first lexical fault, which it reports before any
+other, as lexing the whole text first would.
 
 The serializer emits the canonical form
 (components in declaration order, two-space indentation, one construct
@@ -137,28 +136,6 @@ _DIGITS = frozenset(string.digits)
 _SYMBOLS = frozenset("{};=")
 
 
-class _Positions:
-    """Turns offsets in one text into 1-based line:column spans.
-
-    Offsets exist only on the diagnostics route (_lex), and the line-start
-    table is built on the first span asked for, so a text that parses
-    cleanly pays for neither.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self._line_starts: Optional[list[int]] = None
-
-    def span(self, offset: int) -> SourceSpan:
-        if self._line_starts is None:
-            self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
-        line = bisect_right(self._line_starts, offset)
-        return SourceSpan(line=line, column=offset - self._line_starts[line - 1] + 1, offset=offset)
-
-    def error(self, offset: int, message: str) -> ModelFileError:
-        return ModelFileError([ParseDiagnostic(message, self.span(offset))])
-
-
 def _number(tok: str) -> Fraction:
     """A number token's exact value; a ValueError gives the diagnostic if it has none."""
     try:
@@ -169,55 +146,38 @@ def _number(tok: str) -> Fraction:
         raise ValueError(f"number literal too long to read ({len(tok)} characters)") from None
 
 
-def _lex(text: str) -> list[tuple]:
-    """The diagnostics route: tokens as (kind, text, offset, value) tuples, ending with 'eof'.
+def _lexical_fault(tokens: list[str]) -> Optional[tuple[int, str]]:
+    """The index and message of the first lexical fault in the token texts, or None.
 
-    kind is 'ident', 'number', 'string', 'sym' or 'eof'; value is a
-    number's Fraction or a string's contents, else None.  Raises the
-    text's first lexical fault: an unexpected character, an unterminated
-    string, an unreadable number or nesting past NESTING_LIMIT.  The
-    parser runs this positioned match loop only to place a diagnostic, at
-    most once per parse; a clean parse reads the same token texts with
-    one findall.
+    A fault is an unexpected character, a lone '"' (an unterminated
+    string), a number _number cannot read or a '{' past NESTING_LIMIT.
     """
-    tokens: list[tuple] = []
-    append = tokens.append
-    match = _TOKEN.match
-    values: dict[str, Fraction] = {}  # rate literals repeat; read each once
-    pos = depth = 0
-    while True:
-        m = match(text, pos)
-        tok = m[1]
-        start = m.start(1)
-        pos = m.end()
+    depth = 0
+    numbers: set[str] = set()  # rate literals repeat; read each once
+    for index, tok in enumerate(tokens):
         first = tok[:1]
         if first in _IDENT_START:
-            append(("ident", tok, start, None))
-        elif first in _SYMBOLS:
-            if tok == "{":
-                depth += 1
-                if depth > NESTING_LIMIT:
-                    raise _Positions(text).error(start, f"nesting deeper than {NESTING_LIMIT} levels")
-            elif tok == "}":
-                depth -= 1
-            append(("sym", tok, start, None))
+            continue
+        if tok == "{":
+            depth += 1
+            if depth > NESTING_LIMIT:
+                return index, f"nesting deeper than {NESTING_LIMIT} levels"
+        elif tok == "}":
+            depth -= 1
         elif first in _DIGITS:
-            value = values.get(tok)
-            if value is None:
+            if tok not in numbers:
+                numbers.add(tok)
                 try:
-                    value = values[tok] = _number(tok)
+                    _number(tok)
                 except ValueError as exc:
-                    raise _Positions(text).error(start, str(exc)) from None
-            append(("number", tok, start, value))
+                    return index, str(exc)
         elif not tok:
-            append(("eof", tok, start, None))
-            return tokens
+            return None
         elif tok == '"':
-            raise _Positions(text).error(start, "unterminated string")
-        elif first == '"':
-            append(("string", tok, start, tok[1:-1]))
-        else:
-            raise _Positions(text).error(start, f"unexpected character {tok!r}")
+            return index, "unterminated string"
+        elif first != '"' and tok not in _SYMBOLS:
+            return index, f"unexpected character {tok!r}"
+    return None
 
 
 class _Grammar(NamedTuple):
@@ -247,9 +207,10 @@ class _Parser:
     braces and reads the rate literals it takes, so a text it accepts has
     no lexical fault.
 
-    A diagnostic runs the positioned route, _lex, once: it raises the
-    text's first lexical fault, as lexing the whole text before parsing
-    would, and otherwise gives each token index its offset.
+    The first diagnostic gives every token its offset, from a finditer
+    whose matches are the findall's, and reports the text's first lexical
+    fault (_lexical_fault) instead, if it has one, as lexing the whole
+    text first would.
     """
 
     def __init__(self, text: str):
@@ -257,17 +218,25 @@ class _Parser:
         self.tokens: list[str] = _TOKEN.findall(text)  # ends with at least one '' (the end)
         self.pos = 0
         self.depth = 0  # brace levels open
-        self.offsets: Optional[list[int]] = None  # by token index, from _lex on the first diagnostic
-        self.positions = _Positions(text)
+        self.offsets: Optional[list[int]] = None  # by token index, from the first diagnostic on
+        self.line_starts: list[int] = []  # offset of each line's first character, likewise
         self.diagnostics: list[ParseDiagnostic] = []
         self.leaf_refs: list[int] = []  # token index of each leaf's identifier
 
     # -- token plumbing --------------------------------------------------
 
     def span(self, index: int) -> SourceSpan:
+        """Where the token at index starts; the first call raises the text's first lexical fault."""
         if self.offsets is None:
-            self.offsets = [tok[2] for tok in _lex(self.text)]
-        return self.positions.span(self.offsets[index])
+            self.offsets = [m.start(1) for m in _TOKEN.finditer(self.text)]
+            self.line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
+            fault = _lexical_fault(self.tokens)
+            if fault is not None:
+                at, message = fault
+                raise ModelFileError([ParseDiagnostic(message, self.span(at))])
+        offset = self.offsets[index]
+        line = bisect_right(self.line_starts, offset)
+        return SourceSpan(line=line, column=offset - self.line_starts[line - 1] + 1, offset=offset)
 
     def note(self, index: int, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(message, self.span(index)))

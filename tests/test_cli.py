@@ -79,6 +79,13 @@ class TestAnalyze:
         assert "unknown component reference 'B'" in err
         assert ":" in err  # line:column position
 
+    def test_lexical_fault_is_the_only_diagnostic(self, tmp_path, capsys):
+        # a nonpositive rate (line 2) and an unknown reference (line 3) come
+        # first, but a lexical fault anywhere in the text is reported alone
+        text = 'model "m"\ncomponent a lambda=0 mu=1\nabd series { unit a; unit b }\n# comment with { braces\n%\n'
+        assert main(["analyze", write_model(tmp_path, "lexical.avm", text)]) == 2
+        assert capsys.readouterr().err == "5:1: unexpected character '%'\n"
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "does-not-exist.avm"]) == 2
 
@@ -411,7 +418,13 @@ class TestCasestudy:
         assert report["verdict"] == "PASS"
         assert report["file"] == str(out_path)
         row = report["results"][0]
-        assert row["analytic"] == row["exhaustive"]  # PIE route vs enumeration
+        assert row["analytic"] == row["exhaustive"]  # closed forms vs enumeration
+
+    def test_out_devnull(self, capsys):
+        # the written file is not read back, so a sink that reads back empty works
+        args = ["casestudy", "dfh3-abd", "--out", os.devnull, "--trials", "30", "--horizon", "400", "--seed", "5"]
+        assert main(args) == 0
+        assert "PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [["--at", "inf"], ["--horizon", "inf"]])
     def test_non_finite_time_or_horizon_exit_2(self, tmp_path, capsys, flags):

@@ -12,7 +12,7 @@ import availkit as ak
 from availkit import model as model_module
 from availkit import modelfile
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from availkit.modelfile import NESTING_LIMIT, _lex, _Parser, _Positions
+from availkit.modelfile import NESTING_LIMIT, _lexical_fault, _Parser
 from support import nested_model_text, rand_rate_pair, random_model, reference_lex
 
 MINIMAL = 'model "m" component A lambda=0.5 mu=0.5 abd { unit A }'
@@ -216,14 +216,27 @@ LEX_PIECES = [
 ]
 
 
+def kind_and_value(tok):
+    """A token's kind and value as reference_lex gives them, from its text alone."""
+    if not tok:
+        return "eof", None
+    if tok[0] == '"':
+        return "string", tok[1:-1]
+    if tok[0].isdigit():
+        return "number", Fraction(tok)
+    return ("sym" if tok in ("{", "}", ";", "=") else "ident"), None
+
+
 def regex_lex(text):
-    """_lex's tokens with their positions, in reference_lex's form."""
-    positions = _Positions(text)
+    """The parser's token texts with their positions, in reference_lex's form, up to the end."""
+    parser = _Parser(text)
     tokens = []
-    for kind, tok, offset, value in _lex(text):
-        span = positions.span(offset)
-        tokens.append((kind, tok, span.line, span.column, offset, value))
-    return tokens
+    for index, tok in enumerate(parser.tokens):
+        span = parser.span(index)  # the first span raises the text's first lexical fault
+        kind, value = kind_and_value(tok)
+        tokens.append((kind, tok, span.line, span.column, span.offset, value))
+        if not tok:
+            return tokens
 
 
 def lexed(lex, text):
@@ -241,32 +254,32 @@ class TestLexerMatchesReference:
 
 
 class TestFastRouteMatchesPositioned:
-    """The parser reads token texts from one findall, and _lex, the
-    positioned match loop, runs only to place a diagnostic."""
+    """The parser reads token texts from one findall, and works out
+    positions and scans for lexical faults only to place a diagnostic."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
     def test_same_token_texts_or_diagnostic(self, text):
         fast = _Parser(text).tokens
         try:
-            positioned = [tok[1] for tok in _lex(text)]
+            reference = [tok[1] for tok in reference_lex(text)]
         except ak.ModelFileError as err:
-            # the fast route accepts no text with a lexical fault, and reports its first one
+            # the parser accepts no text with a lexical fault, and reports its first one alone
             assert lexed(ak.parse_model, text) == str(err)
         else:
             end = fast.index("")  # the end of the text; an empty match may follow it
-            assert fast[: end + 1] == positioned
+            assert fast[: end + 1] == reference
             assert set(fast[end:]) == {""}
 
     @pytest.fixture()
     def lex_calls(self, monkeypatch):
         calls = []
 
-        def counted(text):
-            calls.append(text)
-            return _lex(text)
+        def counted(tokens):
+            calls.append(tokens)
+            return _lexical_fault(tokens)
 
-        monkeypatch.setattr(modelfile, "_lex", counted)
+        monkeypatch.setattr(modelfile, "_lexical_fault", counted)
         return calls
 
     def test_clean_parse_never_runs_the_positioned_loop(self, lex_calls):

@@ -46,6 +46,12 @@ def trees(block: bool) -> st.SearchStrategy:
     return st.recursive(leaf, extend, max_leaves=24)
 
 
+# built once: hypothesis validates a strategy object on its first draw, so a
+# recursive strategy built per draw would be validated again on every draw
+TREES = (trees(block=False), trees(block=True))
+any_tree = st.booleans().flatmap(TREES.__getitem__)
+
+
 def renamed(expr, names: list):
     """expr with its leaves renamed in document order from the front of names (consumed)."""
     if isinstance(expr, ak.Unit):
@@ -64,7 +70,7 @@ def renamed(expr, names: list):
 @st.composite
 def structures(draw) -> tuple:
     """(tree, its leaf ids): shared leaves as drawn, or every leaf renamed apart."""
-    tree = draw(st.booleans().flatmap(trees))
+    tree = draw(any_tree)
     if draw(st.booleans()):
         tree = renamed(tree, [f"x{i}" for i in range(len(reference_leaves(tree)))])
     return tree, sorted(set(reference_leaves(tree)))
@@ -114,7 +120,7 @@ class TestEqualsRecursiveReference:
 
 class TestSharedEvents:
     @settings(deadline=None)
-    @given(st.booleans().flatmap(trees), st.booleans(), st.data())
+    @given(any_tree, st.booleans(), st.data())
     def test_run_equals_enumeration(self, tree, exact, data):
         # the leaves of the repeated events are one event each: the
         # decision diagram equals summing over the truth table
@@ -169,7 +175,7 @@ class TestProgram:
     @settings(deadline=None)
     @given(st.data())
     def test_nand_is_and_over_not(self, data):
-        group = st.lists(trees(block=False), min_size=1, max_size=3).map(tuple)
+        group = st.lists(TREES[False], min_size=1, max_size=3).map(tuple)
         negated, plain = data.draw(group), data.draw(group)
         want = compile_structure(ak.And(tuple(ak.Not(c) for c in negated) + plain))
         assert compile_structure(ak.Nand(negated, plain)) == want
@@ -303,7 +309,7 @@ class TestDiagramReuse:
         assert evaluations(model) == want
 
     @settings(deadline=None)
-    @given(st.booleans().flatmap(trees), st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=4, max_size=4))
+    @given(any_tree, st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=4, max_size=4))
     def test_equals_fresh_models(self, tree, rates):
         comps = {c: ak.ComponentDef(c, ak.RatePair(*r)) for c, r in zip(NAMES, rates)}
         self.check_equals_fresh_models(ak.SystemModel("m", comps, tree))
