@@ -40,14 +40,19 @@ Both estimators run one simulation (_simulate): trials in blocks, each
 block's streams drawn round by round (_rounds) through one routine
 (_draw), one random_raw call of the C np.random.Philox per run of
 consecutive trials in a round of a component, so a block's first round
-is one call.  Every boundary of every component of a block goes into one
-(trials, columns) grid (_grid), and the estimators read that grid in two
-ways.  A point estimate takes each component's state at t as the parity
-of its boundaries <= t.  A steady-state estimate sorts each row to order
-the trial's state changes and integrates the structure function over
-them, each component's state at a change being the parity of its
-boundaries so far.  Every stream may draw at most STREAM_DRAW_LIMIT
-words.
+is one call.  Every boundary <= target of every component of a block
+goes into one (trials, columns) grid (_grid); the boundaries a stream
+drew past the target are dropped before either estimator reads them.
+The estimators read that grid in two ways.  A point estimate takes each
+component's state at t as the parity of its boundaries <= t.  A
+steady-state estimate sorts each row to order the trial's state changes
+and integrates the structure function over them, each component's state
+at a change being the parity of its boundaries so far.  For models of up
+to TABLE_COMPONENTS components those states are one code per change, a
+running XOR of one bit per component, and one gather from a table of the
+structure function over all 2^k codes, built once per estimate, reads
+the structure; wider models evaluate it on leaf arrays swept in 64-bit
+groups.  Every stream may draw at most STREAM_DRAW_LIMIT words.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -96,11 +102,17 @@ STREAM_DRAW_LIMIT = 1 << 22
 TRIAL_LIMIT = 10 ** 7
 # random words the first rounds of one block of trials draw, bounding the
 # block's boundary grid.  Point grids are short: at 2**15 a DFH-3 point
-# estimate of 300 trials made 30 _draw calls instead of 11.5.  At 2**18, a
-# DFH-3 casestudy process at horizon 3000 peaked at 54 MB RSS instead of
-# 38 MB, and ran no faster.
+# estimate of 300 trials made 30 _draw calls instead of 11.5.  A DFH-3
+# block-diagram steady-state estimate of 100 trials at horizon 3000 took
+# 60 ms of CPU time at 2**16, against 76 ms at 2**15 and 65 ms at 2**17
+# (best of 5 on a 2-vCPU Xeon with AVX-512), and peaked at 1.8 MiB of
+# traced memory, against 0.9 and 3.9 MiB.  At horizon 10000 a block of
+# 2**15 or 2**16 words holds one trial.
 POINT_BLOCK_WORDS = 1 << 18
-STEADY_BLOCK_WORDS = 1 << 15
+STEADY_BLOCK_WORDS = 1 << 16
+# models of up to this many components read their structure function from
+# one table over all 2**k state codes, built once per steady-state estimate
+TABLE_COMPONENTS = 16
 
 _WORD_SHIFT = np.uint64(11)
 _U_SCALE = 2.0 ** -53
@@ -117,6 +129,12 @@ def structure_holds(expr: Expr, truth: Mapping[str, bool]) -> bool:
     "occurred" (component down) and the result is the top event.
     """
     return bool(_signal(compile_structure(expr), {leaf: np.array(bool(v)) for leaf, v in truth.items()}))
+
+
+def _truth_table(model: SystemModel, events: list[str]) -> np.ndarray:
+    """The structure function over all 2^n rows: bit i of a row sets leaf events[i] true."""
+    rows = np.arange(1 << len(events), dtype=np.int64)
+    return _signal(model.program, {e: (rows >> i) & 1 == 1 for i, e in enumerate(events)})
 
 
 def exhaustive_probability(
@@ -149,8 +167,7 @@ def exhaustive_probability(
         exact = exact and value_exact
         lifted.append(value)
 
-    rows = np.arange(1 << n, dtype=np.int64)
-    table = _signal(model.program, {e: (rows >> i) & 1 == 1 for i, e in enumerate(events)})
+    table = _truth_table(model, events)
     # contract the highest bit first; every entry stays <= the product of the
     # denominators so far, so int64 holds it until that product passes 2**63 - 1
     weights = table.astype(np.int64)
@@ -227,10 +244,18 @@ def _check_draws(drawn: float) -> None:
         )
 
 
-def _durations(words: np.ndarray, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Up and down durations from the even and odd words of the last axis."""
-    u = ((words >> _WORD_SHIFT).astype(np.float64) + 0.5) * _U_SCALE
-    return -np.log(u[..., 0::2]) / lam, -np.log(u[..., 1::2]) / mu
+def _durations(words: np.ndarray, lam: float, mu: float) -> np.ndarray:
+    """Durations from words, in one new float array: up from the even words of the last axis, down from the odd.
+
+    Each is -ln(u) / rate, computed in place as ln(u) / -rate, the same float.
+    """
+    steps = (words >> _WORD_SHIFT).astype(np.float64)
+    steps += 0.5
+    steps *= _U_SCALE
+    np.log(steps, out=steps)
+    np.divide(steps[..., 0::2], -lam, out=steps[..., 0::2])
+    np.divide(steps[..., 1::2], -mu, out=steps[..., 1::2])
+    return steps
 
 
 def _rounds(
@@ -260,13 +285,10 @@ def _rounds(
         rows_per_block = max(1, block_words // (2 * n))
         for lo in range(0, active.size, rows_per_block):
             rows = active[lo:lo + rows_per_block]
-            up, down = _durations(_draw(bitgen, state, trials[rows], component, round, 2 * n), lam, mu)
-            span[rows] += up.sum(axis=1) + down.sum(axis=1)
-            steps = np.empty((rows.size, 2 * n))
-            steps[:, 0::2] = up
-            steps[:, 1::2] = down
-            steps[:, 0] += last[rows]
-            bounds = np.cumsum(steps, axis=1)
+            bounds = _durations(_draw(bitgen, state, trials[rows], component, round, 2 * n), lam, mu)
+            span[rows] += bounds[:, 0::2].sum(axis=1) + bounds[:, 1::2].sum(axis=1)
+            bounds[:, 0] += last[rows]
+            np.cumsum(bounds, axis=1, out=bounds)
             last[rows] = bounds[:, -1]
             yield rows, drawn, bounds
         drawn += 2 * n
@@ -281,20 +303,29 @@ def _grid(
     """Every boundary of every component in the given trials, as a (trials, columns) grid.
 
     Each stream is drawn by _rounds out to target.  Column 0 is 0.0; then
-    each component's boundaries follow in order, as wide as its longest
-    stream, with the columns a shorter stream did not draw set to +inf.
-    Also returns each column's component index (-1 for column 0), which
-    is nondecreasing.
+    each component's boundaries follow in order, in as many columns as the
+    most boundaries <= target that any of its streams has, and at least
+    one.  So every boundary <= target is in the grid, and the ones past it
+    are dropped before either estimator reads them; a stream that ends
+    before its columns do is padded with +inf.  Also returns each column's
+    component index (-1 for column 0), which is nondecreasing.
     """
     rounds = [list(_rounds(bitgen, state, trials, ci, lam, mu, target, block_words)) for ci, (_, lam, mu) in enumerate(comps)]
-    widths = [max(start + bounds.shape[1] for _, start, bounds in comp) for comp in rounds]
+    # every row of bounds is sorted, so its column minima are too, and the
+    # boundaries <= target of any row lie in the columns whose minimum is
+    widths = [
+        max(1, *(start + int(np.searchsorted(bounds.min(axis=0), target, side="right")) for _, start, bounds in comp))
+        for comp in rounds
+    ]
     owner = np.repeat(np.arange(-1, len(comps)), [1, *widths])
     grid = np.full((trials.size, owner.size), np.inf)
     grid[:, 0] = 0.0
     first = 1  # the component's first column
     for comp, width in zip(rounds, widths):
         for rows, start, bounds in comp:
-            grid[rows, first + start:first + start + bounds.shape[1]] = bounds
+            if start < width:
+                kept = bounds[:, :width - start]
+                grid[rows, first + start:first + start + kept.shape[1]] = kept
         first += width
     return grid, owner
 
@@ -304,15 +335,59 @@ def _held_at(model: SystemModel, events: list[str], grid: np.ndarray, owner: np.
 
     A component is down at t when an odd number of its boundaries are
     <= t, so a boundary at t itself is a state change; +inf padding never
-    counts.  owner is nondecreasing and every component has at least two
-    columns, so one reduceat over each component's columns reads them all.
+    counts.  owner is nondecreasing and every component has at least one
+    column, so one reduceat over each component's columns reads them all.
     """
     down = np.logical_xor.reduceat(grid <= t, np.searchsorted(owner, np.arange(len(events))), axis=1)
     leaves = down if model.is_fault_tree else ~down
     return _signal(model.program, {event: leaves[:, i] for i, event in enumerate(events)})
 
 
-def _time_held(model: SystemModel, events: list[str], grid: np.ndarray, owner: np.ndarray, horizon: float) -> np.ndarray:
+def _state_table(model: SystemModel, events: list[str]) -> Optional[np.ndarray]:
+    """The structure function at every state code, for models of up to TABLE_COMPONENTS components.
+
+    Bit i of a code is set while the component events[i] is down, so entry
+    0 is the state in which every component is up.  None for wider models.
+    """
+    if len(events) > TABLE_COMPONENTS:
+        return None
+    table = _truth_table(model, events)
+    # a block diagram's leaves are "up": the row of code c is c's complement, 2^n - 1 - c
+    return table if model.is_fault_tree else table[::-1]
+
+
+def _state_codes(grid: np.ndarray, owner: np.ndarray, components: int, times: np.ndarray, epoch: np.ndarray) -> np.ndarray:
+    """Per row of grid, the state code after each of its times in sorted order: bit i is set while component i is down.
+
+    times and epoch are _time_held's: each row sorted, then +inf, and the
+    last of each run of equal times below the horizon.  A time's float
+    bits with the low `tag` bits replaced by its owner + 1 make an integer
+    key.  Sorting the keys puts the owners in time order, except within a
+    bucket of 2**tag adjacent floats, where they go by owner.  A running
+    XOR of the owners' code bits then gives the code at every epoch
+    exactly, unless the next distinct time shares the epoch's bucket; a
+    row with such an epoch takes its order from an argsort instead.  The
+    two sorts, of floats in _time_held and of these keys, cost less than
+    one argsort and the gather of its order.
+    """
+    tag = components.bit_length()  # owner + 1 is at most components
+    flips = np.zeros(1 << tag, dtype=np.min_scalar_type((1 << components) - 1))
+    flips[1:components + 1] = np.left_shift(1, np.arange(components))
+    keys = grid.view(np.int64) & -(1 << tag)  # times are >= 0, so their bits order them as integers
+    keys |= owner + 1
+    keys.sort(axis=1)
+    keys &= (1 << tag) - 1
+    codes = np.bitwise_xor.accumulate(flips.take(keys), axis=1)
+    buckets = times.view(np.int64) >> tag
+    mixed = np.flatnonzero(((buckets[:, :-1] == buckets[:, 1:]) & epoch).any(axis=1))
+    if mixed.size:
+        codes[mixed] = np.bitwise_xor.accumulate(flips[owner + 1][np.argsort(grid[mixed], axis=1)], axis=1)
+    return codes
+
+
+def _time_held(
+    model: SystemModel, events: list[str], grid: np.ndarray, owner: np.ndarray, horizon: float, table: Optional[np.ndarray]
+) -> np.ndarray:
     """Per row of grid, the time in [0, horizon) during which the structure function holds.
 
     A row holds one trial's state-change times in any column order:
@@ -324,26 +399,39 @@ def _time_held(model: SystemModel, events: list[str], grid: np.ndarray, owner: n
     it is the parity of its boundaries <= the epoch.  Each row's sum runs
     over its own contiguous durations in epoch order, so it is the same
     float as the sum over that trial alone.
+
+    table is _state_table(model, events).  Given one, a running XOR of the
+    components' code bits, in the narrowest unsigned dtype that holds
+    them, gives the state code at every epoch and one gather reads the
+    structure.  Otherwise the states are swept in 64-bit groups and the
+    structure is evaluated on each component's leaf array.
     """
-    order = np.argsort(grid, axis=1)
-    times = np.take_along_axis(grid, order, axis=1)
-    after = np.empty_like(times)
-    after[:, :-1] = times[:, 1:]
-    after[:, -1] = np.inf
-    epoch = (times < horizon) & (after != times)  # the last entry of each equal-time run
-    durations = np.minimum(after, horizon) - times
-    leaves = {}
-    for group in range(0, len(events), 64):
-        # component group + b flips bit b; the running XOR holds every state of the group
-        mine = (owner >= group) & (owner < group + 64)
-        bits = np.zeros(owner.size, dtype=np.uint64)
-        bits[mine] = np.left_shift(np.uint64(1), (owner[mine] - group).astype(np.uint64))
-        parity = np.bitwise_xor.accumulate(bits[order], axis=1)[epoch]
-        for b, event in enumerate(events[group:group + 64]):
-            up = (parity & np.uint64(1 << b)) == 0
-            leaves[event] = ~up if model.is_fault_tree else up
-    holds = np.zeros_like(epoch)
-    holds[epoch] = _signal(model.program, leaves)
+    times = np.empty((grid.shape[0], grid.shape[1] + 1))
+    times[:, -1] = np.inf
+    now, after = times[:, :-1], times[:, 1:]
+    now[...] = grid
+    now.sort(axis=1)
+    epoch = now < horizon
+    epoch &= after != now  # the last entry of each equal-time run
+    if table is not None:
+        holds = table.take(_state_codes(grid, owner, len(events), times, epoch))
+        holds &= epoch
+    else:
+        order = np.argsort(grid, axis=1)
+        leaves = {}
+        for group in range(0, len(events), 64):
+            # component group + b flips bit b; the running XOR holds every state of the group
+            mine = (owner >= group) & (owner < group + 64)
+            bits = np.zeros(owner.size, dtype=np.uint64)
+            bits[mine] = np.left_shift(np.uint64(1), (owner[mine] - group).astype(np.uint64))
+            parity = np.bitwise_xor.accumulate(bits[order], axis=1)[epoch]
+            for b, event in enumerate(events[group:group + 64]):
+                up = (parity & np.uint64(1 << b)) == 0
+                leaves[event] = ~up if model.is_fault_tree else up
+        holds = np.zeros_like(epoch)
+        holds[epoch] = _signal(model.program, leaves)
+    durations = np.minimum(after, horizon)
+    durations -= now
     held = durations[holds]
     counts = np.count_nonzero(holds, axis=1)
     ends = np.cumsum(counts)
@@ -447,11 +535,14 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     state changes (no time-step sampling).  For block diagrams the mean
     estimates steady availability; for fault trees, steady unavailability.
     Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words,
-    and each block's grid is integrated up to the horizon.
+    and each block's grid is integrated up to the horizon.  A model of up
+    to TABLE_COMPONENTS components has its structure function tabulated
+    over every state code once, before the first block.
     """
     _require_valid(model)
     _check_trials(cfg)
     if cfg.horizon is None or not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     horizon = float(cfg.horizon)
-    return _estimate(_simulate(model, cfg, horizon, STEADY_BLOCK_WORDS, _time_held) / horizon)
+    table = _state_table(model, basic_events(model))
+    return _estimate(_simulate(model, cfg, horizon, STEADY_BLOCK_WORDS, partial(_time_held, table=table)) / horizon)

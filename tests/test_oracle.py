@@ -177,7 +177,7 @@ class TestTrajectory:
         bounds = np.cumsum(steps)
         grid = np.concatenate(([0.0], bounds))[None, :]
         owner = np.array([-1] + [0] * bounds.size)
-        return float(oracle._time_held(cls.SINGLE, ["C"], grid, owner, horizon)[0])
+        return float(oracle._time_held(cls.SINGLE, ["C"], grid, owner, horizon, oracle._state_table(cls.SINGLE, ["C"]))[0])
 
     def test_state_at_zero_is_up(self):
         assert self.up_time((2.0,), (1.0,), 1.5) == 1.5
@@ -197,7 +197,7 @@ class TestTrajectory:
         # rounds of 2 then 4 words whose durations are the words themselves:
         # cycles start at 0, 3 and 9 across the round boundary, and the span 3 <= 5 asks for a second round
         monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
-        monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: (words[:, 0::2] * 1.0, words[:, 1::2] * 1.0))
+        monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         words = np.array([2, 1, 5, 1, 1, 4, 9, 9], dtype=np.uint64)
         starts = {0: 0, 1: 2}  # where each round's words begin
         monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: words[None, starts[r]:starts[r] + count])
@@ -208,36 +208,48 @@ class TestTrajectory:
     def test_point_read_at_boundaries(self, monkeypatch):
         # words are durations, rounds 2 then 4 words; at t = 4 a boundary at 4 is a state change:
         # trial 0 spans 2 <= 4 in its first round and reaches 4 in its second, trial 1 stops after
-        # one round (+inf padding after 7), trial 2 has no boundary up to 4
+        # one round (+inf padding after 7), trial 2 has no boundary up to 4.  The grid ends with
+        # the third boundary, the most that any stream has <= 4
         rounds = {0: ([1, 1], [2, 5, 5, 5]), 1: ([4, 3],), 2: ([5, 1],)}
         monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
-        monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: (words[:, 0::2] * 1.0, words[:, 1::2] * 1.0))
+        monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: np.array([rounds[i][r] for i in trials]))
         grid, owner = oracle._grid(None, None, [("C", 1.0, 1.0)], np.arange(3), 4.0, 64)
         assert grid.tolist() == [
-            [0.0, 1.0, 2.0, 4.0, 9.0, 14.0, 19.0],
-            [0.0, 4.0, 7.0, math.inf, math.inf, math.inf, math.inf],
-            [0.0, 5.0, 6.0, math.inf, math.inf, math.inf, math.inf],
+            [0.0, 1.0, 2.0, 4.0],
+            [0.0, 4.0, 7.0, math.inf],
+            [0.0, 5.0, 6.0, math.inf],
         ]
+        assert owner.tolist() == [-1, 0, 0, 0]
         assert oracle._held_at(self.SINGLE, ["C"], grid, owner, 4.0).tolist() == [False, False, True]
+        # with no boundary <= 0.5 in any stream, the component keeps one column, which the read needs
+        grid, owner = oracle._grid(None, None, [("C", 1.0, 1.0)], np.arange(3), 0.5, 64)
+        assert grid.tolist() == [[0.0, 1.0], [0.0, 4.0], [0.0, 5.0]]
+        assert oracle._held_at(self.SINGLE, ["C"], grid, owner, 0.5).tolist() == [True, True, True]
         assert ak.mc_point_availability(self.SINGLE, 4.0, ak.SimConfig(trials=3)).mean == 1 / 3
         ft = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Basic("C"))
         assert ak.mc_point_availability(ft, 4.0, ak.SimConfig(trials=3)).mean == 2 / 3
 
     def test_rounds_deterministic_and_long_enough(self):
-        def grid(seed):
+        def draw(seed):
             bitgen = np.random.Philox(key=seed)
             return oracle._grid(bitgen, bitgen.state, [("C", 0.1, 0.3)], np.arange(3), 50.0, oracle.STEADY_BLOCK_WORDS)
 
-        a, owner = grid(3)
-        assert np.array_equal(a, grid(3)[0])
-        assert not np.array_equal(a, grid(4)[0])
+        a, owner = draw(3)
+        assert np.array_equal(a, draw(3)[0])
+        assert not np.array_equal(a, draw(4)[0])
         assert owner.tolist() == [-1] + [0] * (a.shape[1] - 1)
-        for row in a:
-            bounds = row[np.isfinite(row)]
-            assert bounds[0] == 0.0 and (np.diff(bounds) > 0).all()  # positive durations
-            assert bounds[-1] > 50.0
-            assert np.isinf(row[bounds.size:]).all()  # padding only after the stream's own rounds
+        assert (a[:, 0] == 0.0).all() and (a[:, -1] <= 50.0).any()  # the last column holds some boundary <= 50
+        bitgen = np.random.Philox(key=3)
+        rounds = list(oracle._rounds(bitgen, bitgen.state, np.arange(3), 0, 0.1, 0.3, 50.0, oracle.STEADY_BLOCK_WORDS))
+        for trial, row in enumerate(a):
+            stream = np.concatenate([bounds[rows.tolist().index(trial)] for rows, _, bounds in rounds if trial in rows])
+            assert stream[-1] > 50.0 and (np.diff(stream) > 0).all()  # drawn past the target, positive durations
+            # the row holds the stream's first boundaries, every one <= 50 among them, then +inf padding
+            expected = np.full(a.shape[1] - 1, np.inf)
+            expected[:stream.size] = stream[:expected.size]
+            assert np.array_equal(row[1:], expected)
+            assert (stream[expected.size:] > 50.0).all()
 
 
 class TestMonteCarlo:
@@ -441,16 +453,65 @@ class TestBatchedSteady:
         cfg = ak.SimConfig(trials=3, horizon=4.0, seed=2 ** 64 + 9)
         assert ak.mc_steady_availability(model, cfg) == reference_mc_steady(model, cfg)
 
-    def test_peak_memory(self):
-        # the boundary grid of a block stays small next to the process (the benchmark bounds peak RSS)
+    @pytest.mark.parametrize(
+        "block_words, first_round",
+        [
+            (None, None),
+            (64, None),
+            (64, 1),
+        ],
+    )
+    def test_state_table_width(self, monkeypatch, block_words, first_round):
+        # 16 components read the structure from one state table, 17 take the 64-bit group sweep
+        if block_words is not None:
+            monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", block_words)
+        if first_round is not None:
+            monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: first_round)
+        for n in (oracle.TABLE_COMPONENTS, oracle.TABLE_COMPONENTS + 1):
+            names = [f"c{i}" for i in range(n)]
+            comps = {c: ak.ComponentDef(c, ak.RatePair(Fraction(i % 4 + 1, 2), Fraction(i % 3 + 2, 1))) for i, c in enumerate(names)}
+            half = n // 2
+            pairs = zip(names[0::2], names[1::2])
+            abd = ak.Series((*(ak.Parallel((ak.Unit(a), ak.Unit(b))) for a, b in pairs), ak.Parallel((ak.Unit(names[-1]), ak.Unit(names[0])))))
+            ft = ak.Or((
+                ak.Xor(ak.Basic(names[0]), ak.Basic(names[-1])),
+                ak.Nand(tuple(ak.Basic(c) for c in names[1:half]), tuple(ak.Basic(c) for c in names[half:])),
+            ))
+            for body in (abd, ft):
+                model = ak.SystemModel(f"width-{n}", comps, body)
+                assert len(ak.basic_events(model)) == n
+                assert (oracle._state_table(model, ak.basic_events(model)) is None) == (n > oracle.TABLE_COMPONENTS)
+                for horizon, trials in ((0.3, 9), (6.0, 4)):
+                    cfg = ak.SimConfig(trials=trials, horizon=horizon, seed=2 ** 64 + n)
+                    assert ak.mc_steady_availability(model, cfg) == reference_mc_steady(model, cfg), (ak.serialize_model(model), cfg)
+
+    def test_one_state_table_per_estimate(self, monkeypatch):
+        # the table is built once per estimate, however many blocks the trials take
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
+        calls = {"_state_table": 0, "_grid": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(oracle, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
         for model in (dfh3_abd(), dfh3_ft()):
-            tracemalloc.start()
-            try:
-                ak.mc_steady_availability(model, ak.SimConfig(trials=100, horizon=3000.0, seed=1))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * 2 ** 20, (model.name, peak)
+            ak.mc_steady_availability(model, ak.SimConfig(trials=30, horizon=20.0, seed=4))
+        assert calls["_state_table"] == 2
+        assert calls["_grid"] == 2 * 30  # a block of 64 first-round words holds one trial
+
+    def test_peak_memory(self):
+        # the boundary grid of a block stays small next to the process (the benchmark bounds peak RSS),
+        # at mc-steady's horizon and at compare's default
+        for model in (dfh3_abd(), dfh3_ft()):
+            for horizon in (3000.0, 10000.0):
+                tracemalloc.start()
+                try:
+                    ak.mc_steady_availability(model, ak.SimConfig(trials=100, horizon=horizon, seed=1))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 8 * 2 ** 20, (model.name, horizon, peak)
 
 
 SHARED = np.cumsum(np.arange(1, 201) * 0.6180339887498949 % 1.0 + 0.05).tolist()
@@ -476,6 +537,10 @@ class TestTimeHeld:
         # 200 instants at which both components toggle, with inexact spacings: a sum
         # of the held durations that took a zero-length epoch per tie would round differently
         "shared-instants": ([{"a": SHARED, "b": SHARED}], SHARED[100] + 0.5 * (SHARED[101] - SHARED[100])),
+        # b toggles at 1.0 and a one float later: times that differ only in their low bits, where
+        # the sort keys of the state-code sweep hold the owner, so the owners there sort out of time
+        # order.  The held time differs by that one float, 2**-52, wherever a's state decides it
+        "adjacent-floats": ([{"a": [math.nextafter(1.0, 2.0)], "b": [1.0]}], 1.5),
     }
 
     @staticmethod
@@ -503,14 +568,16 @@ class TestTimeHeld:
         model = gate_model(body)
         trials, horizon = self.GRIDS[grid_name]
         grid, owner = self.grid(trials, shuffle)
-        got = oracle._time_held(model, ["a", "b"], grid, owner, horizon)
 
         def holds(up):
             return reference_holds(body, {c: not v for c, v in up.items()} if model.is_fault_tree else up)
 
-        for row, trial in enumerate(trials):
-            bounds = {c: np.array(trial[c]) for c in "ab"}
-            assert got[row] == reference_time_held(bounds, horizon, holds), (row, trial)
+        # the state table read, and the 64-bit group sweep that models too wide for a table take
+        for table in (oracle._state_table(model, ["a", "b"]), None):
+            got = oracle._time_held(model, ["a", "b"], grid, owner, horizon, table)
+            for row, trial in enumerate(trials):
+                bounds = {c: np.array(trial[c]) for c in "ab"}
+                assert got[row] == reference_time_held(bounds, horizon, holds), (row, trial, table)
 
 
 class TestSimulationInputs:
