@@ -18,11 +18,11 @@ Two independent routes:
 Random number contract: each estimate keys one Philox-4x64-10
 counter-based generator (Salmon et al., SC'11) with (seed mod 2**64, 0).
 Every (trial, component) stream is drawn in rounds of 2n words, n =
-max(4, int(1.2 * target / mean cycle) + 8) in the first round and
-doubled in each later one, for as long as the sum of its durations so
-far is <= target (the time point, or the horizon).  n depends only on
-the rates and the target, so every stream of a component has the same
-round sizes, and round r of every trial sits in one contiguous counter
+int(1.2 * target / mean cycle) + 8 in the first round and doubled in
+each later one, for as long as its last boundary is <= target (the time
+point, or the horizon).  n depends only on the rates and the target, so
+every stream of a component has the same round sizes, and round r of
+every trial sits in one contiguous counter
 range: word j (j = 0 .. 2n_r - 1) of round r of trial i of component c
 is lane j mod 4 of the block at counter (i * B_r + j div 4 + 1, r, 0, c),
 with B_r = ceil(2n_r / 4).  That is what np.random.Philox(key=seed mod
@@ -47,7 +47,8 @@ The estimators read that grid in two ways.  A point estimate takes each
 component's state at t as the parity of its boundaries <= t.  A
 steady-state estimate sorts each row to order the trial's state changes
 and integrates the structure function over them, each component's state
-at a change being the parity of its boundaries so far.  For models of up
+at a change being the parity of its boundaries so far; a trial's held
+time is one running sum, left to right along its row.  For models of up
 to TABLE_COMPONENTS components those states are one code per change, a
 running XOR of one bit per component, and one gather from a table of the
 structure function over all 2^k codes, built once per estimate, reads
@@ -231,7 +232,7 @@ def _first_round_cycles(lam: float, mu: float, target: float) -> int:
     cycles = target / (1.0 / lam + 1.0 / mu) * 1.2
     if cycles == math.inf:  # more cycles than a float counts, far past the limit
         _check_draws(cycles)
-    return max(4, int(cycles) + 8)
+    return int(cycles) + 8
 
 
 def _check_draws(drawn: float) -> None:
@@ -264,10 +265,10 @@ def _rounds(
     """Boundaries of one component's renewal stream in each of the given trials, round by round.
 
     Every stream draws rounds of 2n words, n = _first_round_cycles in the
-    first round and doubled in each later one, for as long as the sum of its
-    durations so far is <= target.  Each round's words come from _draw, for
-    the trials still drawing, at most block_words words at a time; the
-    round's draw limit is checked before any of its words are drawn.
+    first round and doubled in each later one, until its last boundary
+    passes target.  Each round's words come from _draw, for the trials
+    still drawing, at most block_words words at a time; the round's draw
+    limit is checked before any of its words are drawn.
     Yields (rows, start, bounds): bounds[i] are boundaries start .. of the
     stream of trials[rows[i]], the interleaved cumulative sums T1, T1+D1,
     T1+D1+T2, ...  A later round's first duration is added to the stream's
@@ -277,7 +278,6 @@ def _rounds(
     n = _first_round_cycles(lam, mu, target)
     drawn = 0
     round = 0
-    span = np.zeros(trials.size)
     last = np.zeros(trials.size)  # each stream's latest boundary
     active = np.arange(trials.size)  # the streams still drawing
     while active.size:
@@ -286,7 +286,6 @@ def _rounds(
         for lo in range(0, active.size, rows_per_block):
             rows = active[lo:lo + rows_per_block]
             bounds = _durations(_draw(bitgen, state, trials[rows], component, round, 2 * n), lam, mu)
-            span[rows] += bounds[:, 0::2].sum(axis=1) + bounds[:, 1::2].sum(axis=1)
             bounds[:, 0] += last[rows]
             np.cumsum(bounds, axis=1, out=bounds)
             last[rows] = bounds[:, -1]
@@ -294,7 +293,7 @@ def _rounds(
         drawn += 2 * n
         n *= 2
         round += 1
-        active = active[span[active] <= target]
+        active = active[last[active] <= target]
 
 
 def _grid(
@@ -302,13 +301,13 @@ def _grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every boundary of every component in the given trials, as a (trials, columns) grid.
 
-    Each stream is drawn by _rounds out to target.  Column 0 is 0.0; then
-    each component's boundaries follow in order, in as many columns as the
-    most boundaries <= target that any of its streams has, and at least
-    one.  So every boundary <= target is in the grid, and the ones past it
-    are dropped before either estimator reads them; a stream that ends
-    before its columns do is padded with +inf.  Also returns each column's
-    component index (-1 for column 0), which is nondecreasing.
+    Each stream is drawn by _rounds until its last boundary passes target.
+    Column 0 is 0.0; then each component's boundaries follow in order, in
+    as many columns as the most boundaries <= target that any of its
+    streams has, and at least one, so the grid holds every boundary <=
+    target; a stream that ends before its columns do is padded with +inf.
+    Also returns each column's component index (-1 for column 0), which
+    is nondecreasing.
     """
     rounds = [list(_rounds(bitgen, state, trials, ci, lam, mu, target, block_words)) for ci, (_, lam, mu) in enumerate(comps)]
     # every row of bounds is sorted, so its column minima are too, and the
@@ -359,16 +358,17 @@ def _state_table(model: SystemModel, events: list[str]) -> Optional[np.ndarray]:
 def _state_codes(grid: np.ndarray, owner: np.ndarray, components: int, times: np.ndarray, epoch: np.ndarray) -> np.ndarray:
     """Per row of grid, the state code after each of its times in sorted order: bit i is set while component i is down.
 
-    times and epoch are _time_held's: each row sorted, then +inf, and the
-    last of each run of equal times below the horizon.  A time's float
-    bits with the low `tag` bits replaced by its owner + 1 make an integer
-    key.  Sorting the keys puts the owners in time order, except within a
-    bucket of 2**tag adjacent floats, where they go by owner.  A running
-    XOR of the owners' code bits then gives the code at every epoch
-    exactly, unless the next distinct time shares the epoch's bucket; a
-    row with such an epoch takes its order from an argsort instead.  The
-    two sorts, of floats in _time_held and of these keys, cost less than
-    one argsort and the gather of its order.
+    times and epoch are _time_held's: each row sorted and clamped to the
+    horizon, then the horizon, and the last of each run of equal times
+    below the horizon.  A time's float bits with the low `tag` bits
+    replaced by its owner + 1 make an integer key.  Sorting the keys puts
+    the owners in time order, except within a bucket of 2**tag adjacent
+    floats, where they go by owner.  A running XOR of the owners' code bits
+    then gives the code at every epoch exactly, unless the next distinct
+    time, clamped or not, shares the epoch's bucket; a row with such an
+    epoch takes its order from an argsort instead.  The two sorts, of
+    floats in _time_held and of these keys, cost less than one argsort and
+    the gather of its order.
     """
     tag = components.bit_length()  # owner + 1 is at most components
     flips = np.zeros(1 << tag, dtype=np.min_scalar_type((1 << components) - 1))
@@ -378,8 +378,8 @@ def _state_codes(grid: np.ndarray, owner: np.ndarray, components: int, times: np
     keys.sort(axis=1)
     keys &= (1 << tag) - 1
     codes = np.bitwise_xor.accumulate(flips.take(keys), axis=1)
-    buckets = times.view(np.int64) >> tag
-    mixed = np.flatnonzero(((buckets[:, :-1] == buckets[:, 1:]) & epoch).any(axis=1))
+    np.bitwise_xor(times[:, :-1].view(np.int64), times[:, 1:].view(np.int64), out=keys)  # keys is spent; one bucket XORs to < 2**tag
+    mixed = np.flatnonzero(((keys < 1 << tag) & epoch).any(axis=1))
     if mixed.size:
         codes[mixed] = np.bitwise_xor.accumulate(flips[owner + 1][np.argsort(grid[mixed], axis=1)], axis=1)
     return codes
@@ -396,9 +396,10 @@ def _time_held(
     row needs.  Times >= horizon, +inf included, are ignored.  Components
     start up.  The epochs are the distinct times below the horizon; each
     lasts to the next epoch, or to the horizon, and a component's state in
-    it is the parity of its boundaries <= the epoch.  Each row's sum runs
-    over its own contiguous durations in epoch order, so it is the same
-    float as the sum over that trial alone.
+    it is the parity of its boundaries <= the epoch.  Between a row's
+    sorted times, clamped to the horizon, the gaps are the epochs'
+    durations and 0 elsewhere; one cumsum adds the held ones left to
+    right, the same float as for that trial alone.
 
     table is _state_table(model, events).  Given one, a running XOR of the
     components' code bits, in the narrowest unsigned dtype that holds
@@ -407,15 +408,13 @@ def _time_held(
     structure is evaluated on each component's leaf array.
     """
     times = np.empty((grid.shape[0], grid.shape[1] + 1))
-    times[:, -1] = np.inf
-    now, after = times[:, :-1], times[:, 1:]
-    now[...] = grid
-    now.sort(axis=1)
-    epoch = now < horizon
-    epoch &= after != now  # the last entry of each equal-time run
+    times[:, -1] = horizon
+    np.minimum(grid, horizon, out=times[:, :-1])
+    times[:, :-1].sort(axis=1)  # clamped, then sorted: the same row as sorted, then clamped
+    gaps = np.diff(times, axis=1)  # 0 inside a run of equal times and from the horizon on
+    epoch = gaps > 0
     if table is not None:
-        holds = table.take(_state_codes(grid, owner, len(events), times, epoch))
-        holds &= epoch
+        gaps *= table.take(_state_codes(grid, owner, len(events), times, epoch))
     else:
         order = np.argsort(grid, axis=1)
         leaves = {}
@@ -428,15 +427,8 @@ def _time_held(
             for b, event in enumerate(events[group:group + 64]):
                 up = (parity & np.uint64(1 << b)) == 0
                 leaves[event] = ~up if model.is_fault_tree else up
-        holds = np.zeros_like(epoch)
-        holds[epoch] = _signal(model.program, leaves)
-    durations = np.minimum(after, horizon)
-    durations -= now
-    held = durations[holds]
-    counts = np.count_nonzero(holds, axis=1)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return np.array([held[lo:hi].sum() for lo, hi in zip(starts, ends)])
+        gaps[epoch] *= _signal(model.program, leaves)
+    return np.cumsum(gaps, axis=1, out=gaps)[:, -1]
 
 
 def _signal(program: Program, leaves: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -479,26 +479,25 @@ def reference_round(seed: int, trial: int, component: int, round: int, count: in
 
 
 def _reference_cycles(seed: int, trial: int, component: int, lam: float, mu: float, target: float) -> np.ndarray:
-    """One stream's boundaries: rounds of 2n words, n doubling, while the span so far is <= target.
+    """One stream's boundaries: rounds of 2n words, n doubling, while the last boundary so far is <= target.
 
     The first round's size is read from oracle._first_round_cycles, so a
     test that patches it changes both this and the estimators.
     """
     n = oracle._first_round_cycles(lam, mu, target)
     ups, downs = [], []
-    span = 0.0
-    while span <= target:
+    bounds = np.zeros(1)
+    while bounds[-1] <= target:
         words = reference_round(seed, trial, component, len(ups), 2 * n)
         u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-        up, down = -np.log(u[0::2]) / lam, -np.log(u[1::2]) / mu
-        ups.append(up)
-        downs.append(down)
-        span += float(up.sum() + down.sum())
+        ups.append(-np.log(u[0::2]) / lam)
+        downs.append(-np.log(u[1::2]) / mu)
+        merged = np.empty(2 * sum(len(up) for up in ups))
+        merged[0::2] = np.concatenate(ups)
+        merged[1::2] = np.concatenate(downs)
+        bounds = np.cumsum(merged)
         n *= 2
-    merged = np.empty(2 * sum(len(up) for up in ups))
-    merged[0::2] = np.concatenate(ups)
-    merged[1::2] = np.concatenate(downs)
-    return np.cumsum(merged)
+    return bounds
 
 
 def _reference_rates(model: ak.SystemModel) -> list[tuple[str, float, float]]:
@@ -538,7 +537,8 @@ def reference_time_held(bounds_by_comp: dict[str, np.ndarray], horizon: float, h
     bounds_by_comp gives each component's sorted state-change times (it
     starts up); truth maps each component to "is up".  The epochs are the
     distinct change times below the horizon, found with np.unique, and
-    each component's state in an epoch is read with searchsorted.
+    each component's state in an epoch is read with searchsorted.  The
+    held durations are added left to right, starting from 0.0.
     """
     toggles = [np.array([0.0])] + [b[b < horizon] for b in bounds_by_comp.values()]
     epochs = np.unique(np.concatenate(toggles))
@@ -551,7 +551,10 @@ def reference_time_held(bounds_by_comp: dict[str, np.ndarray], horizon: float, h
     else:
         _, first, index = np.unique(states, axis=0, return_index=True, return_inverse=True)
     held = np.array([holds(dict(zip(ups, map(bool, states[i])))) for i in first], dtype=bool)
-    return durations[held[index.ravel()]].sum()
+    total = 0.0
+    for duration in durations[held[index.ravel()]].tolist():
+        total += duration
+    return total
 
 
 def reference_mc_steady(model: ak.SystemModel, cfg: ak.SimConfig) -> ak.Estimate:

@@ -195,7 +195,7 @@ class TestTrajectory:
 
     def test_cycle_starts(self, monkeypatch):
         # rounds of 2 then 4 words whose durations are the words themselves:
-        # cycles start at 0, 3 and 9 across the round boundary, and the span 3 <= 5 asks for a second round
+        # cycles start at 0, 3 and 9 across the round boundary, and the last boundary 3 <= 5 asks for a second round
         monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         words = np.array([2, 1, 5, 1, 1, 4, 9, 9], dtype=np.uint64)
@@ -229,6 +229,19 @@ class TestTrajectory:
         assert ak.mc_point_availability(self.SINGLE, 4.0, ak.SimConfig(trials=3)).mean == 1 / 3
         ft = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Basic("C"))
         assert ak.mc_point_availability(ft, 4.0, ak.SimConfig(trials=3)).mean == 2 / 3
+
+    def test_stream_reaches_past_the_target(self, monkeypatch):
+        # a stream draws until its last boundary passes the target.  Round 0's boundaries
+        # all round to 2**53, so round 1 is drawn, and its first boundary is a fifth at 2**53.
+        # Stopping on a separate sum of the durations, 2**53 + 2 when taken pairwise, would miss it
+        rounds = ([2 ** 53, 1, 1, 1], [1, 5, 5, 5, 5, 5, 5, 5])
+        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 2)
+        monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
+        monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: np.array([rounds[r]]))
+        target = 2.0 ** 53
+        grid, owner = oracle._grid(None, None, [("C", 1.0, 1.0)], np.arange(1), target, 64)
+        assert grid.tolist() == [[0.0] + [target] * 5]
+        assert oracle._held_at(self.SINGLE, ["C"], grid, owner, target).tolist() == [False]  # five changes: down
 
     def test_rounds_deterministic_and_long_enough(self):
         def draw(seed):
@@ -438,6 +451,10 @@ class TestBatchedSteady:
                 cfg = ak.SimConfig(trials=(1, 2, 9, 41)[(i + j) % 4], horizon=horizon, seed=seed)
                 got = ak.mc_steady_availability(model, cfg)
                 assert got == reference_mc_steady(model, cfg), (ak.serialize_model(model), cfg)
+        # hundreds of trials at a short horizon: at the module's sizes all 300 fit in one block
+        series = ak.SystemModel("series", {c: ak.ComponentDef(c, ak.RatePair(1, 3)) for c in "ab"}, ak.Series((ak.Unit("a"), ak.Unit("b"))))
+        cfg = ak.SimConfig(trials=300, horizon=5.0, seed=rng.randrange(2 ** 64))
+        assert ak.mc_steady_availability(series, cfg) == reference_mc_steady(series, cfg)
 
     @pytest.mark.parametrize("block", [True, False])
     def test_more_components_than_bits_in_a_word(self, block):
