@@ -45,7 +45,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .cutsets import CutSetCollection
 from .cutsets import expand_to_cutsets, minimize  # noqa: F401 -- unused; perfbench/tracing.py wraps them here
@@ -617,29 +617,49 @@ def _evaluate(model: SystemModel, pairs: Mapping[str, tuple], t: Optional[float]
     return AnalysisResult(Probability(Fraction(n, d) if isinstance(d, int) else n / d), method, time=t)
 
 
+def _leaf_pairs(model: SystemModel, pair_of: Callable[[RatePair, str], tuple]) -> dict[str, tuple]:
+    """Each event's leaf pair, from pair_of(rates, event) called once per rate-pair object.
+
+    Keyed by the pair object's id, not its value: equal pairs give equal
+    leaf pairs anyway, and hashing a pair hashes its Fractions in Python.
+    The parser gives every component declared with the same two literals
+    one pair object, so a large parsed model calls pair_of a few times.
+    """
+    components = model.components
+    by_rates: dict[int, tuple] = {}
+    pairs = {}
+    for e in model.program.events:
+        rates = components[e].rates
+        pair = by_rates.get(id(rates))
+        if pair is None:
+            pair = by_rates[id(rates)] = pair_of(rates, e)
+        pairs[e] = pair
+    return pairs
+
+
 def evaluate_steady(model: SystemModel) -> AnalysisResult:
     """Steady-state availability (block body) or unavailability (tree body).
 
     Leaves take their exact steady probabilities, so the result is an
-    exact rational.  Repeated leaves are handled by the decision diagram.
+    exact rational; each is computed once per rate-pair object, which
+    components may share.  Repeated leaves are handled by the decision
+    diagram.
     """
     _require_valid(model)
     up = not model.is_fault_tree
-    components = model.components
-    return _evaluate(model, {e: _steady_pair(components[e].rates, up) for e in model.program.events})
+    return _evaluate(model, _leaf_pairs(model, lambda rates, e: _steady_pair(rates, up)))
 
 
 def evaluate_point(model: SystemModel, t: float) -> AnalysisResult:
     """Availability (block body) or unavailability (tree body) at time t.
 
-    Leaves take their point probabilities (floats); repeated leaves are
-    handled as in evaluate_steady.
+    Leaves take their point probabilities (floats), computed once per
+    rate-pair object as in evaluate_steady.  Rates that do not fit
+    floating point raise a ValueError naming the first component, in
+    event order, that has such rates.  Repeated leaves are handled as in
+    evaluate_steady.
     """
     _require_valid(model)
     t = _check_time(t)
     up = not model.is_fault_tree
-    pairs = {}
-    for e in model.program.events:
-        lam, mu = _float_rates(model.components[e].rates, e)
-        pairs[e] = (_inst(lam, mu, t, up), 1.0)
-    return _evaluate(model, pairs, t)
+    return _evaluate(model, _leaf_pairs(model, lambda rates, e: (_inst(*_float_rates(rates, e), t, up), 1.0)), t)

@@ -30,11 +30,16 @@ every semantic fault with its line:column and the grammar rules out the
 rest of what validate checks, so a parsed model is valid by construction
 and is never walked again.
 
-One regex reads the tokens, as one stream.  A parse walks the token
-texts of one findall by index; no token carries an offset.  Only a
-diagnostic works out offsets, from a finditer of the same regex, and
-scans the texts for the first lexical fault, which it reports before any
-other, as lexing the whole text first would.
+A parse walks one list of token texts by index; no token carries an
+offset.  The list comes from str.split when every whitespace-separated
+chunk of the text, with spaces put around '{};=' and strings taken whole,
+is one token; otherwise (a comment, an unterminated string, a number such
+as '1e3', an unexpected character) one findall of the token regex gives
+it.  Only a diagnostic works out offsets, from a finditer of that regex,
+and scans the texts for the first lexical fault, which it reports before
+any other, as lexing the whole text first would.  A run of well-formed
+component declarations is read by strided slices of the list; a run with
+a fault in it is read one declaration at a time, which reports it.
 
 The serializer emits the canonical form
 (components in declaration order, two-space indentation, one construct
@@ -49,6 +54,7 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -131,6 +137,40 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+# A whole token that is not a string: what a chunk of the split route must be.
+_WHOLE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:[./][0-9]+)?|[{};=]")
+
+
+def _split_tokens(text: str) -> Optional[list[str]]:
+    """The token texts of _TOKEN.findall up to its first '' (the end), read by str.split, or None.
+
+    Split on '"', each odd piece is one string.  In each even piece,
+    spaces around '{};=' make every token a chunk of str.split(), which
+    splits on the characters str.isspace accepts, the regex's \\s.  When
+    each distinct chunk is one whole token (_WHOLE) the list is the
+    findall's.  Otherwise, or when a quote is unterminated or a string
+    holds a newline, None, for the regex to read: a chunk such as '#',
+    '1e3', '1.5.3', 'a.b', '-' or a non-ASCII letter is several tokens, or
+    the start of a comment, or a lexical fault.
+    """
+    pieces = text.split('"')
+    if not len(pieces) & 1:
+        return None
+    tokens: list[str] = []
+    for index, piece in enumerate(pieces):
+        if index & 1:
+            if "\n" in piece:
+                return None
+            tokens.append(f'"{piece}"')
+            continue
+        chunks = piece.replace("{", " { ").replace("}", " } ").replace(";", " ; ").replace("=", " = ").split()
+        if not all(map(_WHOLE.fullmatch, set(chunks))):
+            return None
+        tokens += chunks
+    tokens.append("")
+    return tokens
+
+
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _DIGITS = frozenset(string.digits)
 _SYMBOLS = frozenset("{};=")
@@ -199,23 +239,23 @@ _BODIES = {
 class _Parser:
     """Recursive descent over the token texts of one text, by index.
 
-    The texts come from one findall, so the loop over the text runs in C.
-    A token's text alone tells keywords and symbols apart from every other
-    token, and its first character gives its kind, so matching one
-    compares texts only.  One routine, parse_node, reads either body kind
-    from its _Grammar table.  The parser counts brace levels as it takes
-    braces and reads the rate literals it takes, so a text it accepts has
-    no lexical fault.
+    The texts come from _split_tokens, or from one findall where it gives
+    None, so the loop over the text runs in C either way.  A token's text
+    alone tells keywords and symbols apart from every other token, and its
+    first character gives its kind, so matching one compares texts only.
+    One routine, parse_node, reads either body kind from its _Grammar
+    table.  The parser counts brace levels as it takes braces and reads
+    the rate literals it takes, so a text it accepts has no lexical fault.
 
     The first diagnostic gives every token its offset, from a finditer
-    whose matches are the findall's, and reports the text's first lexical
-    fault (_lexical_fault) instead, if it has one, as lexing the whole
-    text first would.
+    whose matches are the findall's, and so the split's, and reports the
+    text's first lexical fault (_lexical_fault) instead, if it has one, as
+    lexing the whole text first would.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[str] = _TOKEN.findall(text)  # ends with at least one '' (the end)
+        self.tokens: list[str] = _split_tokens(text) or _TOKEN.findall(text)  # ends with '' (the end)
         self.pos = 0
         self.depth = 0  # brace levels open
         self.offsets: Optional[list[int]] = None  # by token index, from the first diagnostic on
@@ -285,25 +325,20 @@ class _Parser:
     def declaration(self) -> list[str]:
         """Consume one component declaration and return its 8 token texts.
 
-        A declaration is a fixed run, 'component' IDENT 'lambda' '=' NUMBER
-        'mu' '=' NUMBER, checked in one slice; a run out of that shape is
-        read again token by token, which raises at its first token out of
+        A declaration is 'component' IDENT 'lambda' '=' NUMBER 'mu' '='
+        NUMBER, read token by token, which raises at its first token out of
         place.
         """
         at = self.pos
-        run = self.tokens[at : at + 8]
-        if not (len(run) == 8 and run[1][:1] in _IDENT_START and run[2] == "lambda" and run[3] == "="
-                and run[4][:1] in _DIGITS and run[5] == "mu" and run[6] == "=" and run[7][:1] in _DIGITS):
-            self.pos = at + 1
-            self.take(_IDENT_START, "component identifier")
-            self.expect("lambda")
-            self.expect("=")
-            self.take(_DIGITS, "failure rate")
-            self.expect("mu")
-            self.expect("=")
-            self.take(_DIGITS, "repair rate")
-        self.pos = at + 8
-        return run
+        self.pos = at + 1
+        self.take(_IDENT_START, "component identifier")
+        self.expect("lambda")
+        self.expect("=")
+        self.take(_DIGITS, "failure rate")
+        self.expect("mu")
+        self.expect("=")
+        self.take(_DIGITS, "repair rate")
+        return self.tokens[at : self.pos]
 
     def rate(self, index: int, values: dict[str, tuple[Fraction, bool]]) -> tuple[Fraction, bool]:
         """The value of the rate literal at index and whether it is positive, read once per literal."""
@@ -325,30 +360,32 @@ class _Parser:
         if name[:1] != '"' or len(name) < 2:
             raise self.fail(at, "expected model name string")
 
-        components: dict[str, ComponentDef] = {}
-        values: dict[str, tuple[Fraction, bool]] = {}
-        # each pair of positive rates by its two literals, shared by the components
-        # declaring them; a pair with a nonpositive rate is not kept, so every
-        # declaration of it is reported
-        pairs: dict[tuple[str, str], RatePair] = {}
-        while tokens[self.pos] == "component":
-            at = self.pos
-            _, cid, _, _, lam, _, _, mu = self.declaration()
-            if cid in components:
-                self.note(at + 1, f"duplicate component id {cid!r}")
-                continue
-            rates = pairs.get((lam, mu))
-            if rates is None:
-                lam_value, lam_ok = self.rate(at + 4, values)
-                mu_value, mu_ok = self.rate(at + 7, values)
-                if not lam_ok:
-                    self.note(at + 4, f"nonpositive failure rate at {cid}")
-                if not mu_ok:
-                    self.note(at + 7, f"nonpositive repair rate at {cid}")
-                rates = RatePair(lam_value, mu_value)
-                if lam_ok and mu_ok:
-                    pairs[lam, mu] = rates
-            components[cid] = ComponentDef(cid, rates)
+        components = self.strided_declarations()
+        if components is None:  # a faulty declaration: read them one by one, which reports it
+            components = {}
+            values: dict[str, tuple[Fraction, bool]] = {}
+            # each pair of positive rates by its two literals, shared by the components
+            # declaring them; a pair with a nonpositive rate is not kept, so every
+            # declaration of it is reported
+            pairs: dict[tuple[str, str], RatePair] = {}
+            while tokens[self.pos] == "component":
+                at = self.pos
+                _, cid, _, _, lam, _, _, mu = self.declaration()
+                if cid in components:
+                    self.note(at + 1, f"duplicate component id {cid!r}")
+                    continue
+                rates = pairs.get((lam, mu))
+                if rates is None:
+                    lam_value, lam_ok = self.rate(at + 4, values)
+                    mu_value, mu_ok = self.rate(at + 7, values)
+                    if not lam_ok:
+                        self.note(at + 4, f"nonpositive failure rate at {cid}")
+                    if not mu_ok:
+                        self.note(at + 7, f"nonpositive repair rate at {cid}")
+                    rates = RatePair(lam_value, mu_value)
+                    if lam_ok and mu_ok:
+                        pairs[lam, mu] = rates
+                components[cid] = ComponentDef(cid, rates)
 
         at = self.advance()
         if tokens[at] not in _BODIES:
@@ -365,6 +402,41 @@ class _Parser:
         if self.diagnostics:
             raise ModelFileError(self.diagnostics)
         return SystemModel(name=name[1:-1], components=components, body=body)
+
+    def strided_declarations(self) -> Optional[dict[str, ComponentDef]]:
+        """The components of the run of declarations at pos, read by strided slices, or None.
+
+        Each declaration is 8 tokens, so the run's k-th tokens are the slice
+        tokens[at + k : end : 8], and its shape is a few slice comparisons.
+        Each distinct pair of rate literals is read once, into one RatePair
+        that every component declaring it shares, as parse_model's loop
+        shares it.  None, with pos unmoved, if any declaration is faulty
+        (out of shape, a duplicate id, a rate that is unreadable or not
+        positive): that loop then reads the run again and reports it.
+        """
+        tokens, at = self.tokens, self.pos
+        n = len(list(takewhile("component".__eq__, tokens[at::8])))
+        end = at + 8 * n
+        ids = tokens[at + 1 : end : 8]
+        equals = ["="] * n
+        if not (tokens[at + 2 : end : 8] == ["lambda"] * n and tokens[at + 3 : end : 8] == equals
+                and tokens[at + 5 : end : 8] == ["mu"] * n and tokens[at + 6 : end : 8] == equals
+                and all(map(str.isidentifier, ids)) and all(map(str.isascii, ids)) and len(set(ids)) == n):
+            return None
+        literals = list(zip(tokens[at + 4 : end : 8], tokens[at + 7 : end : 8]))
+        shared: dict[tuple[str, str], RatePair] = {}
+        for lam, mu in set(literals):
+            if lam[:1] not in _DIGITS or mu[:1] not in _DIGITS:
+                return None
+            try:
+                rates = RatePair(_number(lam), _number(mu))
+            except ValueError:
+                return None
+            if not (rates.failure_rate > 0 and rates.repair_rate > 0):
+                return None
+            shared[lam, mu] = rates
+        self.pos = end
+        return dict(zip(ids, map(ComponentDef, ids, map(shared.__getitem__, literals))))
 
     def parse_children(self) -> tuple:
         self.open()

@@ -173,6 +173,18 @@ def nested_model_text(kind: str, depth: int) -> str:
     return f'model "nested-{depth}"\n{comps}{"abd" if kind == "abd" else "ft"}\n{text}\n'
 
 
+def series_lines(n: int = 3000) -> list[str]:
+    """Lines of a model text: a series of n components c0, c1, ... over 15 pairs of rate literals.
+
+    Line k + 2 declares c{k}; components k and k + 15 declare the same two
+    literals.  The body is the last line.
+    """
+    lines = ['model "big"']
+    lines += [f"component c{i} lambda={i % 3 + 1}/100 mu={i % 5 + 1}" for i in range(n)]
+    lines.append("abd series { " + "; ".join(f"unit c{i}" for i in range(n)) + " }")
+    return lines
+
+
 def reference_lex(text: str) -> list[tuple]:
     """The character-by-character tokenizer the regex lexer replaced.
 

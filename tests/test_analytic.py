@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import availkit as ak
 from availkit import analytic
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from support import brute_force_union_probability, complete_graph_model, k8_and_implied_model, random_model, steady_leaf_probs, xor_parity_model
+from support import brute_force_union_probability, complete_graph_model, k8_and_implied_model, random_model, series_lines, steady_leaf_probs, xor_parity_model
 
 R13 = ak.RatePair("0.1", "0.3")
 R25 = ak.RatePair("0.2", "0.5")
@@ -630,6 +630,65 @@ class TestEvaluatePoint:
         expected = ak.exhaustive_probability(model, probs)
         got = ak.evaluate_point(model, t)
         assert got.probability.value == pytest.approx(expected.value, abs=1e-12)
+
+
+class TestLeafValuesOncePerPair:
+    """evaluate_steady and evaluate_point compute a leaf value once per rate-pair
+    object; the parser gives components declared alike one object."""
+
+    TEXT = "\n".join(series_lines()) + "\n"
+
+    def counted(self, monkeypatch, name):
+        calls = []
+        real = getattr(analytic, name)
+
+        def wrapper(rates, *args):
+            calls.append(rates)
+            return real(rates, *args)
+
+        monkeypatch.setattr(analytic, name, wrapper)
+        return calls
+
+    def test_once_per_distinct_pair(self, monkeypatch):
+        model = ak.parse_model(self.TEXT)
+        steady = self.counted(monkeypatch, "_steady_pair")
+        floats = self.counted(monkeypatch, "_float_rates")
+        ak.evaluate_steady(model)
+        assert len(steady) == 15 and len({id(r) for r in steady}) == 15
+        for t in (10.0, 100.0):
+            ak.evaluate_point(model, t)
+        assert len(floats) == 2 * 15 and len({id(r) for r in floats}) == 15
+
+    @staticmethod
+    def unshared(model):
+        """model with every component given a rate pair of its own, equal to the one it had."""
+        comps = {cid: ak.ComponentDef(cid, ak.RatePair(c.rates.failure_rate, c.rates.repair_rate))
+                 for cid, c in model.components.items()}
+        return ak.SystemModel(model.name, comps, model.body)
+
+    def test_equal_distinct_pairs_give_the_same_bits(self):
+        rng = random.Random(11)
+        models = [ak.parse_model(self.TEXT)]
+        models += [ak.parse_model(ak.serialize_model(random_model(rng, rng.choice(["abd", "ft"]), max_components=8)))
+                   for _ in range(40)]
+        for shared in models:
+            built = self.unshared(shared)
+            assert len({id(c.rates) for c in built.components.values()}) == len(built.components)
+            assert ak.evaluate_steady(built) == ak.evaluate_steady(shared)
+            for t in (0.5, 10.0, 100.0):
+                got, want = ak.evaluate_point(built, t), ak.evaluate_point(shared, t)
+                assert got.probability.value.hex() == want.probability.value.hex() and got.method == want.method
+
+    @pytest.mark.parametrize("share", [True, False], ids=["one-pair-object", "equal-pair-objects"])
+    def test_overflow_names_the_first_component_in_event_order(self, share):
+        huge = ak.RatePair(10**400, 1)
+        comps = {c: ak.ComponentDef(c, R13) for c in "ac"}
+        comps["b"] = ak.ComponentDef("b", huge)
+        comps["d"] = ak.ComponentDef("d", huge if share else ak.RatePair(10**400, 1))
+        model = ak.SystemModel("m", comps, ak.Series(tuple(map(ak.Unit, "adcb"))))
+        with pytest.raises(ValueError, match="^a rate of component 'd' is too large for floating point"):
+            ak.evaluate_point(model, 1.0)
+        assert ak.evaluate_steady(model).probability.exact
 
 
 class TestProbabilityType:

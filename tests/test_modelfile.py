@@ -1,6 +1,8 @@
 """Parser, diagnostics with source positions, and the canonical serializer."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -12,8 +14,8 @@ import availkit as ak
 from availkit import model as model_module
 from availkit import modelfile
 from availkit.casestudies import dfh3_abd, dfh3_ft
-from availkit.modelfile import NESTING_LIMIT, _lexical_fault, _Parser
-from support import nested_model_text, rand_rate_pair, random_model, reference_lex
+from availkit.modelfile import _TOKEN, NESTING_LIMIT, _lexical_fault, _Parser, _split_tokens
+from support import nested_model_text, rand_rate_pair, random_model, reference_lex, series_lines
 
 MINIMAL = 'model "m" component A lambda=0.5 mu=0.5 abd { unit A }'
 
@@ -327,6 +329,115 @@ class TestFastRouteMatchesPositioned:
         comps = ak.parse_model(text).components
         assert comps["A"].rates is comps["B"].rates
         assert comps["C"].rates == comps["A"].rates
+
+
+# Every character str.isspace accepts, which str.split() splits on and \s matches.
+WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u2028\u2029\u202f\u205f\u3000"
+
+# Pieces the split route reads: identifiers, numbers with '.' or '/',
+# symbols and closed strings holding spaces, braces and non-ASCII, some run
+# together.  Each is followed by whitespace, so no two pieces run together
+# into another token.
+CLEAN_PIECES = [
+    *"model component lambda mu abd ft unit series basic x _a1 Z9_ b12".split(),
+    "0", "7", "12", "1.5", "3/4", "07/000", "9" * 4301,
+    *"{};=", "{}", "a{b}", "x=1;", "{{", "}}",
+    '"m"', '""', '"a b{#;"', '"\u00a0\t x=1 }"', '"\u00e9\u0661 1e3 -"', 'x"m"7', '{"a b"}', '=""=',
+]
+
+
+class TestSplitRoute:
+    """_split_tokens reads the findall's token texts by str.split when every
+    chunk is one whole token, and hands every other text to the regex."""
+
+    def test_whitespace_kinds_agree(self):
+        spaces = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+        assert spaces == WHITESPACE and len(spaces) == 29
+        assert all(re.fullmatch(r"\s", c) for c in spaces)
+        assert f"a{spaces}b".split() == ["a", "b"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(CLEAN_PIECES), st.text(WHITESPACE, min_size=1, max_size=3)), max_size=40)
+           .map(lambda pairs: "".join(tok + space for tok, space in pairs)))
+    def test_clean_text_takes_the_split_route(self, text):
+        tokens = _split_tokens(text)
+        assert tokens is not None
+        found = _TOKEN.findall(text)
+        assert tokens == found[: found.index("") + 1]
+        assert _Parser(text).tokens == tokens
+
+    # each outcome is the regex route's
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ('model "m" component A lambda=1e3 mu=1 abd unit A', "1:31: expected 'mu', found 'e3'"),
+            ('model "m" component a lambda=1 mu=1 abd unit a.b', "1:47: unexpected character '.'"),
+            ('model "m" component A lambda=1.5.3 mu=1 abd unit A', "1:33: unexpected character '.'"),
+            ('model "m" component A lambda=1/2/3 mu=1 abd unit A', "1:33: unexpected character '/'"),
+            ('model "m" # a "quoted" comment\ncomponent A lambda=1 mu=1 abd unit B', "2:36: unknown component reference 'B'"),
+            ('model "m" component A lambda=-1 mu=1 abd unit A', "1:30: unexpected character '-'"),
+            ('model "m" component \u00e9 lambda=1 mu=1 abd unit \u00e9', "1:21: unexpected character '\u00e9'"),
+            ('model "m" component A lambda=1 mu=1 abd unit A "', "1:48: unterminated string"),
+            ('model "m\n" component A lambda=1 mu=1 abd unit A', "1:7: unterminated string"),
+        ],
+        ids=["exponent", "dotted-name", "two-points", "two-slashes", "comment", "minus", "non-ascii",
+             "unterminated", "newline-in-string"],
+    )
+    def test_fallbacks_read_by_the_regex(self, text, outcome):
+        assert _split_tokens(text) is None
+        assert _Parser(text).tokens == _TOKEN.findall(text)
+        assert lexed(ak.parse_model, text) == outcome
+
+
+class TestStridedDeclarations:
+    """A run of declarations is read by strided slices; any fault in it sends
+    the whole run to the loop that reads one declaration at a time and
+    reports it, so diagnostics and their order are the loop's."""
+
+    def strided(self, text):
+        parser = _Parser(text)
+        parser.pos = 2  # past 'model' and the name
+        return parser.strided_declarations(), parser.pos
+
+    def test_clean_run_shares_one_pair_per_literal_pair(self):
+        text = "\n".join(series_lines()) + "\n"
+        comps, pos = self.strided(text)
+        assert pos == 2 + 8 * 3000
+        assert comps == ak.parse_model(text).components
+        assert list(comps) == [f"c{i}" for i in range(3000)]
+        assert comps["c0"].rates is comps["c15"].rates is comps["c2985"].rates
+        assert comps["c0"].rates == ak.RatePair(Fraction(1, 100), Fraction(1))
+        assert len({id(c.rates) for c in comps.values()}) == 15
+
+    @pytest.mark.parametrize(
+        "index, line, message",
+        [
+            (3000, "component c0 lambda=1/100 mu=5",
+             "3001:11: duplicate component id 'c0'\n3002:34897: unknown component reference 'c2999'"),
+            (1500, "component c1499 lambda=0 mu=5", "1501:24: nonpositive failure rate at c1499"),
+            (7, "component c6 mu=2 lambda=1/100", "8:14: expected 'lambda', found 'mu'"),
+            (7, "component c6 lambda=" + "9" * 4301 + " mu=2", "8:21: number literal too long to read (4301 characters)"),
+            # an unused extra declaration, so no other diagnostic asks for the lexical fault
+            (7, "component c6 lambda=1/100 mu=2 component \u00e9 lambda=1/100 mu=2", "8:42: unexpected character '\u00e9'"),
+        ],
+        ids=["duplicate-last", "nonpositive-1500", "mu-before-lambda", "long-rate", "non-ascii-id"],
+    )
+    def test_fault_sends_the_run_to_the_loop(self, index, line, message):
+        lines = series_lines()
+        lines[index] = line
+        text = "\n".join(lines) + "\n"
+        assert self.strided(text) == (None, 2)
+        assert lexed(ak.parse_model, text) == message
+
+    @pytest.mark.parametrize("name", ["component", "lambda"])
+    def test_keyword_as_component_id(self, name):
+        # the loop takes a keyword as an id as well, so c6 is left undeclared
+        lines = series_lines()
+        lines[7] = f"component {name} lambda=1/100 mu=2"
+        text = "\n".join(lines) + "\n"
+        comps, _ = self.strided(text)
+        assert comps[name].rates is comps["c21"].rates  # c6 declared the same literals
+        assert lexed(ak.parse_model, text) == "3002:73: unknown component reference 'c6'"
 
 
 class TestParserIsTheValidityCheck:
