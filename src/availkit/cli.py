@@ -8,11 +8,15 @@ casestudy (built-in models).  Exit codes: 0 success, 2 input error,
 Values are printed as decimal strings with 12 significant digits,
 correctly rounded from the underlying exact or floating value; exact
 rationals are shown as p/q alongside.
+
+The argument parser is built on the first main call and reused by every
+later call in the process; main keeps no other state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -403,7 +407,14 @@ def _add_sim_flags(sub: argparse.ArgumentParser, trials_default: int) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable report")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and the same object after.
+
+    A parse reads the parser and changes nothing in it: each call of
+    parse_args makes a new namespace, and help and usage text are formatted
+    when printed, so one parser serves every main call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="availkit",
         description="Availability block diagram and unavailability fault tree analysis.",

@@ -18,6 +18,8 @@ Grammar (whitespace insignificant, '#' comments run to end of line):
                 | '{' gate '}'
     IDENT      := [A-Za-z_][A-Za-z0-9_]*
     NUMBER     := [0-9]+ | [0-9]+ '.' [0-9]+ | [0-9]+ '/' [0-9]+
+                  (a literal with an exponent, such as '1e3' or '2.5E+2',
+                  is one token, refused with its own diagnostic)
     STRING     := '"' (any character but '"' and newline)* '"'
 
 Identifiers and numbers are ASCII: any other letter or digit outside a
@@ -128,7 +130,7 @@ _TOKEN = re.compile(
     \s* (?: \#[^\n]* \s* )*
     (
         [A-Za-z_][A-Za-z0-9_]*
-      | [0-9]+ (?: [./][0-9]+ )?
+      | [0-9]+ (?: [./][0-9]+ )? (?: [eE][+-]?[0-9]+ )?
       | "[^"\n]*"
       | \Z
       | .
@@ -177,7 +179,13 @@ _SYMBOLS = frozenset("{};=")
 
 
 def _number(tok: str) -> Fraction:
-    """A number token's exact value; a ValueError gives the diagnostic if it has none."""
+    """A number token's exact value; a ValueError gives the diagnostic if it has none.
+
+    Fraction reads '1e3' as 1000, but an exponent is not part of NUMBER:
+    a token with one is refused before Fraction sees it.
+    """
+    if "e" in tok or "E" in tok:
+        raise ValueError(f"exponent in number literal {tok!r}; numbers are integers, decimals or p/q")
     try:
         return Fraction(tok)
     except ZeroDivisionError:

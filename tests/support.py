@@ -191,7 +191,8 @@ def reference_lex(text: str) -> list[tuple]:
     Tokens are (kind, text, line, column, offset, value); failures raise
     ModelFileError with one positioned diagnostic.  Unlike the regex lexer
     it takes non-ASCII letters and digits (str.isalpha, str.isdigit) into
-    identifiers and numbers.
+    identifiers and numbers.  A number followed by an exponent ('e' or
+    'E', an optional sign and digits) is refused at its first character.
     """
     tokens: list[tuple] = []
     i, line, line_start = 0, 1, 0
@@ -236,6 +237,12 @@ def reference_lex(text: str) -> list[tuple]:
                 i += 1
                 while i < n and text[i].isdigit():
                     i += 1
+            if i < n and text[i] in "eE":
+                end = i + 1 + (i + 1 < n and text[i + 1] in "+-")
+                if end < n and text[end].isdigit():
+                    while end < n and text[end].isdigit():
+                        end += 1
+                    raise fail(start, f"exponent in number literal {text[start:end]!r}; numbers are integers, decimals or p/q")
             literal = text[start:i]
             try:
                 value = Fraction(literal)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, golden output fragments, report stability."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -740,3 +741,83 @@ class TestUsage:
     def test_version_exit_0(self, capsys):
         assert main(["--version"]) == 0
         assert "availkit" in capsys.readouterr().out
+
+
+def run_main(argv):
+    """main's exit code, stdout and stderr for one argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process and reuses it, and a
+    reused parser answers every argv as a freshly built one does."""
+
+    def test_no_parser_built_per_call(self, abd_file, ft_file, tmp_path, monkeypatch):
+        run_main(["--version"])  # builds the parser, unless an earlier call did
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        sim = ["--trials", "5", "--horizon", "5"]
+        runs = [
+            (["analyze", abd_file, "--exact"], 0),
+            (["analyze", abd_file, "--at", "1,2"], 0),
+            (["analyze", ft_file, "--json"], 0),
+            (["analyze", abd_file, "--exact", "--at", "1"], 2),
+            (["analyze", str(tmp_path / "missing.avm")], 2),
+            (["simulate", abd_file, "--at", "1", "--trials", "5"], 0),
+            (["simulate", abd_file, "--seed", "3", *sim], 0),
+            (["simulate", ft_file, "--at", "1", "--json", *sim], 0),
+            (["simulate", abd_file], 2),
+            (["compare", abd_file, *sim], 0),
+            (["compare", ft_file, "--at", "1", *sim], 0),
+            (["compare", abd_file, "--at", "0", "--json", *sim], 0),
+            (["cutsets", ft_file], 0),
+            (["cutsets", ft_file, "--minimize", "--json"], 0),
+            (["cutsets", ft_file, "--minimize"], 0),
+            (["cutsets", abd_file], 3),
+            (["casestudy", "dfh3-abd", "--out", str(tmp_path / "abd.avm"), *sim], 0),
+            (["casestudy", "dfh3-ft", "--out", str(tmp_path / "ft.avm"), "--json", *sim], 0),
+            (["casestudy", "nosuch", "--out", str(tmp_path / "x.avm")], 2),
+            (["--version"], 0),
+            (["--help"], 0),
+            (["analyze", "--help"], 0),
+            ([], 2),
+            (["frobnicate"], 2),
+            (["simulate", abd_file, "--trials", "x"], 2),
+        ]
+        for argv, code in runs:
+            assert run_main(argv)[0] == code, argv
+        assert built == []
+        cli.build_parser.__wrapped__()  # the count sees a build: the parser and its five subparsers
+        assert built == ["availkit"] + [f"availkit {name}" for name in ("analyze", "simulate", "compare", "cutsets", "casestudy")]
+
+    def test_reuse_leaks_no_state(self, abd_file, tmp_path, monkeypatch):
+        runs = [
+            ["analyze", abd_file, "--exact"],
+            ["analyze", abd_file, "--at", "1,2"],  # --exact does not carry over
+            ["simulate", abd_file, "--at", "1"],
+            ["simulate", abd_file, "--at", "1", "--trials", "7", "--seed", "3"],  # nor do these values
+            ["compare", abd_file, "--horizon", "5"],
+            ["casestudy", "dfh3-ft", "--out", str(tmp_path / "ft.avm"), "--horizon", "5"],
+            ["--help"],
+            ["analyze", "--help"],
+            ["--version"],
+            ["simulate", "f.avm", "--trials", "x"],
+            ["frobnicate"],
+        ]
+        reused = [run_main(argv) for argv in runs + runs[::-1]]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = [run_main(argv) for argv in runs]
+        assert reused == fresh + fresh[::-1]
+        # each command keeps its own default trial count
+        assert [re.search(r"trials=(\d+)", out).group(1) for _, out, _ in fresh[2:6]] == ["1000", "7", "200", "200"]
+        assert [result[0] for result in fresh[6:]] == [0, 0, 0, 2, 2]

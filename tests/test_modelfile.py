@@ -200,8 +200,9 @@ class TestParseErrors:
 
 
 # Pieces the generated texts are joined from; neighbours run together, so
-# an identifier meets a number, a quote opens a string across the next
-# pieces, and brace runs add up past NESTING_LIMIT.  Non-ASCII letters and
+# an identifier meets a number, a number meets 'e' or 'E' and a sign or
+# digits (an exponent), a quote opens a string across the next pieces, and
+# brace runs add up past NESTING_LIMIT.  Non-ASCII letters and
 # digits appear in comments only: a comment holds no quote, so it never
 # ends up inside a closed string, and it ends at a newline.
 LEX_PIECES = [
@@ -212,7 +213,7 @@ LEX_PIECES = [
     '"m"', '""', '"a b{#;"', '"\u00a0\t"', '"',
     "#\u00e9 \u00b2\u0661\n", "#\u2028{\r\n", "#\n", "# lambda=1\n",
     " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000",
-    "%", ".", "/", "-", "'", "\u20ac", "\x00",
+    "%", ".", "/", "-", "+", "'", "\u20ac", "\x00", "e", "E",
     *("{" * k for k in range(NESTING_LIMIT - 3, NESTING_LIMIT + 2)),
     "}", "}}}", "{}",
 ]
@@ -346,6 +347,9 @@ CLEAN_PIECES = [
 ]
 
 
+EXPONENT = "exponent in number literal %r; numbers are integers, decimals or p/q"
+
+
 class TestSplitRoute:
     """_split_tokens reads the findall's token texts by str.split when every
     chunk is one whole token, and hands every other text to the regex."""
@@ -370,7 +374,9 @@ class TestSplitRoute:
     @pytest.mark.parametrize(
         "text, outcome",
         [
-            ('model "m" component A lambda=1e3 mu=1 abd unit A', "1:31: expected 'mu', found 'e3'"),
+            ('model "m" component A lambda=1e3 mu=1 abd unit A', f"1:30: {EXPONENT % '1e3'}"),
+            ('model "m" component A lambda=1e-3 mu=1 abd unit A', f"1:30: {EXPONENT % '1e-3'}"),
+            ('model "m" component A lambda=1 mu=2.5E+2 abd unit A', f"1:35: {EXPONENT % '2.5E+2'}"),
             ('model "m" component a lambda=1 mu=1 abd unit a.b', "1:47: unexpected character '.'"),
             ('model "m" component A lambda=1.5.3 mu=1 abd unit A', "1:33: unexpected character '.'"),
             ('model "m" component A lambda=1/2/3 mu=1 abd unit A', "1:33: unexpected character '/'"),
@@ -380,13 +386,19 @@ class TestSplitRoute:
             ('model "m" component A lambda=1 mu=1 abd unit A "', "1:48: unterminated string"),
             ('model "m\n" component A lambda=1 mu=1 abd unit A', "1:7: unterminated string"),
         ],
-        ids=["exponent", "dotted-name", "two-points", "two-slashes", "comment", "minus", "non-ascii",
-             "unterminated", "newline-in-string"],
+        ids=["exponent", "negative-exponent", "signed-exponent", "dotted-name", "two-points", "two-slashes",
+             "comment", "minus", "non-ascii", "unterminated", "newline-in-string"],
     )
     def test_fallbacks_read_by_the_regex(self, text, outcome):
         assert _split_tokens(text) is None
         assert _Parser(text).tokens == _TOKEN.findall(text)
         assert lexed(ak.parse_model, text) == outcome
+
+    def test_keyword_glued_to_a_number_still_parses(self):
+        # no exponent follows the 2, so 'abd' is a token of its own, as before
+        model = ak.parse_model('model "m" component A lambda=1 mu=2abd unit A')
+        assert model.components["A"].rates == ak.RatePair(1, 2)
+        assert model.body == ak.Unit("A")
 
 
 class TestStridedDeclarations:
