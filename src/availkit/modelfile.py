@@ -178,6 +178,14 @@ _DIGITS = frozenset(string.digits)
 _SYMBOLS = frozenset("{};=")
 
 
+_QUOTED = 32  # the most characters of a token that a diagnostic quotes
+
+
+def _quoted(tok: str) -> str:
+    """A token as a diagnostic names it: its repr, or for a long token the repr of its start and its length."""
+    return repr(tok) if len(tok) <= _QUOTED else f"{tok[:_QUOTED]!r}... ({len(tok)} characters)"
+
+
 def _number(tok: str) -> Fraction:
     """A number token's exact value; a ValueError gives the diagnostic if it has none.
 
@@ -185,11 +193,11 @@ def _number(tok: str) -> Fraction:
     a token with one is refused before Fraction sees it.
     """
     if "e" in tok or "E" in tok:
-        raise ValueError(f"exponent in number literal {tok!r}; numbers are integers, decimals or p/q")
+        raise ValueError(f"exponent in number literal {_quoted(tok)}; numbers are integers, decimals or p/q")
     try:
         return Fraction(tok)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal {tok!r}") from None
+        raise ValueError(f"zero denominator in rational literal {_quoted(tok)}") from None
     except ValueError:  # past Python's int-string digit limit
         raise ValueError(f"number literal too long to read ({len(tok)} characters)") from None
 
@@ -224,7 +232,7 @@ def _lexical_fault(tokens: list[str]) -> Optional[tuple[int, str]]:
         elif tok == '"':
             return index, "unterminated string"
         elif first != '"' and tok not in _SYMBOLS:
-            return index, f"unexpected character {tok!r}"
+            return index, f"unexpected character {_quoted(tok)}"
     return None
 
 
@@ -294,7 +302,7 @@ class _Parser:
 
     def unexpected(self, index: int, what: str) -> ModelFileError:
         tok = self.tokens[index]
-        return self.fail(index, f"expected {what}, found {tok!r}" if tok else f"expected {what}")
+        return self.fail(index, f"expected {what}, found {_quoted(tok)}" if tok else f"expected {what}")
 
     def advance(self) -> int:
         """The index of the current token, which is consumed unless it is the end."""
@@ -380,7 +388,7 @@ class _Parser:
                 at = self.pos
                 _, cid, _, _, lam, _, _, mu = self.declaration()
                 if cid in components:
-                    self.note(at + 1, f"duplicate component id {cid!r}")
+                    self.note(at + 1, f"duplicate component id {_quoted(cid)}")
                     continue
                 rates = pairs.get((lam, mu))
                 if rates is None:
@@ -402,11 +410,11 @@ class _Parser:
         body = self.parse_node()
 
         if tokens[self.pos]:
-            raise self.fail(self.pos, f"unexpected trailing input {tokens[self.pos]!r}")
+            raise self.fail(self.pos, f"unexpected trailing input {_quoted(tokens[self.pos])}")
 
         for index in self.leaf_refs:
             if tokens[index] not in components:
-                self.note(index, f"unknown component reference {tokens[index]!r}")
+                self.note(index, f"unknown component reference {_quoted(tokens[index])}")
         if self.diagnostics:
             raise ModelFileError(self.diagnostics)
         return SystemModel(name=name[1:-1], components=components, body=body)
@@ -461,7 +469,7 @@ class _Parser:
         node = self.grammar.nodes.get(word)
         if node is None:
             if word != "{":
-                raise self.fail(at, f"expected {self.grammar.expected}, found {word!r}")
+                raise self.fail(at, f"expected {self.grammar.expected}, found {_quoted(word)}")
             self.open()
             inner = self.parse_node()
             self.close()
@@ -490,7 +498,7 @@ class _Parser:
             if self.tokens[at] == ";":
                 raise self.fail(at, "xor takes exactly 2 operands")
             if self.tokens[at] != "}":
-                raise self.fail(at, f"expected '}}', found {self.tokens[at]!r}")
+                raise self.fail(at, f"expected '}}', found {_quoted(self.tokens[at])}")
             self.close()
             return Xor(left, right)
         child = self.parse_node()

@@ -45,14 +45,16 @@ goes into one (trials, columns) grid (_grid); the boundaries a stream
 drew past the target are dropped before either estimator reads them.
 The estimators read that grid in two ways.  A point estimate takes each
 component's state at t as the parity of its boundaries <= t.  A
-steady-state estimate sorts each row to order the trial's state changes
-and integrates the structure function over them, each component's state
-at a change being the parity of its boundaries so far; a trial's held
-time is one running sum, left to right along its row.  For models of up
-to TABLE_COMPONENTS components those states are one code per change, a
-running XOR of one bit per component, and one gather from a table of the
-structure function over all 2^k codes, built once per estimate, reads
-the structure; wider models evaluate it on leaf arrays swept in 64-bit
+steady-state estimate orders each trial's state changes by one integer
+sort (_time_held), which rounds every time and the horizon down to a
+multiple of 2**tag ulps, tag being the component count's bit length:
+by less than 2**(tag - 52) relative, 2**-47 for up to 16 components and
+2**-40 for 3000.  It integrates the structure function over the changes
+up to the horizon, each component's state at a change being the parity
+of its changes so far; a trial's held time is one running sum, left to
+right along its row.  Models of up to TABLE_COMPONENTS components read
+the structure from a table over all 2^k state codes, built once per
+estimate; wider models evaluate it on leaf arrays swept in 64-bit
 groups.  Every stream may draw at most STREAM_DRAW_LIMIT words.
 """
 
@@ -355,80 +357,68 @@ def _state_table(model: SystemModel, events: list[str]) -> Optional[np.ndarray]:
     return table if model.is_fault_tree else table[::-1]
 
 
-def _state_codes(grid: np.ndarray, owner: np.ndarray, components: int, times: np.ndarray, epoch: np.ndarray) -> np.ndarray:
-    """Per row of grid, the state code after each of its times in sorted order: bit i is set while component i is down.
-
-    times and epoch are _time_held's: each row sorted and clamped to the
-    horizon, then the horizon, and the last of each run of equal times
-    below the horizon.  A time's float bits with the low `tag` bits
-    replaced by its owner + 1 make an integer key.  Sorting the keys puts
-    the owners in time order, except within a bucket of 2**tag adjacent
-    floats, where they go by owner.  A running XOR of the owners' code bits
-    then gives the code at every epoch exactly, unless the next distinct
-    time, clamped or not, shares the epoch's bucket; a row with such an
-    epoch takes its order from an argsort instead.  The two sorts, of
-    floats in _time_held and of these keys, cost less than one argsort and
-    the gather of its order.
-    """
-    tag = components.bit_length()  # owner + 1 is at most components
-    flips = np.zeros(1 << tag, dtype=np.min_scalar_type((1 << components) - 1))
-    flips[1:components + 1] = np.left_shift(1, np.arange(components))
-    keys = grid.view(np.int64) & -(1 << tag)  # times are >= 0, so their bits order them as integers
-    keys |= owner + 1
-    keys.sort(axis=1)
-    keys &= (1 << tag) - 1
-    codes = np.bitwise_xor.accumulate(flips.take(keys), axis=1)
-    np.bitwise_xor(times[:, :-1].view(np.int64), times[:, 1:].view(np.int64), out=keys)  # keys is spent; one bucket XORs to < 2**tag
-    mixed = np.flatnonzero(((keys < 1 << tag) & epoch).any(axis=1))
-    if mixed.size:
-        codes[mixed] = np.bitwise_xor.accumulate(flips[owner + 1][np.argsort(grid[mixed], axis=1)], axis=1)
-    return codes
-
-
 def _time_held(
     model: SystemModel, events: list[str], grid: np.ndarray, owner: np.ndarray, horizon: float, table: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Per row of grid, the time in [0, horizon) during which the structure function holds.
+    """Per row of grid, the fraction of [0, horizon) during which the structure function holds.
 
     A row holds one trial's state-change times in any column order:
     owner[j] is the index in events of the component that column j
     toggles, or -1 for a column that toggles none, such as the 0.0 every
-    row needs.  Times >= horizon, +inf included, are ignored.  Components
-    start up.  The epochs are the distinct times below the horizon; each
-    lasts to the next epoch, or to the horizon, and a component's state in
-    it is the parity of its boundaries <= the epoch.  Between a row's
-    sorted times, clamped to the horizon, the gaps are the epochs'
-    durations and 0 elsewhere; one cumsum adds the held ones left to
-    right, the same float as for that trial alone.
+    row needs.  Components start up.  A time's float bits with the low
+    `tag` bits replaced by its owner + 1 make an integer key, and one sort
+    of the keys orders the row's changes.  With those bits cleared the
+    keys read back as the times rounded down to a multiple of 2**tag ulps,
+    so changes in one such bucket are one instant and their order in it
+    does not matter.  The horizon is rounded alike, but not to 0.0, and
+    sorts as a key with no owner, first in its bucket: the changes in its
+    bucket count as at the horizon and are ignored, like later times and
+    +inf.  Between the sorted times, clamped to the rounded horizon, the
+    gaps are the epochs' durations and 0 elsewhere; one cumsum adds the
+    held ones left to right, the same float as for that trial alone, and
+    the sum is divided by the rounded horizon.
 
-    table is _state_table(model, events).  Given one, a running XOR of the
-    components' code bits, in the narrowest unsigned dtype that holds
-    them, gives the state code at every epoch and one gather reads the
-    structure.  Otherwise the states are swept in 64-bit groups and the
+    The owners give the state code after each change, a running XOR of
+    one bit per component: bit i is set while events[i] is down.  table
+    is _state_table(model, events); given one, the codes take the
+    narrowest unsigned dtype that holds them and one gather reads the
+    structure.  Otherwise the codes are swept in 64-bit groups and the
     structure is evaluated on each component's leaf array.
     """
-    times = np.empty((grid.shape[0], grid.shape[1] + 1))
-    times[:, -1] = horizon
-    np.minimum(grid, horizon, out=times[:, :-1])
-    times[:, :-1].sort(axis=1)  # clamped, then sorted: the same row as sorted, then clamped
-    gaps = np.diff(times, axis=1)  # 0 inside a run of equal times and from the horizon on
-    epoch = gaps > 0
+    tag = len(events).bit_length()  # owner + 1 is at most len(events)
+    low = (1 << tag) - 1
+    keys = np.empty((grid.shape[0], grid.shape[1] + 1), dtype=np.int64)
+    np.bitwise_and(grid.view(np.int64), ~low, out=keys[:, :-1])  # times are >= 0, so their bits order them as integers
+    keys[:, :-1] |= owner + 1
+    # the horizon, rounded like the times but not to 0.0, with no owner
+    end = np.array(max(np.float64(horizon).view(np.int64) & ~low, 1 << tag))
+    keys[:, -1] = end
+    keys.sort(axis=1)
     if table is not None:
-        gaps *= table.take(_state_codes(grid, owner, len(events), times, epoch))
+        flips = np.zeros(1 << tag, dtype=np.min_scalar_type(table.size - 1))
+        flips[1:len(events) + 1] = np.left_shift(np.uint64(1), np.arange(len(events), dtype=np.uint64))
+        held = table.take(np.bitwise_xor.accumulate(flips.take(keys & low), axis=1))
     else:
-        order = np.argsort(grid, axis=1)
+        owners = keys & low
         leaves = {}
         for group in range(0, len(events), 64):
             # component group + b flips bit b; the running XOR holds every state of the group
-            mine = (owner >= group) & (owner < group + 64)
-            bits = np.zeros(owner.size, dtype=np.uint64)
-            bits[mine] = np.left_shift(np.uint64(1), (owner[mine] - group).astype(np.uint64))
-            parity = np.bitwise_xor.accumulate(bits[order], axis=1)[epoch]
-            for b, event in enumerate(events[group:group + 64]):
-                up = (parity & np.uint64(1 << b)) == 0
+            count = min(64, len(events) - group)
+            flips = np.zeros(1 << tag, dtype=np.uint64)
+            flips[1 + group:1 + group + count] = np.left_shift(np.uint64(1), np.arange(count, dtype=np.uint64))
+            codes = np.bitwise_xor.accumulate(flips.take(owners), axis=1)
+            for b, event in enumerate(events[group:group + count]):
+                up = (codes & np.uint64(1 << b)) == 0
                 leaves[event] = ~up if model.is_fault_tree else up
-        gaps[epoch] *= _signal(model.program, leaves)
-    return np.cumsum(gaps, axis=1, out=gaps)[:, -1]
+        held = _signal(model.program, leaves)
+        del owners, codes, leaves  # before the gaps, so the sweep's arrays and the gaps are not alive together
+    keys &= ~low
+    times = keys.view(np.float64)
+    end = end.view(np.float64)
+    np.minimum(times, end, out=times)
+    gaps = np.diff(times, axis=1)  # 0 inside an instant and from the horizon on
+    gaps *= held[:, :-1]
+    return np.cumsum(gaps, axis=1, out=gaps)[:, -1] / end
 
 
 def _signal(program: Program, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -527,9 +517,10 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     state changes (no time-step sampling).  For block diagrams the mean
     estimates steady availability; for fault trees, steady unavailability.
     Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words,
-    and each block's grid is integrated up to the horizon.  A model of up
-    to TABLE_COMPONENTS components has its structure function tabulated
-    over every state code once, before the first block.
+    and each block's grid is integrated up to the horizon, every time
+    rounded as _time_held says.  A model of up to TABLE_COMPONENTS
+    components has its structure function tabulated over every state code
+    once, before the first block.
     """
     _require_valid(model)
     _check_trials(cfg)
@@ -537,4 +528,4 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
         raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     horizon = float(cfg.horizon)
     table = _state_table(model, basic_events(model))
-    return _estimate(_simulate(model, cfg, horizon, STEADY_BLOCK_WORDS, partial(_time_held, table=table)) / horizon)
+    return _estimate(_simulate(model, cfg, horizon, STEADY_BLOCK_WORDS, partial(_time_held, table=table)))

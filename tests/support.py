@@ -206,6 +206,10 @@ def reference_lex(text: str) -> list[tuple]:
         span = ak.SourceSpan(line=line, column=pos - line_start + 1, offset=pos)
         return ak.ModelFileError([ak.ParseDiagnostic(message, span)])
 
+    def quoted(literal: str) -> str:
+        # a literal of more than 32 characters is named by its first 32 and its length
+        return repr(literal) if len(literal) <= 32 else f"{literal[:32]!r}... ({len(literal)} characters)"
+
     while i < n:
         c = text[i]
         if c == "\n":
@@ -242,12 +246,12 @@ def reference_lex(text: str) -> list[tuple]:
                 if end < n and text[end].isdigit():
                     while end < n and text[end].isdigit():
                         end += 1
-                    raise fail(start, f"exponent in number literal {text[start:end]!r}; numbers are integers, decimals or p/q")
+                    raise fail(start, f"exponent in number literal {quoted(text[start:end])}; numbers are integers, decimals or p/q")
             literal = text[start:i]
             try:
                 value = Fraction(literal)
             except ZeroDivisionError:
-                raise fail(start, f"zero denominator in rational literal {literal!r}") from None
+                raise fail(start, f"zero denominator in rational literal {quoted(literal)}") from None
             except ValueError:  # past Python's int-string digit limit
                 raise fail(start, f"number literal too long to read ({len(literal)} characters)") from None
             tokens.append(token("number", literal, start, value))
@@ -550,8 +554,8 @@ def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig) -> ak
     return _reference_estimate(values)
 
 
-def reference_time_held(bounds_by_comp: dict[str, np.ndarray], horizon: float, holds) -> float:
-    """Time in [0, horizon) during which holds(truth) is true, one trial at a time.
+def reference_unrounded_time_held(bounds_by_comp: dict[str, np.ndarray], horizon: float, holds) -> float:
+    """Time in [0, horizon) during which holds(truth) is true, one trial at a time, times read as given.
 
     bounds_by_comp gives each component's sorted state-change times (it
     starts up); truth maps each component to "is up".  The epochs are the
@@ -576,13 +580,33 @@ def reference_time_held(bounds_by_comp: dict[str, np.ndarray], horizon: float, h
     return total
 
 
+def reference_time_held(bounds_by_comp: dict[str, np.ndarray], horizon: float, holds) -> float:
+    """Fraction of [0, horizon) during which holds(truth) is true, with times rounded as the oracle module rounds them.
+
+    Every time and the horizon lose the low `tag` bits of their floats,
+    tag being the bit length of the component count, which rounds each
+    down to a multiple of 2**tag ulps; a horizon that would round to 0.0
+    becomes the first such multiple above it.  The held time over the
+    rounded times, by reference_unrounded_time_held, is divided by the
+    rounded horizon.
+    """
+    tag = len(bounds_by_comp).bit_length()
+
+    def rounded(times):
+        return (np.asarray(times, dtype=np.float64).view(np.int64) & -(1 << tag)).view(np.float64)
+
+    horizon = max(float(rounded(horizon)), math.ldexp(1.0, tag - 1074))
+    held = reference_unrounded_time_held({c: rounded(b) for c, b in bounds_by_comp.items()}, horizon, holds)
+    return held / horizon
+
+
 def reference_mc_steady(model: ak.SystemModel, cfg: ak.SimConfig) -> ak.Estimate:
     """The per-trial steady-state estimator that the batched one must equal exactly.
 
     One np.random.Philox generator per (trial, component, round), drawn
-    in the rounds of _reference_cycles out to the horizon; the structure,
-    read with reference_holds, is integrated over the epochs of
-    reference_time_held.
+    in the rounds of _reference_cycles out to the horizon; each trial's
+    value is the fraction of the rounded horizon that reference_time_held
+    finds the structure, read with reference_holds, to hold.
     """
     horizon = float(cfg.horizon)
     values = np.empty(cfg.trials, dtype=np.float64)
@@ -596,5 +620,5 @@ def reference_mc_steady(model: ak.SystemModel, cfg: ak.SimConfig) -> ak.Estimate
             comp: _reference_cycles(cfg.seed, trial, ci, lam, mu, horizon)
             for ci, (comp, lam, mu) in enumerate(_reference_rates(model))
         }
-        values[trial] = reference_time_held(bounds, horizon, holds) / horizon
+        values[trial] = reference_time_held(bounds, horizon, holds)
     return _reference_estimate(values)

@@ -14,6 +14,7 @@ import availkit as ak
 from availkit import model as model_module
 from availkit import modelfile
 from availkit.casestudies import dfh3_abd, dfh3_ft
+from availkit.cli import main
 from availkit.modelfile import _TOKEN, NESTING_LIMIT, _lexical_fault, _Parser, _split_tokens
 from support import nested_model_text, rand_rate_pair, random_model, reference_lex, series_lines
 
@@ -180,6 +181,33 @@ class TestParseErrors:
         text = f'model "m" component A lambda={literal} mu=1 abd unit A'
         err = self.assert_error(text, "number literal too long")
         assert err.diagnostics[0].span.offset == text.index(literal)
+
+    # a diagnostic names a token of more than 32 characters by its first 32 and its
+    # length, at the same position and with the same exit code as a short one
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('model "m" component A lambda=1 mu=1 abd unit ' + "9" * 4000,
+             "1:46: expected component identifier, found '%s'... (4000 characters)" % ("9" * 32)),
+            ('model "m" component A lambda=%se3 mu=1 abd unit A' % ("9" * 4000),
+             "1:30: exponent in number literal '%s'... (4002 characters); numbers are integers, decimals or p/q" % ("9" * 32)),
+            ('model "m" component A lambda=%s/0 mu=1 abd unit A' % ("9" * 4000),
+             "1:30: zero denominator in rational literal '%s'... (4002 characters)" % ("9" * 32)),
+            ('model "m" component A lambda=1 mu=1 abd unit ' + "b" * 4000,
+             "1:46: unknown component reference '%s'... (4000 characters)" % ("b" * 32)),
+            ('model "m" component A lambda=1 mu=1 abd unit A "%s"' % ("n" * 31),
+             "1:48: unexpected trailing input '\"%s'... (33 characters)" % ("n" * 31)),
+            ('model "m" component A lambda=1 mu=1 abd unit A "%s"' % ("n" * 30),
+             "1:48: unexpected trailing input '\"%s\"'" % ("n" * 30)),
+        ],
+        ids=["identifier-expected", "exponent", "zero-denominator", "unknown-reference", "trailing-33", "trailing-32"],
+    )
+    def test_long_token_quoted_short(self, text, message, tmp_path, capsys):
+        assert lexed(ak.parse_model, text) == message
+        path = tmp_path / "long.avm"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
 
     # identifiers and numbers are ASCII: any other letter or digit is an
     # unexpected character

@@ -21,6 +21,7 @@ from support import (
     reference_mc_steady,
     reference_round,
     reference_time_held,
+    reference_unrounded_time_held,
     steady_leaf_probs,
 )
 
@@ -177,7 +178,7 @@ class TestTrajectory:
         bounds = np.cumsum(steps)
         grid = np.concatenate(([0.0], bounds))[None, :]
         owner = np.array([-1] + [0] * bounds.size)
-        return float(oracle._time_held(cls.SINGLE, ["C"], grid, owner, horizon, oracle._state_table(cls.SINGLE, ["C"]))[0])
+        return float(oracle._time_held(cls.SINGLE, ["C"], grid, owner, horizon, oracle._state_table(cls.SINGLE, ["C"]))[0] * horizon)
 
     def test_state_at_zero_is_up(self):
         assert self.up_time((2.0,), (1.0,), 1.5) == 1.5
@@ -485,22 +486,49 @@ class TestBatchedSteady:
         if first_round is not None:
             monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: first_round)
         for n in (oracle.TABLE_COMPONENTS, oracle.TABLE_COMPONENTS + 1):
-            names = [f"c{i}" for i in range(n)]
-            comps = {c: ak.ComponentDef(c, ak.RatePair(Fraction(i % 4 + 1, 2), Fraction(i % 3 + 2, 1))) for i, c in enumerate(names)}
-            half = n // 2
-            pairs = zip(names[0::2], names[1::2])
-            abd = ak.Series((*(ak.Parallel((ak.Unit(a), ak.Unit(b))) for a, b in pairs), ak.Parallel((ak.Unit(names[-1]), ak.Unit(names[0])))))
-            ft = ak.Or((
-                ak.Xor(ak.Basic(names[0]), ak.Basic(names[-1])),
-                ak.Nand(tuple(ak.Basic(c) for c in names[1:half]), tuple(ak.Basic(c) for c in names[half:])),
-            ))
-            for body in (abd, ft):
-                model = ak.SystemModel(f"width-{n}", comps, body)
+            for model in self.width_models(n):
                 assert len(ak.basic_events(model)) == n
                 assert (oracle._state_table(model, ak.basic_events(model)) is None) == (n > oracle.TABLE_COMPONENTS)
                 for horizon, trials in ((0.3, 9), (6.0, 4)):
                     cfg = ak.SimConfig(trials=trials, horizon=horizon, seed=2 ** 64 + n)
                     assert ak.mc_steady_availability(model, cfg) == reference_mc_steady(model, cfg), (ak.serialize_model(model), cfg)
+
+    @staticmethod
+    def width_models(n):
+        """A block diagram and a non-coherent tree over n components c0 .. c(n-1)."""
+        names = [f"c{i}" for i in range(n)]
+        comps = {c: ak.ComponentDef(c, ak.RatePair(Fraction(i % 4 + 1, 2), Fraction(i % 3 + 2, 1))) for i, c in enumerate(names)}
+        half = n // 2
+        pairs = zip(names[0::2], names[1::2])
+        abd = ak.Series((*(ak.Parallel((ak.Unit(a), ak.Unit(b))) for a, b in pairs), ak.Parallel((ak.Unit(names[-1]), ak.Unit(names[0])))))
+        ft = ak.Or((
+            ak.Xor(ak.Basic(names[0]), ak.Basic(names[-1])),
+            ak.Nand(tuple(ak.Basic(c) for c in names[1:half]), tuple(ak.Basic(c) for c in names[half:])),
+        ))
+        return [ak.SystemModel(f"width-{n}", comps, body) for body in (abd, ft)]
+
+    def test_rounding_bound(self):
+        # read with the times as drawn, each trial's held fraction is within the grid's
+        # columns times 2**tag ulps of the horizon: each time, the horizon among them,
+        # moves by less than 2**tag ulps of itself when the sort rounds it
+        for n in (oracle.TABLE_COMPONENTS, oracle.TABLE_COMPONENTS + 1):
+            tag = n.bit_length()
+            for model in self.width_models(n):
+                events = ak.basic_events(model)
+
+                def holds(up, model=model):
+                    return reference_holds(model.body, {c: not v for c, v in up.items()} if model.is_fault_tree else up)
+
+                for horizon in (0.3, 6.0, 200.0):
+                    bitgen = np.random.Philox(key=n)
+                    comps = oracle._component_rates(model)
+                    grid, owner = oracle._grid(bitgen, bitgen.state, comps, np.arange(9), horizon, oracle.STEADY_BLOCK_WORDS)
+                    got = oracle._time_held(model, events, grid, owner, horizon, oracle._state_table(model, events))
+                    bound = grid.shape[1] * 2 ** tag * math.ulp(horizon) / horizon
+                    for row, times in enumerate(grid):
+                        bounds = {e: times[owner == i] for i, e in enumerate(events)}
+                        unrounded = reference_unrounded_time_held(bounds, horizon, holds) / horizon
+                        assert abs(got[row] - unrounded) <= bound, (model.name, horizon, row)
 
     def test_one_state_table_per_estimate(self, monkeypatch):
         # the table is built once per estimate, however many blocks the trials take
@@ -531,6 +559,8 @@ class TestBatchedSteady:
                 assert peak <= 8 * 2 ** 20, (model.name, horizon, peak)
 
 
+# two floats past 8.0, in the middle of 8.0's bucket of 2**tag = 4 floats for two components
+BUCKET_HORIZON = math.nextafter(math.nextafter(8.0, 9.0), 9.0)
 SHARED = np.cumsum(np.arange(1, 201) * 0.6180339887498949 % 1.0 + 0.05).tolist()
 
 
@@ -554,10 +584,21 @@ class TestTimeHeld:
         # 200 instants at which both components toggle, with inexact spacings: a sum
         # of the held durations that took a zero-length epoch per tie would round differently
         "shared-instants": ([{"a": SHARED, "b": SHARED}], SHARED[100] + 0.5 * (SHARED[101] - SHARED[100])),
-        # b toggles at 1.0 and a one float later: times that differ only in their low bits, where
-        # the sort keys of the state-code sweep hold the owner, so the owners there sort out of time
-        # order.  The held time differs by that one float, 2**-52, wherever a's state decides it
+        # b toggles at 1.0 and a one float later: the two times share a bucket of 2**tag floats,
+        # whose low bits the sort keys give to the owner, so both read as the one instant 1.0.
+        # The state between them, one float long, is not integrated, whatever a's state decides
         "adjacent-floats": ([{"a": [math.nextafter(1.0, 2.0)], "b": [1.0]}], 1.5),
+        # the horizon lies inside its bucket of 2**tag floats.  Trial 0 holds a boundary one float
+        # above it and trial 1 one float below it; both round to the bucket's start, so both count
+        # as at the horizon.  Trial 2 has those columns below the horizon, so the grid keeps them
+        "horizon-bucket": (
+            [
+                {"a": [1.0, 5.0, math.nextafter(BUCKET_HORIZON, 9.0)], "b": [2.0]},
+                {"a": [1.0, 5.0], "b": [2.0, math.nextafter(BUCKET_HORIZON, 0.0)]},
+                {"a": [1.0, 3.0, 4.0], "b": [2.0, 6.0]},
+            ],
+            BUCKET_HORIZON,
+        ),
     }
 
     @staticmethod
@@ -609,6 +650,14 @@ class TestSimulationInputs:
     def test_horizon_must_be_finite(self, horizon):
         with pytest.raises(ValueError, match="finite"):
             ak.mc_steady_availability(self.SINGLE, ak.SimConfig(trials=3, horizon=horizon, seed=1))
+
+    def test_subnormal_horizon(self):
+        # the smallest horizon rounds to 0.0 with the times, so it takes the first bucket above it;
+        # every component stays up that long, so a single unit holds throughout
+        cfg = ak.SimConfig(trials=3, horizon=5e-324, seed=1)
+        got = ak.mc_steady_availability(self.SINGLE, cfg)
+        assert got == reference_mc_steady(self.SINGLE, cfg)
+        assert got.mean == 1.0
 
     def test_stream_draw_budget(self, monkeypatch):
         # R13's mean cycle is 40/3: t = 1000 asks for 2 * 98 words up front
