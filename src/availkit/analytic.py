@@ -172,7 +172,7 @@ def _check_time(t: float) -> float:
     t = float(t)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    return t
+    return abs(t)  # -0.0 passes the check; it is time 0.0
 
 
 def _float_rates(rates: RatePair, cid: Optional[str] = None) -> tuple[float, float]:

@@ -24,7 +24,7 @@ import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
 
@@ -107,7 +107,7 @@ def _parse_times(raw: Optional[str]) -> list[float]:
             raise ValueError(f"bad time value {part!r} in --at") from None
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"time values must be finite and >= 0, got {part!r}")
-        times.append(t)
+        times.append(abs(t))  # -0 passes the check; it is time 0
     return times
 
 
@@ -202,8 +202,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rows = []
     if cfg.horizon is not None:
         rows.append(_estimate_row(quantity, None, mc_steady_availability(model, cfg)))
-    for t in times:
-        rows.append(_estimate_row(quantity, t, mc_point_availability(model, t, cfg)))
+    if times:
+        rows += [_estimate_row(quantity, t, est) for t, est in zip(times, mc_point_availability(model, times, cfg))]
 
     report = {
         "tool": "availkit",
@@ -235,7 +235,8 @@ def _leaf_probs(model: SystemModel, t: Optional[float]) -> dict:
     return {e: leaf(model.components[e].rates, t) for e in basic_events(model)}
 
 
-def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict:
+def _compare_row(model: SystemModel, t: Optional[float], simulate: Callable[[], Estimate]) -> dict:
+    """One row of compare: the closed form and enumeration at t (steady if None), then simulate's estimate."""
     quantity = _quantity(model)
     analytic_value = None
     analytic_note = None
@@ -253,7 +254,7 @@ def _compare_row(model: SystemModel, t: Optional[float], cfg: SimConfig) -> dict
     else:
         exhaustive_note = f"n/a ({n_events} events exceed the {EXHAUSTIVE_EVENT_LIMIT}-event limit)"
 
-    est = mc_steady_availability(model, cfg) if t is None else mc_point_availability(model, t, cfg)
+    est = simulate()
 
     diff_ae = None
     ae_ok = True
@@ -295,9 +296,10 @@ def _run_compare(model: SystemModel, args: argparse.Namespace, command: str, ext
     times = _parse_times(args.at)
     cfg = _sim_config(args, default_horizon=10000.0)
 
-    rows = [_compare_row(model, None, cfg)]
-    for t in times:
-        rows.append(_compare_row(model, t, cfg))
+    # one simulation for every time point, run by the first point row
+    points = functools.cache(lambda: mc_point_availability(model, times, cfg))
+    rows = [_compare_row(model, None, lambda: mc_steady_availability(model, cfg))]
+    rows += [_compare_row(model, t, lambda i=i: points()[i]) for i, t in enumerate(times)]
 
     verdicts = [row["verdict"] for row in rows]
     if "FAIL" in verdicts:

@@ -308,9 +308,9 @@ class SystemModel:
     semantics) or a fault tree (unavailability semantics).  The component
     map preserves declaration order, which fixes the order of basic_events.
     The compiled program, the validation findings (none for a parsed
-    model, which is never walked) and the analytic decision diagram are
-    computed once and cached, so neither the components nor the body may
-    be mutated after construction.
+    model, which is never walked), the analytic decision diagram and the
+    oracle's truth table are computed once and cached, so neither the
+    components nor the body may be mutated after construction.
     """
 
     name: str

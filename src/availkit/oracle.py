@@ -9,7 +9,8 @@ Two independent routes:
   denominators factored out, T <- a * T[bit i = 1] + (D - a) * T[bit i = 0]
   over integers, giving the result as T / prod(D).  It evaluates gate set
   definitions literally, handles shared leaves, and shares nothing with
-  the analytic engine but the lift of the inputs to rationals.
+  the analytic engine but the lift of the inputs to rationals.  The
+  table is built once per model and kept with it.
 
 * mc_point_availability / mc_steady_availability simulate each component
   as an alternating renewal process (exponential up and down durations,
@@ -19,11 +20,11 @@ Random number contract: each estimate keys one Philox-4x64-10
 counter-based generator (Salmon et al., SC'11) with (seed mod 2**64, 0).
 Every (trial, component) stream is drawn in rounds of 2n words, n =
 int(1.2 * target / mean cycle) + 8 in the first round and doubled in
-each later one, for as long as its last boundary is <= target (the time
-point, or the horizon).  n depends only on the rates and the target, so
-every stream of a component has the same round sizes, and round r of
-every trial sits in one contiguous counter
-range: word j (j = 0 .. 2n_r - 1) of round r of trial i of component c
+each later one, for as long as its last boundary is <= target (the
+largest time of a group of time points, or the horizon).  n depends only
+on the rates and the target, so every stream of a component has the
+same round sizes, and round r of every trial sits in one contiguous
+counter range: word j (j = 0 .. 2n_r - 1) of round r of trial i of component c
 is lane j mod 4 of the block at counter (i * B_r + j div 4 + 1, r, 0, c),
 with B_r = ceil(2n_r / 4).  That is what np.random.Philox(key=seed mod
 2**64, counter=[i * B_r, r, 0, c]) yields first, because numpy's Philox
@@ -36,7 +37,7 @@ only on the seed, the trial, the component and the round, so results are
 bitwise identical for a fixed seed regardless of trial ordering or
 blocking.
 
-Both estimators run one simulation (_simulate): trials in blocks, each
+Both estimators run the same simulation (_simulate): trials in blocks, each
 block's streams drawn round by round (_rounds) through one routine
 (_draw), one random_raw call of the C np.random.Philox per run of
 consecutive trials in a round of a component, so a block's first round
@@ -44,7 +45,8 @@ is one call.  Every boundary <= target of every component of a block
 goes into one (trials, columns) grid (_grid); the boundaries a stream
 drew past the target are dropped before either estimator reads them.
 The estimators read that grid in two ways.  A point estimate takes each
-component's state at t as the parity of its boundaries <= t.  A
+component's state at t as the parity of its boundaries <= t, so a grid
+drawn to the largest time of a group is read at every time of it.  A
 steady-state estimate orders each trial's state changes by one integer
 sort (_time_held), which rounds every time and the horizon down to a
 multiple of 2**tag ulps, tag being the component count's bit length:
@@ -53,9 +55,8 @@ by less than 2**(tag - 52) relative, 2**-47 for up to 16 components and
 up to the horizon, each component's state at a change being the parity
 of its changes so far; a trial's held time is one running sum, left to
 right along its row.  Models of up to TABLE_COMPONENTS components read
-the structure from a table over all 2^k state codes, built once per
-estimate; wider models evaluate it on leaf arrays swept in 64-bit
-groups.  Every stream may draw at most STREAM_DRAW_LIMIT words.
+the structure from a table over all 2^k state codes, the model's truth
+table; wider models evaluate it on leaf arrays swept in 64-bit groups.  Every stream may draw at most STREAM_DRAW_LIMIT words.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -99,9 +99,11 @@ EXHAUSTIVE_EVENT_LIMIT = 20
 # random words one renewal stream may draw (32 MiB of them); the largest
 # stream in the tests and benchmark workloads draws 18016
 STREAM_DRAW_LIMIT = 1 << 22
-# trials one estimate may run: each takes 8 bytes of the value array the
-# estimators allocate up front, so this caps it at 80 MB; the tests run at
-# most 100000 trials and the benchmark workloads 300
+# trials one estimate may run.  A steady-state estimate keeps 8 bytes per
+# trial; a point estimate keeps one byte per trial and time of a group, at
+# most TRIAL_LIMIT // trials times, and 8 bytes per trial while it averages
+# one of them.  Either holds at most 80 MB however many times are asked;
+# the tests run at most 100000 trials and the benchmark workloads 300
 TRIAL_LIMIT = 10 ** 7
 # random words the first rounds of one block of trials draw, bounding the
 # block's boundary grid.  Point grids are short: at 2**15 a DFH-3 point
@@ -114,7 +116,7 @@ TRIAL_LIMIT = 10 ** 7
 POINT_BLOCK_WORDS = 1 << 18
 STEADY_BLOCK_WORDS = 1 << 16
 # models of up to this many components read their structure function from
-# one table over all 2**k state codes, built once per steady-state estimate
+# one table over all 2**k state codes, the truth table kept with the model
 TABLE_COMPONENTS = 16
 
 _WORD_SHIFT = np.uint64(11)
@@ -135,9 +137,18 @@ def structure_holds(expr: Expr, truth: Mapping[str, bool]) -> bool:
 
 
 def _truth_table(model: SystemModel, events: list[str]) -> np.ndarray:
-    """The structure function over all 2^n rows: bit i of a row sets leaf events[i] true."""
-    rows = np.arange(1 << len(events), dtype=np.int64)
-    return _signal(model.program, {e: (rows >> i) & 1 == 1 for i, e in enumerate(events)})
+    """The structure function over all 2^n rows: bit i of a row sets leaf events[i] true.
+
+    Kept read-only in the model's __dict__, like program, with its events:
+    the engines pass basic_events(model), so each model builds it once.
+    """
+    kept = vars(model).get("_truth_table")
+    if kept is None or kept[0] != events:
+        rows = np.arange(1 << len(events), dtype=np.int64)
+        table = _signal(model.program, {e: (rows >> i) & 1 == 1 for i, e in enumerate(events)})
+        table.flags.writeable = False
+        kept = vars(model)["_truth_table"] = (list(events), table)
+    return kept[1]
 
 
 def exhaustive_probability(
@@ -472,41 +483,59 @@ def _check_trials(cfg: SimConfig) -> None:
         raise ValueError(f"trials must be <= {TRIAL_LIMIT}, got {cfg.trials}")
 
 
-def _simulate(model: SystemModel, cfg: SimConfig, target: float, block_words: int, reduce: Callable) -> np.ndarray:
-    """Per trial, reduce(model, events, grid, owner, target) over the _grid of its block.
+def _simulate(model: SystemModel, cfg: SimConfig, target: float, block_words: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The trials in blocks, each as (its slice of the trial range, its _grid and owner) drawn to target.
 
-    Trials run in blocks whose first rounds draw at most block_words words,
-    or one trial's; results do not depend on the blocking.
+    A block's first rounds draw at most block_words words, or one trial's;
+    the grids do not depend on the blocking.
     """
     comps = _component_rates(model)
-    events = [comp for comp, _, _ in comps]
     first_rounds = sum(2 * _first_round_cycles(lam, mu, target) for _, lam, mu in comps)
     step = max(1, block_words // first_rounds)  # trials whose first rounds fill a block
     bitgen = np.random.Philox(key=cfg.seed & _MASK64)
     state = bitgen.state
     state["buffer_pos"] = 4  # empty: the next word comes from a fresh block
-    values = np.empty(cfg.trials, dtype=np.float64)
     for lo in range(0, cfg.trials, step):
         trials = np.arange(lo, min(lo + step, cfg.trials))
-        grid, owner = _grid(bitgen, state, comps, trials, target, block_words)
-        values[lo:lo + step] = reduce(model, events, grid, owner, target)
-    return values
+        yield slice(lo, lo + step), *_grid(bitgen, state, comps, trials, target, block_words)
 
 
-def mc_point_availability(model: SystemModel, t: float, cfg: SimConfig) -> Estimate:
-    """Estimate the structure function's probability at time t.
+def mc_point_availability(
+    model: SystemModel, t: Union[float, Sequence[float]], cfg: SimConfig
+) -> Union[Estimate, list[Estimate]]:
+    """Estimate the structure function's probability at time t, or at each time of a sequence t.
 
     Per trial, every component gets an independent renewal trajectory and
     the structure function is evaluated on the component states at t.
     For block diagrams the mean estimates availability at t; for fault
     trees it estimates the top event probability (unavailability) at t.
-    Trials are simulated in blocks of POINT_BLOCK_WORDS first-round words,
-    and each block's grid is read at t.
+    A sequence gives a list with one Estimate per time, in its order.
+
+    Every time is checked before anything is drawn.  The distinct times,
+    sorted, run in groups of at most TRIAL_LIMIT // trials consecutive
+    times, and each group is one simulation drawn to its largest time:
+    trials in blocks of POINT_BLOCK_WORDS first-round words, each block's
+    grid read at every time of the group.  So the times of a group share
+    their trajectories, and an estimate depends on the seed, the trials,
+    its time and the largest time of its group; a single time is a group
+    of one.
     """
     _require_valid(model)
     _check_trials(cfg)
-    t = _check_time(t)
-    return _estimate(_simulate(model, cfg, t, POINT_BLOCK_WORDS, _held_at))
+    single = np.ndim(t) == 0
+    times = [_check_time(at) for at in ([t] if single else t)]
+    events = basic_events(model)
+    distinct = sorted(set(times))
+    size = max(1, TRIAL_LIMIT // cfg.trials)
+    estimates = {}
+    for lo in range(0, len(distinct), size):
+        group = distinct[lo:lo + size]
+        held = np.empty((cfg.trials, len(group)), dtype=bool)  # one byte per trial and time
+        for block, grid, owner in _simulate(model, cfg, group[-1], POINT_BLOCK_WORDS):
+            for k, at in enumerate(group):
+                held[block, k] = _held_at(model, events, grid, owner, at)
+        estimates.update((at, _estimate(held[:, k].astype(np.float64))) for k, at in enumerate(group))
+    return estimates[times[0]] if single else [estimates[at] for at in times]
 
 
 def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
@@ -519,7 +548,7 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     Trials are simulated in blocks of STEADY_BLOCK_WORDS first-round words,
     and each block's grid is integrated up to the horizon, every time
     rounded as _time_held says.  A model of up to TABLE_COMPONENTS
-    components has its structure function tabulated over every state code
+    components reads its structure function from its truth table, taken
     once, before the first block.
     """
     _require_valid(model)
@@ -527,5 +556,9 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     if cfg.horizon is None or not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     horizon = float(cfg.horizon)
-    table = _state_table(model, basic_events(model))
-    return _estimate(_simulate(model, cfg, horizon, STEADY_BLOCK_WORDS, partial(_time_held, table=table)))
+    events = basic_events(model)
+    table = _state_table(model, events)
+    values = np.empty(cfg.trials, dtype=np.float64)
+    for block, grid, owner in _simulate(model, cfg, horizon, STEADY_BLOCK_WORDS):
+        values[block] = _time_held(model, events, grid, owner, horizon, table)
+    return _estimate(values)

@@ -7,7 +7,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -536,18 +536,21 @@ def _reference_estimate(values: np.ndarray) -> ak.Estimate:
     return ak.Estimate(mean=float(values.mean()), std_error=se, trials=n)
 
 
-def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig) -> ak.Estimate:
+def reference_mc_point(model: ak.SystemModel, t: float, cfg: ak.SimConfig, target: Optional[float] = None) -> ak.Estimate:
     """The per-trial point estimator that the batched one must equal exactly.
 
     One np.random.Philox generator per (trial, component, round), drawn
-    in the rounds of _reference_cycles; the state at t is read from the
-    boundaries with searchsorted and the structure with reference_holds.
+    in the rounds of _reference_cycles out to target (t by default; a
+    time of a curve is drawn to the largest time of its group); the state
+    at t is read from the boundaries with searchsorted and the structure
+    with reference_holds.
     """
+    target = t if target is None else target
     values = np.empty(cfg.trials, dtype=np.float64)
     for trial in range(cfg.trials):
         truth = {}
         for ci, (comp, lam, mu) in enumerate(_reference_rates(model)):
-            bounds = _reference_cycles(cfg.seed, trial, ci, lam, mu, t)
+            bounds = _reference_cycles(cfg.seed, trial, ci, lam, mu, target)
             up = int(np.searchsorted(bounds, t, side="right")) % 2 == 0
             truth[comp] = (not up) if model.is_fault_tree else up
         values[trial] = 1.0 if reference_holds(model.body, truth) else 0.0

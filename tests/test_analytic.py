@@ -604,6 +604,12 @@ class TestEvaluatePoint:
         with pytest.raises(ValueError):
             ak.evaluate_point(dfh3_abd(), -1.0)
 
+    def test_negative_zero_is_time_zero(self):
+        # -0.0 passes the check as time 0; it is reported as 0.0, not with its sign
+        result = ak.evaluate_point(dfh3_abd(), -0.0)
+        assert result.probability.value == 1.0
+        assert math.copysign(1.0, result.time) == 1.0
+
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_rejected(self, t):
         # inf used to return the steady value through floating point

@@ -220,11 +220,38 @@ class TestSimulate:
         assert main(["simulate", abd_file, "--trials", "5", "--horizon", "100000"]) == 2
         assert "per-stream limit of 1000" in capsys.readouterr().err
 
+    def test_refused_time_list_names_its_largest_time(self, abd_file, capsys, monkeypatch):
+        # the times are drawn to the largest one, in any order, so its draw count is the one refused
+        monkeypatch.setattr(oracle, "STREAM_DRAW_LIMIT", 1000)
+        assert main(["simulate", abd_file, "--trials", "5", "--at", "100000"]) == 2
+        alone = capsys.readouterr().err
+        for at in ("1,100000", "100000,1", "1,2,100000,3"):
+            assert main(["simulate", abd_file, "--trials", "5", "--at", at]) == 2
+            assert capsys.readouterr().err == alone, at
+
     @pytest.mark.parametrize("flags", [["--at", "1"], ["--horizon", "10"]])
     def test_trial_budget_exit_2(self, abd_file, capsys, flags):
         trials = oracle.TRIAL_LIMIT + 1
         assert main(["simulate", abd_file, "--trials", str(trials)] + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"trials must be <= {oracle.TRIAL_LIMIT}, got {trials}"]
+
+
+@pytest.mark.parametrize(
+    "argv, row, column",
+    [
+        (["analyze", "--at=-0"], 3, 1),
+        (["simulate", "--at=-0", "--trials", "5"], 2, 1),
+        (["compare", "--at=-0", "--trials", "5", "--horizon", "50"], 3, 0),
+    ],
+    ids=["analyze", "simulate", "compare"],
+)
+def test_negative_zero_time_is_time_0(abd_file, capsys, argv, row, column):
+    # -0 passes the time check; its row says 0, in the table and in --json
+    name, *flags = argv
+    assert main([name, abd_file, *flags, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][-1]["time"] == "0"
+    assert main([name, abd_file, *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[row].split()[column] == "0"
 
 
 SHARED_TEXT = """model "shared"
@@ -248,6 +275,27 @@ def test_decision_diagram_built_once_per_model(tmp_path, capsys, monkeypatch, ar
     rows = json.loads(capsys.readouterr().out)["results"]
     assert len(builds) == 1 and len(rows) == 4
     assert rows[0]["exact" if argv[0] == "analyze" else "analytic_exact"] == "3/16"
+
+
+@pytest.mark.parametrize(
+    "argv, uses",
+    [
+        (["compare", "--at", "0.5,1,2", "--trials", "20", "--horizon", "100"], 5),
+        (["compare", "--trials", "20", "--horizon", "100"], 2),
+    ],
+    ids=["compare-at", "compare"],
+)
+def test_truth_table_built_once_per_model(tmp_path, capsys, monkeypatch, argv, uses):
+    # enumeration in every row and the steady simulation's state table read one truth table
+    tables = []
+    table_of = oracle._truth_table
+    monkeypatch.setattr(oracle, "_truth_table", lambda model, events: tables.append(table_of(model, events)) or tables[-1])
+    path = write_model(tmp_path, "shared.avm", SHARED_TEXT)
+    assert main([argv[0], path, *argv[1:], "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert len(tables) == uses and all(table is tables[0] for table in tables)
+    assert not tables[0].flags.writeable
+    assert rows[0]["exhaustive"] == "0.1875" and len(rows) == uses - 1
 
 
 def test_node_limit_refusal_built_once_per_model(tmp_path, capsys, monkeypatch):
@@ -509,12 +557,19 @@ class TestValidation:
 
             monkeypatch.setattr(cli, name, counting)
         sim = ["--horizon", "5", "--at", "1", "--trials", "4"]
+        curve = ["--horizon", "5", "--at", "1,2", "--trials", "4"]
         runs = [
             (["analyze", abd_file, "--at", "1,2"], ["evaluate_steady", "evaluate_point", "evaluate_point"]),
             (["simulate", abd_file] + sim, ["mc_steady_availability", "mc_point_availability"]),
             (
                 ["compare", ft_file] + sim,
                 ["evaluate_steady", "mc_steady_availability", "evaluate_point", "mc_point_availability"],
+            ),
+            # one point simulation per command, however many times: compare runs it at the first point row
+            (["simulate", abd_file] + curve, ["mc_steady_availability", "mc_point_availability"]),
+            (
+                ["compare", ft_file] + curve,
+                ["evaluate_steady", "mc_steady_availability", "evaluate_point", "mc_point_availability", "evaluate_point"],
             ),
         ]
         for argv, expected in runs:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -420,6 +421,86 @@ class TestBatchedPoint:
                 cfg = ak.SimConfig(trials=(2, 9, 41)[i % 3], seed=rng.randrange(2 ** 64))
                 got = ak.mc_point_availability(model, t, cfg)
                 assert got == reference_mc_point(model, t, cfg), (ak.serialize_model(model), t, cfg)
+
+
+class TestPointCurve:
+    """A sequence of times is one simulation per group of times, read at each of them."""
+
+    TIMES = (2.5, 0.0, 0.4, 9.0)
+
+    @staticmethod
+    def shared_models(seed):
+        rng = random.Random(seed)
+        models = [dfh3_abd(), dfh3_ft()]
+        while len(models) < 11:
+            model = random_model(rng, ("abd", "coherent-ft", "ft")[len(models) % 3])
+            if not model.leaves_distinct:  # shared leaves in every random model
+                models.append(model)
+        return rng, models
+
+    def test_each_time_equals_the_reference_drawn_to_the_largest(self):
+        rng, models = self.shared_models(37)
+        for i, model in enumerate(models):
+            cfg = ak.SimConfig(trials=(2, 9, 41)[i % 3], seed=rng.randrange(2 ** 64))
+            got = ak.mc_point_availability(model, self.TIMES, cfg)
+            assert isinstance(got, list) and len(got) == len(self.TIMES)
+            for t, est in zip(self.TIMES, got):
+                assert est == reference_mc_point(model, t, cfg, target=9.0), (ak.serialize_model(model), t, cfg)
+
+    def test_one_time_is_a_group_of_one(self):
+        # a single float keeps its return value and its bits; a list of one gives the same estimate in a list
+        rng, models = self.shared_models(41)
+        for model in models[:5]:
+            cfg = ak.SimConfig(trials=23, seed=rng.randrange(2 ** 64))
+            for t in (0.4, 2.5):
+                est = ak.mc_point_availability(model, t, cfg)
+                assert isinstance(est, ak.Estimate)
+                assert est == reference_mc_point(model, t, cfg)
+                assert ak.mc_point_availability(model, [t], cfg) == [est]
+                assert ak.mc_point_availability(model, np.array([t]), cfg) == [est]
+        assert ak.mc_point_availability(dfh3_abd(), [], ak.SimConfig(trials=3, seed=1)) == []
+
+    def test_order_and_repeats_do_not_matter(self):
+        cfg = ak.SimConfig(trials=50, seed=8)
+        for model in (dfh3_abd(), dfh3_ft()):
+            by_time = dict(zip(sorted(self.TIMES), ak.mc_point_availability(model, sorted(self.TIMES), cfg)))
+            for times in ([9.0, 0.4, 2.5, 0.0], [0.4, 9.0, 0.4, 2.5, 9.0], (0.0, 0.0, 9.0, 2.5, 0.4, 2.5)):
+                assert ak.mc_point_availability(model, times, cfg) == [by_time[t] for t in times], times
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([1.0, 2.0, math.inf], "time must be finite and >= 0, got inf"),
+            ([math.nan, 1.0], "time must be finite and >= 0, got nan"),
+            ((4.0, -1.0, 2.0), "time must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_time_refused_before_any_draw(self, monkeypatch, times, message):
+        draws = []
+        draw = oracle._draw
+        monkeypatch.setattr(oracle, "_draw", lambda *args: draws.append(args) or draw(*args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ak.mc_point_availability(dfh3_abd(), times, ak.SimConfig(trials=5, seed=1))
+        assert draws == []
+        ak.mc_point_availability(dfh3_abd(), [1.0, 2.0], ak.SimConfig(trials=5, seed=1))
+        assert draws  # the counter sees the draws of a good list
+
+    def test_groups_bounded_by_the_trial_limit(self, monkeypatch):
+        # at most TRIAL_LIMIT // trials times share a simulation: 5 trials against a limit
+        # of 10 make groups of two consecutive distinct times, the last one alone
+        monkeypatch.setattr(oracle, "TRIAL_LIMIT", 10)
+        grids = []
+        build = oracle._grid
+        monkeypatch.setattr(oracle, "_grid", lambda *args: grids.append(args[4]) or build(*args))
+        times = [7.0, 0.3, 2.0, 1.0, 4.0, 2.0]
+        groups = {0.3: 1.0, 1.0: 1.0, 2.0: 4.0, 4.0: 4.0, 7.0: 7.0}  # each time's group's largest time
+        cfg = ak.SimConfig(trials=5, seed=12)
+        for model in (dfh3_abd(), dfh3_ft()):
+            grids.clear()
+            got = ak.mc_point_availability(model, times, cfg)
+            assert grids == [1.0, 4.0, 7.0]  # one block per group, drawn to its largest time
+            for t, est in zip(times, got):
+                assert est == reference_mc_point(model, t, cfg, target=groups[t]), (model.name, t)
 
 
 class TestBatchedSteady:
