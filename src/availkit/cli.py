@@ -236,7 +236,12 @@ def _leaf_probs(model: SystemModel, t: Optional[float]) -> dict:
 
 
 def _compare_row(model: SystemModel, t: Optional[float], simulate: Callable[[], Estimate]) -> dict:
-    """One row of compare: the closed form and enumeration at t (steady if None), then simulate's estimate."""
+    """One row of compare: the closed form and enumeration at t (steady if None), then simulate's estimate.
+
+    The estimate passes within 4 standard errors of the reference: its own
+    SE in steady state, the binomial SE sqrt(p (1 - p) / trials) at the
+    reference value p at a time point.  One trial has no SE and fails.
+    """
     quantity = _quantity(model)
     analytic_value = None
     analytic_note = None
@@ -268,8 +273,12 @@ def _compare_row(model: SystemModel, t: Optional[float], simulate: Callable[[], 
     diff_sim = None
     sim_ok = True
     if reference is not None:
-        diff_sim = abs(float(reference) - est.mean)
-        sim_ok = est.std_error is not None and diff_sim <= 4.0 * est.std_error
+        p = float(reference)
+        diff_sim = abs(p - est.mean)
+        # a point estimate is a mean of 0/1 trials: judged by the binomial SE at the
+        # reference, as a sample SE of 0 (every trial agreeing) would fail any |diff| > 0
+        se = est.std_error if t is None or est.std_error is None else math.sqrt(max(0.0, p * (1 - p)) / est.trials)
+        sim_ok = se is not None and diff_sim <= 4.0 * se
 
     if reference is None:
         verdict = "NO-REFERENCE"

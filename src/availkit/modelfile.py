@@ -39,9 +39,8 @@ is one token; otherwise (a comment, an unterminated string, a number such
 as '1e3', an unexpected character) one findall of the token regex gives
 it.  Only a diagnostic works out offsets, from a finditer of that regex,
 and scans the texts for the first lexical fault, which it reports before
-any other, as lexing the whole text first would.  A run of well-formed
-component declarations is read by strided slices of the list; a run with
-a fault in it is read one declaration at a time, which reports it.
+any other, as lexing the whole text first would.  Component declarations
+are read by strided slices of the list, which also find their faults.
 
 The serializer emits the canonical form
 (components in declaration order, two-space indentation, one construct
@@ -236,6 +235,20 @@ def _lexical_fault(tokens: list[str]) -> Optional[tuple[int, str]]:
     return None
 
 
+# The seven tokens of a component declaration after 'component', in order:
+# the keyword or symbol each must be, or the characters its first character
+# must be one of, and what a diagnostic calls it.
+_DECLARATION = (
+    (_IDENT_START, "component identifier"),
+    ("lambda", "'lambda'"),
+    ("=", "'='"),
+    (_DIGITS, "failure rate"),
+    ("mu", "'mu'"),
+    ("=", "'='"),
+    (_DIGITS, "repair rate"),
+)
+
+
 class _Grammar(NamedTuple):
     """The nodes of one body kind, by the keyword that starts each, and the texts of its diagnostics."""
 
@@ -259,9 +272,10 @@ class _Parser:
     None, so the loop over the text runs in C either way.  A token's text
     alone tells keywords and symbols apart from every other token, and its
     first character gives its kind, so matching one compares texts only.
-    One routine, parse_node, reads either body kind from its _Grammar
-    table.  The parser counts brace levels as it takes braces and reads
-    the rate literals it takes, so a text it accepts has no lexical fault.
+    One routine, declarations, reads a run of component declarations, and
+    one, parse_node, either body kind from its _Grammar table.  The parser
+    counts brace levels as it takes braces and reads the rate literals it
+    takes, so a text it accepts has no lexical fault.
 
     The first diagnostic gives every token its offset, from a finditer
     whose matches are the findall's, and so the split's, and reports the
@@ -338,36 +352,6 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------
 
-    def declaration(self) -> list[str]:
-        """Consume one component declaration and return its 8 token texts.
-
-        A declaration is 'component' IDENT 'lambda' '=' NUMBER 'mu' '='
-        NUMBER, read token by token, which raises at its first token out of
-        place.
-        """
-        at = self.pos
-        self.pos = at + 1
-        self.take(_IDENT_START, "component identifier")
-        self.expect("lambda")
-        self.expect("=")
-        self.take(_DIGITS, "failure rate")
-        self.expect("mu")
-        self.expect("=")
-        self.take(_DIGITS, "repair rate")
-        return self.tokens[at : self.pos]
-
-    def rate(self, index: int, values: dict[str, tuple[Fraction, bool]]) -> tuple[Fraction, bool]:
-        """The value of the rate literal at index and whether it is positive, read once per literal."""
-        literal = self.tokens[index]
-        known = values.get(literal)
-        if known is None:
-            try:
-                value = _number(literal)
-            except ValueError as exc:
-                raise self.fail(index, str(exc)) from None
-            known = values[literal] = (value, value > 0)
-        return known
-
     def parse_model(self) -> SystemModel:
         tokens = self.tokens
         self.expect("model")
@@ -376,32 +360,7 @@ class _Parser:
         if name[:1] != '"' or len(name) < 2:
             raise self.fail(at, "expected model name string")
 
-        components = self.strided_declarations()
-        if components is None:  # a faulty declaration: read them one by one, which reports it
-            components = {}
-            values: dict[str, tuple[Fraction, bool]] = {}
-            # each pair of positive rates by its two literals, shared by the components
-            # declaring them; a pair with a nonpositive rate is not kept, so every
-            # declaration of it is reported
-            pairs: dict[tuple[str, str], RatePair] = {}
-            while tokens[self.pos] == "component":
-                at = self.pos
-                _, cid, _, _, lam, _, _, mu = self.declaration()
-                if cid in components:
-                    self.note(at + 1, f"duplicate component id {_quoted(cid)}")
-                    continue
-                rates = pairs.get((lam, mu))
-                if rates is None:
-                    lam_value, lam_ok = self.rate(at + 4, values)
-                    mu_value, mu_ok = self.rate(at + 7, values)
-                    if not lam_ok:
-                        self.note(at + 4, f"nonpositive failure rate at {cid}")
-                    if not mu_ok:
-                        self.note(at + 7, f"nonpositive repair rate at {cid}")
-                    rates = RatePair(lam_value, mu_value)
-                    if lam_ok and mu_ok:
-                        pairs[lam, mu] = rates
-                components[cid] = ComponentDef(cid, rates)
+        components = self.declarations()
 
         at = self.advance()
         if tokens[at] not in _BODIES:
@@ -419,40 +378,56 @@ class _Parser:
             raise ModelFileError(self.diagnostics)
         return SystemModel(name=name[1:-1], components=components, body=body)
 
-    def strided_declarations(self) -> Optional[dict[str, ComponentDef]]:
-        """The components of the run of declarations at pos, read by strided slices, or None.
+    def declarations(self) -> dict[str, ComponentDef]:
+        """The components of the run of declarations at pos, read by strided slices; pos moves past it.
 
-        Each declaration is 8 tokens, so the run's k-th tokens are the slice
-        tokens[at + k : end : 8], and its shape is a few slice comparisons.
-        Each distinct pair of rate literals is read once, into one RatePair
-        that every component declaring it shares, as parse_model's loop
-        shares it.  None, with pos unmoved, if any declaration is faulty
-        (out of shape, a duplicate id, a rate that is unreadable or not
-        positive): that loop then reads the run again and reports it.
+        A declaration is 'component' and the seven tokens of _DECLARATION,
+        so each of its places is one slice of the run, and a clean run takes
+        a few slice comparisons.  A faulty run is cut at its first
+        declaration out of shape, found with _DECLARATION.  Each distinct
+        pair of rate literals before the cut is read once, into one shared
+        RatePair.  Then, in declaration order, a duplicate id is noted alone
+        and any other declaration's nonpositive lambda, then mu; last, the
+        cut declaration raises at its first token out of place.
         """
         tokens, at = self.tokens, self.pos
         n = len(list(takewhile("component".__eq__, tokens[at::8])))
         end = at + 8 * n
         ids = tokens[at + 1 : end : 8]
+        literals = list(zip(tokens[at + 4 : end : 8], tokens[at + 7 : end : 8]))
+        pairs = set(literals)
         equals = ["="] * n
+        misplaced = None  # index of the cut declaration's first token out of place
         if not (tokens[at + 2 : end : 8] == ["lambda"] * n and tokens[at + 3 : end : 8] == equals
                 and tokens[at + 5 : end : 8] == ["mu"] * n and tokens[at + 6 : end : 8] == equals
-                and all(map(str.isidentifier, ids)) and all(map(str.isascii, ids)) and len(set(ids)) == n):
-            return None
-        literals = list(zip(tokens[at + 4 : end : 8], tokens[at + 7 : end : 8]))
+                and all(map(str.isidentifier, ids)) and all(map(str.isascii, ids))
+                and all(lam[:1] in _DIGITS and mu[:1] in _DIGITS for lam, mu in pairs)):
+            misplaced = next(i for start in range(at, end, 8) for i, (want, _) in enumerate(_DECLARATION, start + 1)
+                             if not (tokens[i][:1] in want if isinstance(want, frozenset) else tokens[i] == want))
+            end = misplaced - (misplaced - at) % 8
+            del ids[(end - at) // 8 :], literals[(end - at) // 8 :]
+            pairs = set(literals)
         shared: dict[tuple[str, str], RatePair] = {}
-        for lam, mu in set(literals):
-            if lam[:1] not in _DIGITS or mu[:1] not in _DIGITS:
-                return None
+        for lam, mu in pairs:
             try:
-                rates = RatePair(_number(lam), _number(mu))
-            except ValueError:
-                return None
-            if not (rates.failure_rate > 0 and rates.repair_rate > 0):
-                return None
-            shared[lam, mu] = rates
+                shared[lam, mu] = RatePair(_number(lam), _number(mu))
+            except ValueError as exc:  # a lexical fault, so the first diagnostic reports it or one before it
+                raise self.fail(at + 4 + 8 * literals.index((lam, mu)), str(exc)) from None
         self.pos = end
-        return dict(zip(ids, map(ComponentDef, ids, map(shared.__getitem__, literals))))
+        if len(set(ids)) < len(ids) or not all(r.failure_rate > 0 and r.repair_rate > 0 for r in shared.values()):
+            seen: set[str] = set()
+            for start, cid, pair in zip(range(at, end, 8), ids, literals):
+                if cid in seen:
+                    self.note(start + 1, f"duplicate component id {_quoted(cid)}")
+                    continue
+                seen.add(cid)
+                if not shared[pair].failure_rate > 0:
+                    self.note(start + 4, f"nonpositive failure rate at {cid}")
+                if not shared[pair].repair_rate > 0:
+                    self.note(start + 7, f"nonpositive repair rate at {cid}")
+        if misplaced is not None:
+            raise self.unexpected(misplaced, _DECLARATION[(misplaced - at) % 8 - 1][1])
+        return dict(zip(ids, map(ComponentDef, ids, map(shared.__getitem__, literals))))  # with a note, never used
 
     def parse_children(self) -> tuple:
         self.open()

@@ -275,6 +275,73 @@ def reference_lex(text: str) -> list[tuple]:
     return tokens
 
 
+def _reference_lexical_fault(tok: str) -> Optional[str]:
+    """The message of a whole token that is a lexical fault, or None (reference_lex, ASCII only)."""
+    if not tok.isascii():
+        return f"unexpected character {tok[0]!r}"
+    try:
+        reference_lex(tok)
+    except ak.ModelFileError as err:
+        return err.diagnostics[0].message
+    return None
+
+
+def reference_declarations(tokens: list[str]) -> tuple[Optional[dict], list[tuple[int, str]], int]:
+    """A run of component declarations read one token at a time, as the parser once read it.
+
+    tokens are the texts after the model name, the run starting at index 0.
+    Returns each id's (lambda, mu) literals, the diagnostics as (token
+    index, message) pairs and the index past the run.  A declaration is
+    read token by token up to its first token out of place, which ends the
+    reading with the last diagnostic, and the components are then None;
+    before it, a repeated id is noted alone, and any other declaration's
+    nonpositive lambda, then mu.  A declaration with an unreadable literal,
+    or any diagnostic at all, gives way to the first lexical fault among
+    all the tokens, reported alone.  Tokens are quoted whole, as the parser
+    quotes those of up to 32 characters.
+    """
+    tokens = [*tokens, ""]  # the end
+    places = [
+        (lambda tok: tok[:1].isascii() and (tok[:1].isalpha() or tok[:1] == "_"), "component identifier"),
+        (lambda tok: tok == "lambda", "'lambda'"),
+        (lambda tok: tok == "=", "'='"),
+        (lambda tok: tok[:1].isascii() and tok[:1].isdigit(), "failure rate"),
+        (lambda tok: tok == "mu", "'mu'"),
+        (lambda tok: tok == "=", "'='"),
+        (lambda tok: tok[:1].isascii() and tok[:1].isdigit(), "repair rate"),
+    ]
+    components: Optional[dict] = {}
+    diagnostics: list[tuple[int, str]] = []
+    at = 0
+    unreadable = False
+    while tokens[at] == "component" and not unreadable:
+        for index, (fits, what) in enumerate(places, at + 1):
+            tok = tokens[index]
+            if not fits(tok):
+                diagnostics.append((index, f"expected {what}, found {tok!r}" if tok else f"expected {what}"))
+                components = None
+                break
+        if components is None:
+            break
+        cid, lam, mu = tokens[at + 1], tokens[at + 4], tokens[at + 7]
+        if cid in components:
+            diagnostics.append((at + 1, f"duplicate component id {cid!r}"))
+        elif _reference_lexical_fault(lam) or _reference_lexical_fault(mu):
+            unreadable = True
+        else:
+            components[cid] = (lam, mu)
+            if Fraction(lam) <= 0:
+                diagnostics.append((at + 4, f"nonpositive failure rate at {cid}"))
+            if Fraction(mu) <= 0:
+                diagnostics.append((at + 7, f"nonpositive repair rate at {cid}"))
+        at += 8
+    if diagnostics or unreadable:
+        lexical = [(index, message) for index, tok in enumerate(tokens) if (message := _reference_lexical_fault(tok))]
+        if lexical:
+            return None, lexical[:1], at
+    return components, diagnostics, at
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
     """The primes p with lo <= p < hi, by a segmented sieve (lo >= 2)."""
     flags = bytearray([1]) * (hi - lo)

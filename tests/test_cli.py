@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import availkit as ak
-from availkit import analytic, cli, model, oracle
+from availkit import analytic, cli, cutsets, model, oracle
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
 from availkit.modelfile import NESTING_LIMIT
@@ -409,6 +409,32 @@ class TestCompare:
         assert zero_row["sim_mean"] == "1"
         assert zero_row["verdict"] == "PASS"
 
+    def test_point_trials_all_agreeing_pass(self, tmp_path, capsys, monkeypatch):
+        # all 200 trials are up at t = 0.001, so the sample SE is 0; the binomial SE
+        # at the exact value, sqrt(p (1 - p) / 200), judges the |diff| of 0.0016
+        monkeypatch.chdir(tmp_path)
+        assert main(["casestudy", "dfh3-abd", "--out", "dfh3.avm"]) == 0
+        capsys.readouterr()
+        assert main(["compare", "dfh3.avm", "--at", "0.001", "--trials", "200", "--seed", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        point = report["results"][1]
+        assert (point["sim_mean"], point["sim_std_error"]) == ("1", "0")
+        assert point["analytic"] == "0.998401539195"
+        assert point["verdict"] == report["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_point_estimate_ten_binomial_ses_off_fails(self, abd_file, capsys, monkeypatch, side):
+        # the estimate's own SE is wide, so only the binomial SE at the reference fails it
+        p = ak.evaluate_point(dfh3_abd(), 2.0).probability.value
+        off = oracle.Estimate(p + side * 10 * math.sqrt(p * (1 - p) / 200), 1.0, 200)
+        monkeypatch.setattr(cli, "mc_point_availability", lambda model, times, cfg: [off for _ in times])
+        assert main(["compare", abd_file, "--at", "2", "--trials", "200", "--horizon", "100", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        steady, point = report["results"]
+        assert steady["verdict"] == "PASS"
+        assert point["sim_std_error"] == "1"
+        assert point["verdict"] == report["verdict"] == "FAIL"
+
 
 class TestCutsets:
     def test_or_gate(self, tmp_path, capsys):
@@ -514,11 +540,12 @@ class TestValidation:
         assert main(argv) == 0
         assert walked == []
 
-    @pytest.mark.parametrize("run", [r for r in RUNS if r != "cutsets"])
+    @pytest.mark.parametrize("run", RUNS)
     def test_each_command_compiles_its_model_once(self, abd_file, ft_file, capsys, monkeypatch, run):
-        # analyze --at 10,100,1000 runs the steady and three point evaluations on one compiled program
+        # analyze --at 10,100,1000 runs the steady and three point evaluations on one compiled program;
+        # cutsets compiles the tree once, in expand_to_cutsets, and nothing on its path reads model.program
         calls = []
-        for module in (model, analytic, oracle):  # each module's own binding, where it has one
+        for module in (model, analytic, oracle, cutsets):  # each module's own binding, where it has one
             if not hasattr(module, "compile_structure"):
                 continue
 

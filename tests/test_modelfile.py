@@ -16,7 +16,14 @@ from availkit import modelfile
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
 from availkit.modelfile import _TOKEN, NESTING_LIMIT, _lexical_fault, _Parser, _split_tokens
-from support import nested_model_text, rand_rate_pair, random_model, reference_lex, series_lines
+from support import (
+    nested_model_text,
+    rand_rate_pair,
+    random_model,
+    reference_declarations,
+    reference_lex,
+    series_lines,
+)
 
 MINIMAL = 'model "m" component A lambda=0.5 mu=0.5 abd { unit A }'
 
@@ -429,19 +436,60 @@ class TestSplitRoute:
         assert model.body == ak.Unit("A")
 
 
-class TestStridedDeclarations:
-    """A run of declarations is read by strided slices; any fault in it sends
-    the whole run to the loop that reads one declaration at a time and
-    reports it, so diagnostics and their order are the loop's."""
+RATE_LITERALS = ["1", "2", "1/2", "0.5", "07/010", "3", "0"]
 
-    def strided(self, text):
+
+@st.composite
+def declaration_runs(draw):
+    """A run of 1-40 declarations with up to three faults in it, then a body, joined by whitespace.
+
+    Gives the text, its token texts after the model name, and the
+    line:column of each of those tokens and of the end.
+    """
+    n = draw(st.integers(1, 40))
+    rates = st.sampled_from(RATE_LITERALS)
+    pairs = draw(st.lists(st.tuples(rates, rates), min_size=1, max_size=4))  # declared in turn
+    decls = [["component", f"c{i}", "lambda", "=", pairs[i % len(pairs)][0], "mu", "=", pairs[i % len(pairs)][1]]
+             for i in range(n)]
+    values = {  # what each fault but a truncation writes
+        "duplicate": st.integers(0, n - 1).map("c{}".format),
+        "zero-rate": st.sampled_from(["0", "0/5", "0.0"]),
+        "keyword": st.sampled_from(["component", "lambda", "mu", "=", "abd", "{", "x"]),
+        "literal": st.sampled_from(["1/0", "1e3"]),
+        "non-ascii": st.sampled_from(["\u00e9", "\u00fc"]),
+    }
+    for fault, decl in draw(st.lists(st.tuples(st.sampled_from([*values, "truncated"]), st.sampled_from(decls)), max_size=3)):
+        if fault in ("duplicate", "non-ascii"):
+            place = 1
+        else:
+            place = draw(st.sampled_from([4, 7]) if fault in ("zero-rate", "literal") else st.integers(1, 7))
+        if fault == "truncated":
+            del decl[place:]
+        elif place < len(decl):
+            decl[place] = draw(values[fault])
+    tokens = [tok for decl in decls for tok in decl] + ["abd", "unit", "c0"]
+    spaces = draw(st.lists(st.sampled_from([" ", "\n", "\t", "  \n "]), min_size=1, max_size=5))  # taken in turn
+    text, where = 'model "m"\n', []
+    for i, tok in enumerate(tokens + [""]):
+        text += spaces[i % len(spaces)]
+        before = text.split("\n")
+        where.append(f"{len(before)}:{len(before[-1]) + 1}")
+        text += tok
+    return text, tokens, where
+
+
+class TestDeclarations:
+    """One routine reads a run of declarations by strided slices, clean or
+    faulty, and reports its faults as the token-by-token reference does."""
+
+    def declarations(self, text):
         parser = _Parser(text)
         parser.pos = 2  # past 'model' and the name
-        return parser.strided_declarations(), parser.pos
+        return parser.declarations(), parser.pos
 
     def test_clean_run_shares_one_pair_per_literal_pair(self):
         text = "\n".join(series_lines()) + "\n"
-        comps, pos = self.strided(text)
+        comps, pos = self.declarations(text)
         assert pos == 2 + 8 * 3000
         assert comps == ak.parse_model(text).components
         assert list(comps) == [f"c{i}" for i in range(3000)]
@@ -462,22 +510,46 @@ class TestStridedDeclarations:
         ],
         ids=["duplicate-last", "nonpositive-1500", "mu-before-lambda", "long-rate", "non-ascii-id"],
     )
-    def test_fault_sends_the_run_to_the_loop(self, index, line, message):
+    def test_fault_reported_at_its_place(self, index, line, message):
         lines = series_lines()
         lines[index] = line
         text = "\n".join(lines) + "\n"
-        assert self.strided(text) == (None, 2)
         assert lexed(ak.parse_model, text) == message
 
     @pytest.mark.parametrize("name", ["component", "lambda"])
     def test_keyword_as_component_id(self, name):
-        # the loop takes a keyword as an id as well, so c6 is left undeclared
+        # a keyword is an identifier, so c6 is left undeclared
         lines = series_lines()
         lines[7] = f"component {name} lambda=1/100 mu=2"
         text = "\n".join(lines) + "\n"
-        comps, _ = self.strided(text)
+        comps, _ = self.declarations(text)
         assert comps[name].rates is comps["c21"].rates  # c6 declared the same literals
         assert lexed(ak.parse_model, text) == "3002:73: unknown component reference 'c6'"
+
+    @settings(max_examples=300, deadline=None)
+    @given(declaration_runs())
+    def test_equals_token_by_token_reference(self, run):
+        text, tokens, where = run
+        parser = _Parser(text)
+        assert parser.tokens[: parser.tokens.index("") + 1] == ["model", '"m"', *tokens, ""]
+        parser.pos = 2
+        components, diagnostics, end = reference_declarations(tokens)
+        expected = [f"{where[index]}: {message}" for index, message in diagnostics]
+        if components is None:
+            with pytest.raises(ak.ModelFileError) as err:
+                parser.declarations()
+            assert str(err.value).splitlines() == expected
+            return
+        comps = parser.declarations()
+        assert [str(d) for d in parser.diagnostics] == expected
+        assert parser.pos == 2 + end
+        if not diagnostics:  # with a diagnostic the model is never built
+            assert list(comps) == list(components)
+            first: dict = {}
+            for cid, (lam, mu) in components.items():
+                assert comps[cid].rates == ak.RatePair(Fraction(lam), Fraction(mu))
+                assert comps[cid].rates is comps[first.setdefault((lam, mu), cid)].rates
+            assert len({id(c.rates) for c in comps.values()}) == len(first)
 
 
 class TestParserIsTheValidityCheck:
