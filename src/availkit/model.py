@@ -116,19 +116,86 @@ class ComponentDef:
     rates: RatePair
 
 
+# --- structure nodes ---------------------------------------------------------
+
+
+class _Node:
+    """The structure nodes' ==, hash and repr, each walking with an explicit stack, so any depth works.
+
+    Each node is a frozen dataclass declared with eq=False and repr=False,
+    and these keep the meaning of the generated methods: two nodes are
+    equal when they are of the same class and their fields are equal, a
+    tuple field compared item by item; equal nodes hash alike; and repr
+    prints ClassName(field=value, ...).  == compares, and hash hashes, the
+    pre-order streams of _stream, which determine the nodes.
+    """
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self.__dataclass_fields__]
+
+    def _stream(self) -> list:
+        """The node in pre-order: a node as _MARK and its class, a tuple as _MARK and its length, any other value as itself."""
+        stream: list = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _Node):
+                stream += (_MARK, item.__class__)
+                stack.extend(reversed(item._values()))
+            elif isinstance(item, tuple):
+                stream += (_MARK, len(item))
+                stack.extend(reversed(item))
+            else:
+                stream.append(item)
+        return stream
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._stream() == other._stream()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._stream()))
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list[tuple] = [("", self)]  # (text to copy out, then the value to print, or _TEXT for none)
+        while stack:
+            text, item = stack.pop()
+            parts.append(text)
+            if item is _TEXT:
+                continue
+            if isinstance(item, _Node):
+                parts.append(f"{item.__class__.__qualname__}(")
+                stack.append((")", _TEXT))
+                fields = zip(item.__dataclass_fields__, item._values())
+                stack.extend(reversed([(f"{', ' if i else ''}{name}=", value) for i, (name, value) in enumerate(fields)]))
+            elif type(item) is tuple:
+                parts.append("(")
+                stack.append((",)" if len(item) == 1 else ")", _TEXT))
+                stack.extend(reversed([(", " if i else "", value) for i, value in enumerate(item)]))
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
+
+
+_MARK = object()  # starts a node or a tuple in _Node._stream
+_TEXT = object()  # marks an entry of _Node.__repr__'s stack that is text only
+
+
 # --- availability block diagrams -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Unit:
+@dataclass(frozen=True, eq=False, repr=False)
+class Unit(_Node):
     """Leaf block: one component's availability."""
 
     component: str
 
 
-@dataclass(frozen=True)
-class _Group:
-    """Series, Parallel, And, Or and Nor over their children: the generated == checks the class and repr names it."""
+@dataclass(frozen=True, eq=False, repr=False)
+class _Group(_Node):
+    """Series, Parallel, And, Or and Nor over their children: _Node's == checks the class and repr names it."""
 
     children: tuple["Expr", ...]
 
@@ -150,8 +217,8 @@ BlockExpr = Union[Unit, Series, Parallel]
 # --- unavailability fault trees ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Basic:
+@dataclass(frozen=True, eq=False, repr=False)
+class Basic(_Node):
     """Leaf gate: one component's unavailability event."""
 
     event: str
@@ -169,8 +236,8 @@ class Nor(_Group):
     """Occurs iff no input occurs."""
 
 
-@dataclass(frozen=True)
-class Nand:
+@dataclass(frozen=True, eq=False, repr=False)
+class Nand(_Node):
     """Occurs when none of the negated inputs occur and all plain inputs do."""
 
     negated: tuple["GateExpr", ...]
@@ -181,16 +248,16 @@ class Nand:
         object.__setattr__(self, "plain", tuple(self.plain))
 
 
-@dataclass(frozen=True)
-class Xor:
+@dataclass(frozen=True, eq=False, repr=False)
+class Xor(_Node):
     """Occurs when exactly one of its two inputs occurs."""
 
     left: "GateExpr"
     right: "GateExpr"
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Node):
     child: "GateExpr"
 
 
@@ -344,35 +411,44 @@ class SystemModel:
             for problem in comp.rates.problems():
                 diags.append(Diagnostic(f"{problem} at {cid}", path))
 
+        def note(message: str, link: tuple | None) -> None:
+            segments = []
+            while link is not None:
+                segment, link = link
+                segments.append(segment)
+            diags.append(Diagnostic(message, "body" + "".join(reversed(segments))))
+
         want_gate = self.is_fault_tree
-        stack: list[tuple[Expr, str]] = [(self.body, "body")]  # explicit, so any nesting depth works
+        # explicit, so any nesting depth works; link is (path segment, parent's
+        # link), spelled out only for a finding, so the walk is linear in depth
+        stack: list[tuple[Expr, tuple | None]] = [(self.body, None)]
         while stack:
-            expr, path = stack.pop()
+            expr, link = stack.pop()
             is_gate = isinstance(expr, _GATE_NODES)
             is_block = isinstance(expr, _BLOCK_NODES)
             if not (is_gate or is_block):
-                diags.append(Diagnostic(f"unexpected node {type(expr).__name__}", path))
+                note(f"unexpected node {type(expr).__name__}", link)
                 continue
             if is_gate != want_gate:
                 kind = "gate" if is_gate else "block"
-                diags.append(Diagnostic(f"{kind} node {type(expr).__name__} in the wrong structure kind", path))
+                note(f"{kind} node {type(expr).__name__} in the wrong structure kind", link)
                 continue
 
             if isinstance(expr, (Unit, Basic)):
                 leaf = expr.component if isinstance(expr, Unit) else expr.event
                 if leaf not in self.components:
-                    diags.append(Diagnostic(f"unknown component reference {leaf!r}", path))
+                    note(f"unknown component reference {leaf!r}", link)
                 continue
 
             if isinstance(expr, _Group) and not expr.children:
-                diags.append(Diagnostic(f"{type(expr).__name__} node has no children", path))
+                note(f"{type(expr).__name__} node has no children", link)
             if isinstance(expr, Nand):
                 if not expr.negated:
-                    diags.append(Diagnostic("Nand node has an empty negated group", path))
+                    note("Nand node has an empty negated group", link)
                 if not expr.plain:
-                    diags.append(Diagnostic("Nand node has an empty plain group", path))
+                    note("Nand node has an empty plain group", link)
             for segment, child in reversed(_node_children(expr)):
-                stack.append((child, path + segment))
+                stack.append((child, (segment, link)))
         return tuple(diags)
 
     @property

@@ -27,7 +27,7 @@ comment or string is an unexpected character.  Whitespace is whatever
 str.isspace accepts, but only a line feed starts a new line for the
 line:column of a diagnostic.  Numbers are exact: decimals are decimal
 fractions (0.1 is 1/10, never a binary float) and 'p/q' is a rational
-literal.  Braces nest at most NESTING_LIMIT deep.  The parser reports
+literal.  Braces nest to any depth.  The parser reports
 every semantic fault with its line:column and the grammar rules out the
 rest of what validate checks, so a parsed model is valid by construction
 and is never walked again.
@@ -73,18 +73,10 @@ from .model import (
     SystemModel,
     Unit,
     Xor,
-    _Group,
     validate,
 )
 
 __all__ = ["SourceSpan", "ParseDiagnostic", "ModelFileError", "parse_model", "serialize_model"]
-
-# brace levels a model text may open; the recursive-descent parser takes
-# about two stack frames per level, so this uses about half of Python's
-# default recursion limit of 1000 and leaves the rest to callers, such as the
-# dataclass-generated == and repr of the nodes, which recurse too
-NESTING_LIMIT = 256
-
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -205,21 +197,14 @@ def _lexical_fault(tokens: list[str]) -> Optional[tuple[int, str]]:
     """The index and message of the first lexical fault in the token texts, or None.
 
     A fault is an unexpected character, a lone '"' (an unterminated
-    string), a number _number cannot read or a '{' past NESTING_LIMIT.
+    string) or a number _number cannot read.
     """
-    depth = 0
     numbers: set[str] = set()  # rate literals repeat; read each once
     for index, tok in enumerate(tokens):
         first = tok[:1]
         if first in _IDENT_START:
             continue
-        if tok == "{":
-            depth += 1
-            if depth > NESTING_LIMIT:
-                return index, f"nesting deeper than {NESTING_LIMIT} levels"
-        elif tok == "}":
-            depth -= 1
-        elif first in _DIGITS:
+        if first in _DIGITS:
             if tok not in numbers:
                 numbers.add(tok)
                 try:
@@ -265,17 +250,24 @@ _BODIES = {
 }
 
 
+# The items a construct takes, when that is a fixed number: a bare '{' (None)
+# and not take 1, xor 2, and nand 2, its 'neg' and 'pos' groups.  A group,
+# absent here, takes 1 or more.
+_ARITY = {None: 1, Not: 1, Xor: 2, Nand: 2}
+
+
 class _Parser:
-    """Recursive descent over the token texts of one text, by index.
+    """A reader of the token texts of one text, by index.
 
     The texts come from _split_tokens, or from one findall where it gives
     None, so the loop over the text runs in C either way.  A token's text
     alone tells keywords and symbols apart from every other token, and its
     first character gives its kind, so matching one compares texts only.
     One routine, declarations, reads a run of component declarations, and
-    one, parse_node, either body kind from its _Grammar table.  The parser
-    counts brace levels as it takes braces and reads the rate literals it
-    takes, so a text it accepts has no lexical fault.
+    one loop, body, either body kind from its _Grammar table, with an
+    explicit stack of open constructs, so braces nest to any depth.  The
+    parser reads the rate literals it takes, so a text it accepts has no
+    lexical fault.
 
     The first diagnostic gives every token its offset, from a finditer
     whose matches are the findall's, and so the split's, and reports the
@@ -287,7 +279,6 @@ class _Parser:
         self.text = text
         self.tokens: list[str] = _split_tokens(text) or _TOKEN.findall(text)  # ends with '' (the end)
         self.pos = 0
-        self.depth = 0  # brace levels open
         self.offsets: Optional[list[int]] = None  # by token index, from the first diagnostic on
         self.line_starts: list[int] = []  # offset of each line's first character, likewise
         self.diagnostics: list[ParseDiagnostic] = []
@@ -325,36 +316,19 @@ class _Parser:
             self.pos += 1
         return index
 
-    def expect(self, word: str) -> None:
-        """Consume the keyword or symbol word."""
-        if self.tokens[self.pos] != word:
-            raise self.unexpected(self.pos, f"'{word}'")
-        self.pos += 1
-
-    def take(self, first: frozenset, what: str) -> str:
-        """Consume and return a token whose first character is in first."""
-        tok = self.tokens[self.pos]
-        if tok[:1] not in first:
-            raise self.unexpected(self.pos, what)
-        self.pos += 1
-        return tok
-
-    def open(self) -> None:
-        """Consume '{', one brace level deeper."""
-        self.expect("{")
-        self.depth += 1
-        if self.depth > NESTING_LIMIT:
-            raise self.fail(self.pos - 1, f"nesting deeper than {NESTING_LIMIT} levels")
-
-    def close(self) -> None:
-        self.expect("}")
-        self.depth -= 1
+    def expect(self, pos: int, *words: str) -> int:
+        """The index past the keywords and symbols words, which must stand from pos on."""
+        for word in words:
+            if self.tokens[pos] != word:
+                raise self.unexpected(pos, f"'{word}'")
+            pos += 1
+        return pos
 
     # -- grammar ----------------------------------------------------------
 
     def parse_model(self) -> SystemModel:
         tokens = self.tokens
-        self.expect("model")
+        self.pos = self.expect(0, "model")
         at = self.advance()
         name = tokens[at]
         if name[:1] != '"' or len(name) < 2:
@@ -365,8 +339,7 @@ class _Parser:
         at = self.advance()
         if tokens[at] not in _BODIES:
             raise self.fail(at, "expected 'abd' or 'ft' body")
-        self.grammar = _BODIES[tokens[at]]  # the body kind's table, which parse_node reads
-        body = self.parse_node()
+        body = self.body(_BODIES[tokens[at]])
 
         if tokens[self.pos]:
             raise self.fail(self.pos, f"unexpected trailing input {_quoted(tokens[self.pos])}")
@@ -429,56 +402,65 @@ class _Parser:
             raise self.unexpected(misplaced, _DECLARATION[(misplaced - at) % 8 - 1][1])
         return dict(zip(ids, map(ComponentDef, ids, map(shared.__getitem__, literals))))  # with a note, never used
 
-    def parse_children(self) -> tuple:
-        self.open()
-        items = [self.parse_node()]
-        while self.tokens[self.pos] == ";":
-            self.pos += 1
-            items.append(self.parse_node())
-        self.close()
-        return tuple(items)
+    def body(self, grammar: _Grammar) -> Expr:
+        """The body at pos, of the kind grammar reads; pos moves past it.
 
-    def parse_node(self) -> Expr:
-        at = self.pos
-        word = self.tokens[at]
-        node = self.grammar.nodes.get(word)
-        if node is None:
-            if word != "{":
-                raise self.fail(at, f"expected {self.grammar.expected}, found {_quoted(word)}")
-            self.open()
-            inner = self.parse_node()
-            self.close()
-            return inner
-        self.pos = at + 1
-        if node is Unit or node is Basic:
-            ident = self.take(_IDENT_START, self.grammar.identifier)
-            self.leaf_refs.append(at + 1)
-            return node(ident)
-        if issubclass(node, _Group):
-            return node(self.parse_children())
-        self.open()
-        if node is Nand:
-            self.expect("neg")
-            negated = self.parse_children()
-            self.expect(";")
-            self.expect("pos")
-            plain = self.parse_children()
-            self.close()
-            return Nand(negated, plain)
-        if node is Xor:
-            left = self.parse_node()
-            self.expect(";")
-            right = self.parse_node()
-            at = self.pos
-            if self.tokens[at] == ";":
-                raise self.fail(at, "xor takes exactly 2 operands")
-            if self.tokens[at] != "}":
-                raise self.fail(at, f"expected '}}', found {_quoted(self.tokens[at])}")
-            self.close()
-            return Xor(left, right)
-        child = self.parse_node()
-        self.close()
-        return Not(child)
+        One loop over a stack of the open constructs, each a node class (None
+        for a bare '{', tuple for a nand's 'neg' or 'pos' group) and its
+        items so far.  It reads an item by opening constructs down to a
+        leaf, then appends the item to the innermost open construct: while
+        the construct may take more, a ';' starts its next item, and a '}'
+        closes it into the item of the construct around it.
+        """
+        tokens, nodes, leaf_refs = self.tokens, grammar.nodes, self.leaf_refs
+        stack: list[tuple[Optional[type], list]] = []
+        pos = self.pos
+        while True:
+            word = tokens[pos]
+            node = nodes.get(word)
+            if node is None:
+                if word != "{":
+                    raise self.fail(pos, f"expected {grammar.expected}, found {_quoted(word)}")
+                stack.append((None, []))
+                pos += 1
+                continue
+            if node is Nand:
+                pos = self.expect(pos + 1, "{", "neg", "{")
+                stack += ((Nand, []), (tuple, []))
+                continue
+            if node is not Unit and node is not Basic:
+                pos = self.expect(pos + 1, "{")
+                stack.append((node, []))
+                continue
+            if tokens[pos + 1][:1] not in _IDENT_START:
+                raise self.unexpected(pos + 1, grammar.identifier)
+            leaf_refs.append(pos + 1)
+            item = node(tokens[pos + 1])
+            pos += 2
+            while stack:  # item completes the innermost open construct
+                node, items = stack[-1]
+                items.append(item)
+                word = tokens[pos]
+                arity = _ARITY.get(node)
+                if arity is None or len(items) < arity:
+                    if word == ";":
+                        pos += 1
+                        if node is Nand:
+                            pos = self.expect(pos, "pos", "{")
+                            stack.append((tuple, []))
+                        break
+                    if arity is not None:
+                        raise self.unexpected(pos, "';'")
+                elif node is Xor and word != "}":
+                    raise self.fail(pos, "xor takes exactly 2 operands" if word == ";" else f"expected '}}', found {_quoted(word)}")
+                if word != "}":
+                    raise self.unexpected(pos, "'}'")
+                pos += 1
+                stack.pop()
+                item = items[0] if node is None else node(*items) if arity else node(items)
+            else:
+                self.pos = pos
+                return item
 
 
 def parse_model(text: str) -> SystemModel:

@@ -3,6 +3,7 @@ independent brute-force oracles (kept free of the code paths they check)."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ import numpy as np
 
 import availkit as ak
 from availkit import oracle
-from availkit.modelfile import NESTING_LIMIT
+from availkit.modelfile import _IDENT_START, _Parser, _quoted
 
 GATE_KINDS = ("and", "or", "nor", "nand", "xor", "not")
 
@@ -173,6 +174,27 @@ def nested_model_text(kind: str, depth: int) -> str:
     return f'model "nested-{depth}"\n{comps}{"abd" if kind == "abd" else "ft"}\n{text}\n'
 
 
+def compact_chain(kind: str, depth: int) -> tuple[str, ak.SystemModel]:
+    """A compact .avm text whose braces nest `depth` deep, and the same model built through the API.
+
+    kind 'ft' is a chain of nots over basic a, which is a's own event when
+    depth is even; kind 'abd' alternates series and parallel, each over
+    the one group inside it, down to unit a (depth even).
+    """
+    if kind == "ft":
+        text = "ft " + "not { " * depth + "basic a"
+        body = ak.Basic("a")
+        for _ in range(depth):
+            body = ak.Not(body)
+    else:
+        text = "abd " + "series { parallel { " * (depth // 2) + "unit a"
+        body = ak.Unit("a")
+        for k in range(depth):
+            body = (ak.Parallel, ak.Series)[k % 2]((body,))
+    comps = {"a": ak.ComponentDef("a", ak.RatePair(1, 3))}
+    return f'model "chain"\ncomponent a lambda=1 mu=3\n{text}{" }" * depth}\n', ak.SystemModel("chain", comps, body)
+
+
 def series_lines(n: int = 3000) -> list[str]:
     """Lines of a model text: a series of n components c0, c1, ... over 15 pairs of rate literals.
 
@@ -197,7 +219,6 @@ def reference_lex(text: str) -> list[tuple]:
     tokens: list[tuple] = []
     i, line, line_start = 0, 1, 0
     n = len(text)
-    depth = 0
 
     def token(kind: str, literal: str, pos: int, value=None) -> tuple:
         return (kind, literal, line, pos - line_start + 1, pos, value)
@@ -263,9 +284,6 @@ def reference_lex(text: str) -> list[tuple]:
             tokens.append(token("ident", text[start:i], start))
             continue
         if c in "{};=":
-            depth += (c == "{") - (c == "}")
-            if depth > NESTING_LIMIT:
-                raise fail(i, f"nesting deeper than {NESTING_LIMIT} levels")
             tokens.append(token("sym", c, i))
             i += 1
             continue
@@ -340,6 +358,83 @@ def reference_declarations(tokens: list[str]) -> tuple[Optional[dict], list[tupl
         if lexical:
             return None, lexical[:1], at
     return components, diagnostics, at
+
+
+class ReferenceParser(_Parser):
+    """The parser with the recursive descent its body loop replaced: shallow texts only.
+
+    parse_node and parse_children take about two Python stack frames per
+    brace level, so a few hundred levels reach the recursion limit.
+    """
+
+    def body(self, grammar):
+        self.grammar = grammar
+        return self.parse_node()
+
+    def take(self, word: str) -> None:
+        self.pos = self.expect(self.pos, word)
+
+    def parse_children(self) -> tuple:
+        self.take("{")
+        items = [self.parse_node()]
+        while self.tokens[self.pos] == ";":
+            self.pos += 1
+            items.append(self.parse_node())
+        self.take("}")
+        return tuple(items)
+
+    def parse_node(self):
+        at = self.pos
+        word = self.tokens[at]
+        node = self.grammar.nodes.get(word)
+        if node is None:
+            if word != "{":
+                raise self.fail(at, f"expected {self.grammar.expected}, found {_quoted(word)}")
+            self.take("{")
+            inner = self.parse_node()
+            self.take("}")
+            return inner
+        self.pos = at + 1
+        if node is ak.Unit or node is ak.Basic:
+            ident = self.tokens[self.pos]
+            if ident[:1] not in _IDENT_START:
+                raise self.unexpected(self.pos, self.grammar.identifier)
+            self.pos += 1
+            self.leaf_refs.append(at + 1)
+            return node(ident)
+        if node in (ak.Series, ak.Parallel, ak.And, ak.Or, ak.Nor):
+            return node(self.parse_children())
+        self.take("{")
+        if node is ak.Nand:
+            self.take("neg")
+            negated = self.parse_children()
+            self.take(";")
+            self.take("pos")
+            plain = self.parse_children()
+            self.take("}")
+            return ak.Nand(negated, plain)
+        if node is ak.Xor:
+            left = self.parse_node()
+            self.take(";")
+            right = self.parse_node()
+            at = self.pos
+            if self.tokens[at] == ";":
+                raise self.fail(at, "xor takes exactly 2 operands")
+            if self.tokens[at] != "}":
+                raise self.fail(at, f"expected '}}', found {_quoted(self.tokens[at])}")
+            self.take("}")
+            return ak.Xor(left, right)
+        child = self.parse_node()
+        self.take("}")
+        return ak.Not(child)
+
+
+def parse_outcome(parser: type, text: str) -> tuple:
+    """What parser class makes of text: ("model", the model) or ("error", its diagnostics, each with its span)."""
+    try:
+        return "model", parser(text).parse_model()
+    except ak.ModelFileError as err:
+        return "error", err.diagnostics
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -421,6 +516,29 @@ def reference_body_diagnostics(model: ak.SystemModel, expr=None, path: str = "bo
     for segment, child in _reference_children(expr):
         out += reference_body_diagnostics(model, child, path + segment)
     return out
+
+
+NODE_TYPES = (ak.Unit, ak.Series, ak.Parallel, ak.Basic, ak.And, ak.Or, ak.Nor, ak.Nand, ak.Xor, ak.Not)
+
+
+def reference_fields(value):
+    """A node as the dataclass-generated == reads it, by plain recursion: ('node', class, field values...), tuples item by item."""
+    if isinstance(value, NODE_TYPES):
+        return ("node", type(value), *(reference_fields(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, tuple):
+        return tuple(map(reference_fields, value))
+    return value
+
+
+def reference_repr(value) -> str:
+    """A node's repr as the dataclass-generated one prints it, by plain recursion."""
+    if isinstance(value, NODE_TYPES):
+        fields = ", ".join(f"{f.name}={reference_repr(getattr(value, f.name))}" for f in dataclasses.fields(value))
+        return f"{type(value).__qualname__}({fields})"
+    if type(value) is tuple:
+        inner = ", ".join(map(reference_repr, value))
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return repr(value)
 
 
 def corrupt(rng: random.Random, expr, rate: float = 0.15):

@@ -10,7 +10,14 @@ import availkit as ak
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit import model as model_module
 from availkit.model import iter_leaves
-from support import corrupt, random_model, reference_body_diagnostics, reference_leaves
+from support import (
+    corrupt,
+    random_model,
+    reference_body_diagnostics,
+    reference_fields,
+    reference_leaves,
+    reference_repr,
+)
 
 
 def one_component_model(rates=("0.5", "0.5"), body=None):
@@ -209,3 +216,69 @@ class TestGroupNodes:
         for other in GROUP_KINDS:
             assert (kind(children) == other(children)) == (kind is other)
         assert len({kind(children) for kind in GROUP_KINDS}) == len(GROUP_KINDS)
+
+
+def mixed_chain(depth, bottom="a"):
+    """depth gates over Basic(bottom), from the bottom up nand, xor, not, nor, and, or in turn, and their repr.
+
+    Each gate but not and the one-input nor and or also takes Basic("b").
+    The repr is built from each level's text before and after the level
+    below it, so building it does not recurse either.
+    """
+    levels = [
+        (lambda e: ak.Nand((ak.Basic("b"),), (e,)), "Nand(negated=(Basic(event='b'),), plain=(", ",))"),
+        (lambda e: ak.Xor(ak.Basic("b"), e), "Xor(left=Basic(event='b'), right=", ")"),
+        (ak.Not, "Not(child=", ")"),
+        (lambda e: ak.Nor((e,)), "Nor(children=(", ",))"),
+        (lambda e: ak.And((ak.Basic("b"), e)), "And(children=(Basic(event='b'), ", "))"),
+        (lambda e: ak.Or((e,)), "Or(children=(", ",))"),
+    ]
+    expr, before, after = ak.Basic(bottom), [], []
+    for k in range(depth):
+        make, head, tail = levels[k % len(levels)]
+        expr = make(expr)
+        before.append(head)
+        after.append(tail)
+    return expr, "".join(reversed(before)) + f"Basic(event={bottom!r})" + "".join(after)
+
+
+class TestNodeMethods:
+    """==, hash and repr of the structure nodes walk with explicit stacks and
+    keep the meaning of the dataclass-generated methods they replace."""
+
+    @pytest.mark.parametrize("kind", ["abd", "coherent-ft", "ft"])
+    def test_equal_recursive_reference(self, kind):
+        rng = random.Random(f"node-methods-{kind}")
+        for _ in range(200):
+            body = random_model(rng, kind, max_components=2).body
+            others = [corrupt(rng, body, 0.0), corrupt(rng, body, 0.1), random_model(rng, kind, max_components=2).body]
+            for other in others:
+                same = reference_fields(body) == reference_fields(other)
+                assert (body == other) is same and (other == body) is same and (body != other) is not same
+                if same:
+                    assert hash(body) == hash(other)
+                assert repr(other) == reference_repr(other)
+
+    def test_kinds_and_shapes_are_told_apart(self):
+        a = ak.Basic("a")
+        assert ak.And((ak.Or((a,)),)) != ak.And((ak.And((a,)),))
+        assert ak.Not(ak.Unit("a")) != ak.Not(a)
+        assert ak.And(((a, a), a)) != ak.And(((a,), a, a))
+        assert ak.Nand((a,), (a, a)) != ak.Nand((a, a), (a,))
+
+    def test_fields_that_are_no_nodes(self):
+        assert ak.And(((), 1)) != ak.And((0, 1))
+        assert ak.And(((), 1)) == ak.And(((), 1)) and hash(ak.And(((), 1))) == hash(ak.And(((), 1)))
+        assert ak.Xor(1, 1.0) == ak.Xor(1.0, 1) and hash(ak.Xor(1, 1.0)) == hash(ak.Xor(1.0, 1))
+        assert ak.And(("junk",)) != ak.And((ak.Basic("junk"),))
+        assert repr(ak.And(((), 1, ("x",)))) == "And(children=((), 1, ('x',)))"
+        assert ak.Unit("a") != ak.Basic("a") and ak.Unit("a") != "a"
+        assert ak.Unit("a").__eq__(ak.Basic("a")) is NotImplemented
+
+    def test_deep_mixed_chain(self):
+        expr, text = mixed_chain(5000)
+        twin, _ = mixed_chain(5000)
+        other, _ = mixed_chain(5000, bottom="c")
+        assert expr == twin and hash(expr) == hash(twin)
+        assert expr != other
+        assert repr(expr) == text

@@ -15,9 +15,11 @@ from availkit import model as model_module
 from availkit import modelfile
 from availkit.casestudies import dfh3_abd, dfh3_ft
 from availkit.cli import main
-from availkit.modelfile import _TOKEN, NESTING_LIMIT, _lexical_fault, _Parser, _split_tokens
+from availkit.modelfile import _TOKEN, _lexical_fault, _Parser, _split_tokens
 from support import (
+    ReferenceParser,
     nested_model_text,
+    parse_outcome,
     rand_rate_pair,
     random_model,
     reference_declarations,
@@ -146,6 +148,22 @@ class TestParseErrors:
             ("abd parallel { unit 7 }", "expected component identifier, found '7'", "7"),
             ("ft and { basic }", "expected event identifier, found '}'", "}"),
             ("ft basic", "expected event identifier", None),
+            ("abd series unit A", "expected '{', found 'unit'", "unit"),
+            ("abd { unit A; unit A }", "expected '}', found ';'", ";"),
+            ("abd parallel { unit A unit A }", "expected '}', found 'unit'", "unit A }"),
+            ("ft and { basic A; }", "expected a gate, found '}'", "}"),
+            ("ft not { basic A; basic A }", "expected '}', found ';'", ";"),
+            ("ft not { basic A", "expected '}'", None),
+            ("ft xor { basic A }", "expected ';', found '}'", "}"),
+            ("ft xor { basic A basic A }", "expected ';', found 'basic'", "basic"),
+            ("ft xor { basic A; basic A basic A }", "expected '}', found 'basic'", "basic A }"),
+            ("ft xor { basic A; basic A", "expected '}', found ''", None),
+            ("ft xor { basic A; basic A; basic A }", "xor takes exactly 2 operands", "; basic A }"),
+            ("ft nand { pos { basic A } }", "expected 'neg', found 'pos'", "pos"),
+            ("ft nand { neg basic A }", "expected '{', found 'basic'", "basic"),
+            ("ft nand { neg { basic A } pos { basic A } }", "expected ';', found 'pos'", "pos"),
+            ("ft nand { neg { basic A }; { basic A } }", "expected 'pos', found '{'", "{ basic A } }"),
+            ("ft nand { neg { basic A }; pos { basic A }; basic A }", "expected '}', found ';'", "; basic A }"),
         ],
     )
     def test_node_errors_of_both_body_kinds(self, body, message, at):
@@ -154,6 +172,7 @@ class TestParseErrors:
         assert [d.message for d in err.diagnostics] == [message]
         offset = err.diagnostics[0].span.offset
         assert text[offset:] == "" if at is None else text[offset:].startswith(at)
+        assert parse_outcome(ReferenceParser, text) == ("error", err.diagnostics)
 
     def test_unexpected_character(self):
         self.assert_error('model "m" component A lambda=1 mu=1 abd unit A %', "unexpected character")
@@ -172,16 +191,6 @@ class TestParseErrors:
 
     def test_empty_input(self):
         self.assert_error("", "expected 'model'")
-
-    @pytest.mark.parametrize("kind", ["abd", "coherent-ft", "ft"])
-    def test_nesting_limit(self, kind):
-        at_limit = nested_model_text(kind, NESTING_LIMIT)
-        assert brace_depth(at_limit) == NESTING_LIMIT
-        ak.parse_model(at_limit)
-        text = nested_model_text(kind, NESTING_LIMIT + 1)
-        err = self.assert_error(text, f"nesting deeper than {NESTING_LIMIT} levels")
-        offset = err.diagnostics[0].span.offset
-        assert text[offset] == "{" and brace_depth(text[: offset + 1]) == NESTING_LIMIT + 1
 
     def test_rate_literal_past_int_string_limit(self):
         literal = "7" * 5000
@@ -237,7 +246,7 @@ class TestParseErrors:
 # Pieces the generated texts are joined from; neighbours run together, so
 # an identifier meets a number, a number meets 'e' or 'E' and a sign or
 # digits (an exponent), a quote opens a string across the next pieces, and
-# brace runs add up past NESTING_LIMIT.  Non-ASCII letters and
+# long brace runs nest deep.  Non-ASCII letters and
 # digits appear in comments only: a comment holds no quote, so it never
 # ends up inside a closed string, and it ends at a newline.
 LEX_PIECES = [
@@ -249,7 +258,7 @@ LEX_PIECES = [
     "#\u00e9 \u00b2\u0661\n", "#\u2028{\r\n", "#\n", "# lambda=1\n",
     " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000",
     "%", ".", "/", "-", "+", "'", "\u20ac", "\x00", "e", "E",
-    *("{" * k for k in range(NESTING_LIMIT - 3, NESTING_LIMIT + 2)),
+    "{" * 1000, "}" * 1000,
     "}", "}}}", "{}",
 ]
 
@@ -550,6 +559,64 @@ class TestDeclarations:
                 assert comps[cid].rates == ak.RatePair(Fraction(lam), Fraction(mu))
                 assert comps[cid].rates is comps[first.setdefault((lam, mu), cid)].rates
             assert len({id(c.rates) for c in comps.values()}) == len(first)
+
+
+# Tokens a mutation inserts or writes over another: every keyword and symbol
+# of the grammar, identifiers, numbers and two lexical faults.
+MUTATION_TOKENS = [
+    *"model component lambda mu abd ft unit series parallel basic and or nor nand xor not neg pos".split(),
+    *"{};=", "c1", "c9", "x", "1", "1/2", "0", "1/0", '"m"', "%",
+]
+
+
+def mutated_model(seed: int) -> str:
+    """A random model's serialization, of any kind, with up to three token mutations.
+
+    A mutation deletes, inserts, replaces or swaps two neighbouring
+    tokens, or truncates the text at a token.  It acts anywhere, or in the
+    body, or at a brace or ';', a third of the time each.  The tokens are
+    joined by whitespace.
+    """
+    rng = random.Random(seed)
+    model = random_model(rng, rng.choice(["abd", "coherent-ft", "ft"]))
+    found = _TOKEN.findall(ak.serialize_model(model))
+    tokens = found[: found.index("")]
+    body = 2 + 8 * len(model.components)  # the index of 'abd' or 'ft'
+    for _ in range(rng.randint(0, 3)):
+        structure = [i for i, tok in enumerate(tokens) if tok in ("{", "}", ";")]
+        at = rng.choice(rng.choice([range(len(tokens) + 1), range(min(body, len(tokens)), len(tokens) + 1), structure or [0]]))
+        mutation = rng.choice(["delete", "insert", "replace", "swap", "truncate"])
+        if mutation == "insert":
+            tokens.insert(at, rng.choice(MUTATION_TOKENS))
+        elif mutation == "truncate":
+            del tokens[at:]
+        elif mutation == "delete" and at < len(tokens):
+            del tokens[at]
+        elif mutation == "replace" and at < len(tokens):
+            tokens[at] = rng.choice(MUTATION_TOKENS)
+        elif mutation == "swap" and at + 1 < len(tokens):
+            tokens[at], tokens[at + 1] = tokens[at + 1], tokens[at]
+    return rng.choice([" ", "\n", "\n  "]).join(tokens) + "\n"
+
+
+class TestBodyLoop:
+    """The body is read by one loop over a stack of open constructs: the
+    outcome of the recursive descent it replaced, and texts of any depth."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_equals_recursive_reference(self, seed):
+        text = mutated_model(seed)
+        assert parse_outcome(_Parser, text) == parse_outcome(ReferenceParser, text)
+
+    @pytest.mark.parametrize("kind", ["abd", "coherent-ft", "ft"])
+    def test_nested_256_round_trips(self, kind):
+        text = nested_model_text(kind, 256)
+        assert brace_depth(text) == 256
+        model = ak.parse_model(text)
+        again = ak.parse_model(ak.serialize_model(model))
+        assert again == model and hash(again.body) == hash(model.body) and repr(again) == repr(model)
+
 
 
 class TestParserIsTheValidityCheck:

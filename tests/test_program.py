@@ -14,6 +14,7 @@ from availkit import analytic, oracle
 from availkit.model import AND, LEAF, NOR, NOT, OR, XOR, compile_structure
 from support import (
     assignments,
+    compact_chain,
     complete_graph_model,
     random_model,
     reference_compose,
@@ -196,7 +197,7 @@ class TestProgram:
             compile_structure(ak.And((ak.Basic("a"), "junk")))
 
 
-# --- deep models built through the API: the parser stops at NESTING_LIMIT, the engines do not ---
+# --- deep models, built through the API or parsed from compact text: no walk recurses ---
 
 DEPTH = 5000
 RATES = ak.RatePair(1, 3)
@@ -259,6 +260,23 @@ class TestDeepModels:
             steady,
             lambda t: and_or_closed_form(DEPTH, every, ak.inst_unavailability(RATES, t).value),
         )
+
+    @pytest.mark.parametrize("kind", ["abd", "ft"])
+    def test_compact_text_20000_levels_through_the_api(self, kind):
+        # the chain is a's own event: its availability (abd) or unavailability (ft)
+        text, built = compact_chain(kind, 20000)
+        parsed = ak.parse_model(text)
+        assert parsed == built and hash(parsed.body) == hash(built.body) and repr(parsed) == repr(built)
+        assert ak.validate(built) == []
+        rates, t = built.components["a"].rates, 0.4
+        steady = ak.steady_availability(rates) if kind == "abd" else ak.steady_unavailability(rates)
+        point = ak.inst_availability(rates, t) if kind == "abd" else ak.inst_unavailability(rates, t)
+        assert ak.evaluate_steady(parsed).probability == steady
+        assert ak.evaluate_point(parsed, t).probability.value == pytest.approx(point.value, rel=1e-12)
+        est = ak.mc_point_availability(parsed, t, ak.SimConfig(trials=400, seed=11))
+        assert abs(est.mean - point.value) <= 4 * est.std_error
+        est = ak.mc_steady_availability(parsed, ak.SimConfig(trials=100, horizon=50.0, seed=11))
+        assert abs(est.mean - float(steady.value)) <= 4 * est.std_error
 
     def test_and_or_chain_with_a_leaf_at_every_level(self):
         model = and_or_chain(DEPTH, 1)
