@@ -601,17 +601,16 @@ def _evaluate(model: SystemModel, pairs: Mapping[str, tuple], t: Optional[float]
         n, d = _fold(program.steps, pairs)
         method = METHOD_CLOSED_FORM if len(program.steps) == 1 else METHOD_COMPOSITIONAL
     else:
-        # built once and kept in the __dict__ like program; so is a refusal,
-        # as (message, the NODE_LIMIT it was made under), until the limit changes
+        # built once and kept in the __dict__ like program; so is a refusal, as its message
         kept = vars(model).get("_diagram")
-        if kept is None or (isinstance(kept, tuple) and kept[1] != NODE_LIMIT):
+        if kept is None:
             try:
                 kept = _Diagram(program)
             except RequiresOracleError as refusal:
-                kept = (str(refusal), NODE_LIMIT)
+                kept = str(refusal)
             vars(model)["_diagram"] = kept
-        if isinstance(kept, tuple):
-            raise RequiresOracleError(kept[0])
+        if isinstance(kept, str):
+            raise RequiresOracleError(kept)
         n, d = kept.probability(pairs)
         method = METHOD_PIVOTAL
     return AnalysisResult(Probability(Fraction(n, d) if isinstance(d, int) else n / d), method, time=t)

@@ -24,13 +24,14 @@ import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import __version__
 
 from .analytic import (
     AnalysisResult,
     RequiresOracleError,
+    _check_time,
     evaluate_point,
     evaluate_steady,
     steady_availability,
@@ -105,9 +106,7 @@ def _parse_times(raw: Optional[str]) -> list[float]:
             t = float(part)
         except ValueError:
             raise ValueError(f"bad time value {part!r} in --at") from None
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"time values must be finite and >= 0, got {part!r}")
-        times.append(abs(t))  # -0 passes the check; it is time 0
+        times.append(_check_time(t))
     return times
 
 
@@ -235,8 +234,8 @@ def _leaf_probs(model: SystemModel, t: Optional[float]) -> dict:
     return {e: leaf(model.components[e].rates, t) for e in basic_events(model)}
 
 
-def _compare_row(model: SystemModel, t: Optional[float], simulate: Callable[[], Estimate]) -> dict:
-    """One row of compare: the closed form and enumeration at t (steady if None), then simulate's estimate.
+def _compare_row(model: SystemModel, t: Optional[float], est: Estimate) -> dict:
+    """One row of compare: the closed form and enumeration at t (steady if None) against the estimate est.
 
     The estimate passes within 4 standard errors of the reference: its own
     SE in steady state, the binomial SE sqrt(p (1 - p) / trials) at the
@@ -258,8 +257,6 @@ def _compare_row(model: SystemModel, t: Optional[float], simulate: Callable[[], 
         exhaustive_value = exhaustive_probability(model, _leaf_probs(model, t)).value
     else:
         exhaustive_note = f"n/a ({n_events} events exceed the {EXHAUSTIVE_EVENT_LIMIT}-event limit)"
-
-    est = simulate()
 
     diff_ae = None
     ae_ok = True
@@ -302,13 +299,13 @@ def _compare_row(model: SystemModel, t: Optional[float], simulate: Callable[[], 
 
 
 def _run_compare(model: SystemModel, args: argparse.Namespace, command: str, extra: Optional[dict] = None) -> int:
+    """compare's rows for model, steady then each --at time; both simulations run first, by the names bound here."""
     times = _parse_times(args.at)
     cfg = _sim_config(args, default_horizon=10000.0)
-
-    # one simulation for every time point, run by the first point row
-    points = functools.cache(lambda: mc_point_availability(model, times, cfg))
-    rows = [_compare_row(model, None, lambda: mc_steady_availability(model, cfg))]
-    rows += [_compare_row(model, t, lambda i=i: points()[i]) for i, t in enumerate(times)]
+    steady = mc_steady_availability(model, cfg)
+    points = mc_point_availability(model, times, cfg) if times else []
+    rows = [_compare_row(model, None, steady)]
+    rows += [_compare_row(model, t, est) for t, est in zip(times, points)]
 
     verdicts = [row["verdict"] for row in rows]
     if "FAIL" in verdicts:

@@ -377,12 +377,15 @@ class SystemModel:
     The compiled program, the validation findings (none for a parsed
     model, which is never walked), the analytic decision diagram and the
     oracle's truth table are computed once and cached, so neither the
-    components nor the body may be mutated after construction.
+    components nor the body may be mutated after construction.  Models
+    compare with == but are unhashable, as the component map is a dict.
     """
 
     name: str
     components: Mapping[str, ComponentDef]
     body: Expr
+
+    __hash__ = None  # declared, so the dataclass keeps it and makes no hash of the components dict
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", dict(self.components))

@@ -37,13 +37,13 @@ only on the seed, the trial, the component and the round, so results are
 bitwise identical for a fixed seed regardless of trial ordering or
 blocking.
 
-Both estimators run the same simulation (_simulate): trials in blocks, each
-block's streams drawn round by round (_rounds) through one routine
-(_draw), one random_raw call of the C np.random.Philox per run of
-consecutive trials in a round of a component, so a block's first round
-is one call.  Every boundary <= target of every component of a block
-goes into one (trials, columns) grid (_grid); the boundaries a stream
-drew past the target are dropped before either estimator reads them.
+Both estimators run the same simulation (_simulate): trials in blocks
+sized there alone, each block's streams drawn round by round (_rounds),
+one _draw per round of a component for all its streams still drawing:
+one random_raw call of the C np.random.Philox per run of consecutive
+trials.  Every boundary <= target of every component of a block goes
+into one (trials, columns) grid (_grid); the boundaries a stream drew
+past the target are dropped before either estimator reads them.
 The estimators read that grid in two ways.  A point estimate takes each
 component's state at t as the parity of its boundaries <= t, so a grid
 drawn to the largest time of a group is read at every time of it.  A
@@ -56,7 +56,9 @@ up to the horizon, each component's state at a change being the parity
 of its changes so far; a trial's held time is one running sum, left to
 right along its row.  Models of up to TABLE_COMPONENTS components read
 the structure from a table over all 2^k state codes, the model's truth
-table; wider models evaluate it on leaf arrays swept in 64-bit groups.  Every stream may draw at most STREAM_DRAW_LIMIT words.
+table; wider models evaluate it on leaf arrays swept in 64-bit groups.
+Every stream may draw at most STREAM_DRAW_LIMIT words.  Components are
+indexed in the order of model.program.events.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ from .model import (
     Program,
     SystemModel,
     _require_valid,
-    basic_events,
     compile_structure,
 )
 from .model import validate  # noqa: F401 -- unused; perfbench/tracing.py wraps oracle.validate
@@ -136,19 +137,19 @@ def structure_holds(expr: Expr, truth: Mapping[str, bool]) -> bool:
     return bool(_signal(compile_structure(expr), {leaf: np.array(bool(v)) for leaf, v in truth.items()}))
 
 
-def _truth_table(model: SystemModel, events: list[str]) -> np.ndarray:
-    """The structure function over all 2^n rows: bit i of a row sets leaf events[i] true.
+def _truth_table(model: SystemModel) -> np.ndarray:
+    """The structure function over all 2^n rows: bit i of a row sets leaf model.program.events[i] true.
 
-    Kept read-only in the model's __dict__, like program, with its events:
-    the engines pass basic_events(model), so each model builds it once.
+    Built once per model and kept read-only in its __dict__, like program.
     """
-    kept = vars(model).get("_truth_table")
-    if kept is None or kept[0] != events:
+    table = vars(model).get("_truth_table")
+    if table is None:
+        events = model.program.events
         rows = np.arange(1 << len(events), dtype=np.int64)
         table = _signal(model.program, {e: (rows >> i) & 1 == 1 for i, e in enumerate(events)})
         table.flags.writeable = False
-        kept = vars(model)["_truth_table"] = (list(events), table)
-    return kept[1]
+        vars(model)["_truth_table"] = table
+    return table
 
 
 def exhaustive_probability(
@@ -164,7 +165,7 @@ def exhaustive_probability(
     inputs are lifted to their exact binary rationals and the result is
     rounded once.
     """
-    events = basic_events(model)
+    events = model.program.events
     n = len(events)
     if n > EXHAUSTIVE_EVENT_LIMIT:
         raise ValueError(
@@ -181,7 +182,7 @@ def exhaustive_probability(
         exact = exact and value_exact
         lifted.append(value)
 
-    table = _truth_table(model, events)
+    table = _truth_table(model)
     # contract the highest bit first; every entry stays <= the product of the
     # denominators so far, so int64 holds it until that product passes 2**63 - 1
     weights = table.astype(np.int64)
@@ -273,20 +274,19 @@ def _durations(words: np.ndarray, lam: float, mu: float) -> np.ndarray:
 
 
 def _rounds(
-    bitgen: np.random.Philox, state: dict, trials: np.ndarray, component: int, lam: float, mu: float, target: float, block_words: int
+    bitgen: np.random.Philox, state: dict, trials: np.ndarray, component: int, lam: float, mu: float, target: float
 ) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
     """Boundaries of one component's renewal stream in each of the given trials, round by round.
 
     Every stream draws rounds of 2n words, n = _first_round_cycles in the
     first round and doubled in each later one, until its last boundary
-    passes target.  Each round's words come from _draw, for the trials
-    still drawing, at most block_words words at a time; the round's draw
-    limit is checked before any of its words are drawn.
-    Yields (rows, start, bounds): bounds[i] are boundaries start .. of the
-    stream of trials[rows[i]], the interleaved cumulative sums T1, T1+D1,
-    T1+D1+T2, ...  A later round's first duration is added to the stream's
-    last boundary before the cumulative sum, so every boundary is the same
-    float as in np.cumsum over all rounds.
+    passes target.  Each round is one _draw for the trials still drawing;
+    its draw limit is checked before any of its words are drawn.
+    Yields (rows, start, bounds) once a round: bounds[i] are boundaries
+    start .. of the stream of trials[rows[i]], the interleaved cumulative
+    sums T1, T1+D1, T1+D1+T2, ...  A later round's first duration is added
+    to the stream's last boundary before the cumulative sum, so every
+    boundary is the same float as in np.cumsum over all rounds.
     """
     n = _first_round_cycles(lam, mu, target)
     drawn = 0
@@ -295,14 +295,11 @@ def _rounds(
     active = np.arange(trials.size)  # the streams still drawing
     while active.size:
         _check_draws(drawn + 2 * n)
-        rows_per_block = max(1, block_words // (2 * n))
-        for lo in range(0, active.size, rows_per_block):
-            rows = active[lo:lo + rows_per_block]
-            bounds = _durations(_draw(bitgen, state, trials[rows], component, round, 2 * n), lam, mu)
-            bounds[:, 0] += last[rows]
-            np.cumsum(bounds, axis=1, out=bounds)
-            last[rows] = bounds[:, -1]
-            yield rows, drawn, bounds
+        bounds = _durations(_draw(bitgen, state, trials[active], component, round, 2 * n), lam, mu)
+        bounds[:, 0] += last[active]
+        np.cumsum(bounds, axis=1, out=bounds)
+        last[active] = bounds[:, -1]
+        yield active, drawn, bounds
         drawn += 2 * n
         n *= 2
         round += 1
@@ -310,11 +307,12 @@ def _rounds(
 
 
 def _grid(
-    bitgen: np.random.Philox, state: dict, comps: list[tuple[str, float, float]], trials: np.ndarray, target: float, block_words: int
+    bitgen: np.random.Philox, state: dict, comps: list[tuple[float, float]], trials: np.ndarray, target: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every boundary of every component in the given trials, as a (trials, columns) grid.
 
-    Each stream is drawn by _rounds until its last boundary passes target.
+    comps holds each component's (lam, mu).  Each stream is drawn by
+    _rounds until its last boundary passes target, every round kept.
     Column 0 is 0.0; then each component's boundaries follow in order, in
     as many columns as the most boundaries <= target that any of its
     streams has, and at least one, so the grid holds every boundary <=
@@ -322,7 +320,7 @@ def _grid(
     Also returns each column's component index (-1 for column 0), which
     is nondecreasing.
     """
-    rounds = [list(_rounds(bitgen, state, trials, ci, lam, mu, target, block_words)) for ci, (_, lam, mu) in enumerate(comps)]
+    rounds = [list(_rounds(bitgen, state, trials, ci, lam, mu, target)) for ci, (lam, mu) in enumerate(comps)]
     # every row of bounds is sorted, so its column minima are too, and the
     # boundaries <= target of any row lie in the columns whose minimum is
     widths = [
@@ -342,43 +340,42 @@ def _grid(
     return grid, owner
 
 
-def _held_at(model: SystemModel, events: list[str], grid: np.ndarray, owner: np.ndarray, t: float) -> np.ndarray:
-    """Per row of a _grid, whether the structure function holds at t.
+def _held_at(model: SystemModel, grid: np.ndarray, owner: np.ndarray, t: float) -> np.ndarray:
+    """Per row of a _grid of the model's components, whether the structure function holds at t.
 
     A component is down at t when an odd number of its boundaries are
     <= t, so a boundary at t itself is a state change; +inf padding never
     counts.  owner is nondecreasing and every component has at least one
     column, so one reduceat over each component's columns reads them all.
     """
+    events = model.program.events
     down = np.logical_xor.reduceat(grid <= t, np.searchsorted(owner, np.arange(len(events))), axis=1)
     leaves = down if model.is_fault_tree else ~down
     return _signal(model.program, {event: leaves[:, i] for i, event in enumerate(events)})
 
 
-def _state_table(model: SystemModel, events: list[str]) -> Optional[np.ndarray]:
+def _state_table(model: SystemModel) -> Optional[np.ndarray]:
     """The structure function at every state code, for models of up to TABLE_COMPONENTS components.
 
-    Bit i of a code is set while the component events[i] is down, so entry
-    0 is the state in which every component is up.  None for wider models.
+    Bit i of a code is set while component i is down, so entry 0 is the
+    state in which every component is up.  None for wider models.
     """
-    if len(events) > TABLE_COMPONENTS:
+    if len(model.program.events) > TABLE_COMPONENTS:
         return None
-    table = _truth_table(model, events)
+    table = _truth_table(model)
     # a block diagram's leaves are "up": the row of code c is c's complement, 2^n - 1 - c
     return table if model.is_fault_tree else table[::-1]
 
 
-def _time_held(
-    model: SystemModel, events: list[str], grid: np.ndarray, owner: np.ndarray, horizon: float, table: Optional[np.ndarray]
-) -> np.ndarray:
+def _time_held(model: SystemModel, grid: np.ndarray, owner: np.ndarray, horizon: float, table: Optional[np.ndarray]) -> np.ndarray:
     """Per row of grid, the fraction of [0, horizon) during which the structure function holds.
 
     A row holds one trial's state-change times in any column order:
-    owner[j] is the index in events of the component that column j
-    toggles, or -1 for a column that toggles none, such as the 0.0 every
-    row needs.  Components start up.  A time's float bits with the low
-    `tag` bits replaced by its owner + 1 make an integer key, and one sort
-    of the keys orders the row's changes.  With those bits cleared the
+    owner[j] is the index of the component that column j toggles, or -1
+    for a column that toggles none, such as the 0.0 every row needs.
+    Components start up.  A time's float bits with the low `tag` bits
+    replaced by its owner + 1 make an integer key, and one sort of the
+    keys orders the row's changes.  With those bits cleared the
     keys read back as the times rounded down to a multiple of 2**tag ulps,
     so changes in one such bucket are one instant and their order in it
     does not matter.  The horizon is rounded alike, but not to 0.0, and
@@ -391,11 +388,12 @@ def _time_held(
 
     The owners give the state code after each change, a running XOR of
     one bit per component: bit i is set while events[i] is down.  table
-    is _state_table(model, events); given one, the codes take the
-    narrowest unsigned dtype that holds them and one gather reads the
-    structure.  Otherwise the codes are swept in 64-bit groups and the
-    structure is evaluated on each component's leaf array.
+    is _state_table(model); given one, the codes take the narrowest
+    unsigned dtype that holds them and one gather reads the structure.
+    Otherwise the codes are swept in 64-bit groups and the structure is
+    evaluated on each component's leaf array.
     """
+    events = model.program.events
     tag = len(events).bit_length()  # owner + 1 is at most len(events)
     low = (1 << tag) - 1
     keys = np.empty((grid.shape[0], grid.shape[1] + 1), dtype=np.int64)
@@ -459,13 +457,13 @@ def _signal(program: Program, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
     return stack.pop()
 
 
-def _component_rates(model: SystemModel) -> list[tuple[str, float, float]]:
+def _component_rates(model: SystemModel) -> list[tuple[float, float]]:
     out = []
-    for comp in basic_events(model):
+    for comp in model.program.events:
         lam, mu = _float_rates(model.components[comp].rates, comp)
         if not (lam > 0 and mu > 0):  # a positive rate below the float range rounds to 0
             raise ValueError(f"a rate of component {comp!r} is too small for floating point; its durations cannot be drawn")
-        out.append((comp, lam, mu))
+        out.append((lam, mu))
     return out
 
 
@@ -486,18 +484,19 @@ def _check_trials(cfg: SimConfig) -> None:
 def _simulate(model: SystemModel, cfg: SimConfig, target: float, block_words: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The trials in blocks, each as (its slice of the trial range, its _grid and owner) drawn to target.
 
-    A block's first rounds draw at most block_words words, or one trial's;
-    the grids do not depend on the blocking.
+    A block's first rounds draw at most block_words words, or one trial's,
+    and nothing else bounds a block: _grid keeps every round whole.  The
+    grids do not depend on the blocking.
     """
     comps = _component_rates(model)
-    first_rounds = sum(2 * _first_round_cycles(lam, mu, target) for _, lam, mu in comps)
+    first_rounds = sum(2 * _first_round_cycles(lam, mu, target) for lam, mu in comps)
     step = max(1, block_words // first_rounds)  # trials whose first rounds fill a block
     bitgen = np.random.Philox(key=cfg.seed & _MASK64)
     state = bitgen.state
     state["buffer_pos"] = 4  # empty: the next word comes from a fresh block
     for lo in range(0, cfg.trials, step):
         trials = np.arange(lo, min(lo + step, cfg.trials))
-        yield slice(lo, lo + step), *_grid(bitgen, state, comps, trials, target, block_words)
+        yield slice(lo, lo + step), *_grid(bitgen, state, comps, trials, target)
 
 
 def mc_point_availability(
@@ -524,7 +523,6 @@ def mc_point_availability(
     _check_trials(cfg)
     single = np.ndim(t) == 0
     times = [_check_time(at) for at in ([t] if single else t)]
-    events = basic_events(model)
     distinct = sorted(set(times))
     size = max(1, TRIAL_LIMIT // cfg.trials)
     estimates = {}
@@ -533,7 +531,7 @@ def mc_point_availability(
         held = np.empty((cfg.trials, len(group)), dtype=bool)  # one byte per trial and time
         for block, grid, owner in _simulate(model, cfg, group[-1], POINT_BLOCK_WORDS):
             for k, at in enumerate(group):
-                held[block, k] = _held_at(model, events, grid, owner, at)
+                held[block, k] = _held_at(model, grid, owner, at)
         estimates.update((at, _estimate(held[:, k].astype(np.float64))) for k, at in enumerate(group))
     return estimates[times[0]] if single else [estimates[at] for at in times]
 
@@ -556,9 +554,8 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     if cfg.horizon is None or not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     horizon = float(cfg.horizon)
-    events = basic_events(model)
-    table = _state_table(model, events)
+    table = _state_table(model)
     values = np.empty(cfg.trials, dtype=np.float64)
     for block, grid, owner in _simulate(model, cfg, horizon, STEADY_BLOCK_WORDS):
-        values[block] = _time_held(model, events, grid, owner, horizon, table)
+        values[block] = _time_held(model, grid, owner, horizon, table)
     return _estimate(values)

@@ -473,12 +473,13 @@ class TestEvaluateSteady:
         assert ak.evaluate_steady(k8).probability.value
         with pytest.raises(ak.RequiresOracleError, match="2000-node limit"):
             ak.evaluate_steady(model)
+        # the refusal is kept with the model, so the raised limit is tried on a fresh one
         monkeypatch.setattr(analytic, "NODE_LIMIT", 4000)
-        assert ak.evaluate_steady(model).probability.value == ak.evaluate_steady(k8).probability.value
+        assert ak.evaluate_steady(k8_and_implied_model()).probability.value == ak.evaluate_steady(k8).probability.value
 
     def test_node_limit_refusal_is_kept(self, monkeypatch):
-        # a refusal is kept with the limit it was made under: the steady state
-        # and three time points build once, and a raised limit builds again
+        # a refusal is kept with the model: the steady state and three time
+        # points build once, and a fresh model under a raised limit builds again
         model = k8_and_implied_model()
         builds = []
         build = analytic._Diagram
@@ -489,8 +490,12 @@ class TestEvaluateSteady:
                 ak.evaluate_steady(model) if t is None else ak.evaluate_point(model, t)
         assert len(builds) == 1
         monkeypatch.setattr(analytic, "NODE_LIMIT", 4000)
-        assert ak.evaluate_steady(model).method == "pivotal-decomposition"
-        assert ak.evaluate_point(model, 0.5).method == "pivotal-decomposition"
+        with pytest.raises(ak.RequiresOracleError, match="2000-node limit"):
+            ak.evaluate_steady(model)  # the kept refusal, whatever the limit is now
+        assert len(builds) == 1
+        fresh = k8_and_implied_model()
+        assert ak.evaluate_steady(fresh).method == "pivotal-decomposition"
+        assert ak.evaluate_point(fresh, 0.5).method == "pivotal-decomposition"
         assert len(builds) == 2
 
     @pytest.mark.parametrize("kind", ["and-not", "and-or"])

@@ -168,6 +168,20 @@ class TestAnalyze:
         assert list(json.loads(first)) == list(json.loads(second))
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["simulate", "--at", "inf"], "time must be finite and >= 0, got inf"),
+        (["analyze", "--at=-1"], "time must be finite and >= 0, got -1.0"),
+        (["analyze", "--at", "1,x"], "bad time value 'x' in --at"),
+    ],
+)
+def test_bad_time_stderr_line(abd_file, capsys, argv, line):
+    # a time of --at that reads as a number is checked by the rule the engines use
+    assert main([argv[0], abd_file, *argv[1:]]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 class TestSimulate:
     def test_deterministic_report(self, abd_file, capsys):
         args = ["simulate", abd_file, "--horizon", "300", "--trials", "30", "--seed", "7", "--json"]
@@ -288,7 +302,7 @@ def test_truth_table_built_once_per_model(tmp_path, capsys, monkeypatch, argv, u
     # enumeration in every row and the steady simulation's state table read one truth table
     tables = []
     table_of = oracle._truth_table
-    monkeypatch.setattr(oracle, "_truth_table", lambda model, events: tables.append(table_of(model, events)) or tables[-1])
+    monkeypatch.setattr(oracle, "_truth_table", lambda model: tables.append(table_of(model)) or tables[-1])
     path = write_model(tmp_path, "shared.avm", SHARED_TEXT)
     assert main([argv[0], path, *argv[1:], "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["results"]
@@ -298,8 +312,8 @@ def test_truth_table_built_once_per_model(tmp_path, capsys, monkeypatch, argv, u
 
 
 def test_node_limit_refusal_built_once_per_model(tmp_path, capsys, monkeypatch):
-    # a refusal is kept with the limit it was made under: the steady row and
-    # every time point of one model build its diagram once
+    # a refusal is kept with the model: the steady row and every time point
+    # of one model build its diagram once
     monkeypatch.setattr(analytic, "NODE_LIMIT", 2000)
     builds = []
     build = analytic._Diagram
@@ -589,13 +603,13 @@ class TestValidation:
             (["simulate", abd_file] + sim, ["mc_steady_availability", "mc_point_availability"]),
             (
                 ["compare", ft_file] + sim,
-                ["evaluate_steady", "mc_steady_availability", "evaluate_point", "mc_point_availability"],
+                ["mc_steady_availability", "mc_point_availability", "evaluate_steady", "evaluate_point"],
             ),
-            # one point simulation per command, however many times: compare runs it at the first point row
+            # one point simulation per command, however many times: compare runs both simulations before any row
             (["simulate", abd_file] + curve, ["mc_steady_availability", "mc_point_availability"]),
             (
                 ["compare", ft_file] + curve,
-                ["evaluate_steady", "mc_steady_availability", "evaluate_point", "mc_point_availability", "evaluate_point"],
+                ["mc_steady_availability", "mc_point_availability", "evaluate_steady", "evaluate_point", "evaluate_point"],
             ),
         ]
         for argv, expected in runs:

@@ -145,6 +145,18 @@ class TestBasicEvents:
         assert ak.basic_events(model) == ["b", "a", "c"]
 
 
+class TestEquality:
+    def test_equal_but_unhashable(self):
+        # models compare field by field; the component map is a dict, so the class
+        # declares itself unhashable and the error names it, not the dict
+        text = 'model "m" component a lambda=1 mu=1 abd unit a'
+        model = ak.parse_model(text)
+        with pytest.raises(TypeError, match="^unhashable type: 'SystemModel'$"):
+            hash(model)
+        assert model == ak.parse_model(text)
+        assert model != ak.parse_model(text.replace("mu=1", "mu=2"))
+
+
 class TestLeavesDistinct:
     def test_distinct(self):
         assert dfh3_abd().leaves_distinct is True

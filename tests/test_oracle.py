@@ -179,7 +179,7 @@ class TestTrajectory:
         bounds = np.cumsum(steps)
         grid = np.concatenate(([0.0], bounds))[None, :]
         owner = np.array([-1] + [0] * bounds.size)
-        return float(oracle._time_held(cls.SINGLE, ["C"], grid, owner, horizon, oracle._state_table(cls.SINGLE, ["C"]))[0] * horizon)
+        return float(oracle._time_held(cls.SINGLE, grid, owner, horizon, oracle._state_table(cls.SINGLE))[0] * horizon)
 
     def test_state_at_zero_is_up(self):
         assert self.up_time((2.0,), (1.0,), 1.5) == 1.5
@@ -203,7 +203,7 @@ class TestTrajectory:
         words = np.array([2, 1, 5, 1, 1, 4, 9, 9], dtype=np.uint64)
         starts = {0: 0, 1: 2}  # where each round's words begin
         monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: words[None, starts[r]:starts[r] + count])
-        rounds = list(oracle._rounds(None, None, np.arange(1), 0, 1.0, 1.0, 5.0, 64))
+        rounds = list(oracle._rounds(None, None, np.arange(1), 0, 1.0, 1.0, 5.0))
         assert [start for _, start, _ in rounds] == [0, 2]
         assert np.concatenate([bounds[0] for _, _, bounds in rounds]).tolist() == [2.0, 3.0, 8.0, 9.0, 10.0, 14.0]
 
@@ -216,18 +216,18 @@ class TestTrajectory:
         monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: np.array([rounds[i][r] for i in trials]))
-        grid, owner = oracle._grid(None, None, [("C", 1.0, 1.0)], np.arange(3), 4.0, 64)
+        grid, owner = oracle._grid(None, None, [(1.0, 1.0)], np.arange(3), 4.0)
         assert grid.tolist() == [
             [0.0, 1.0, 2.0, 4.0],
             [0.0, 4.0, 7.0, math.inf],
             [0.0, 5.0, 6.0, math.inf],
         ]
         assert owner.tolist() == [-1, 0, 0, 0]
-        assert oracle._held_at(self.SINGLE, ["C"], grid, owner, 4.0).tolist() == [False, False, True]
+        assert oracle._held_at(self.SINGLE, grid, owner, 4.0).tolist() == [False, False, True]
         # with no boundary <= 0.5 in any stream, the component keeps one column, which the read needs
-        grid, owner = oracle._grid(None, None, [("C", 1.0, 1.0)], np.arange(3), 0.5, 64)
+        grid, owner = oracle._grid(None, None, [(1.0, 1.0)], np.arange(3), 0.5)
         assert grid.tolist() == [[0.0, 1.0], [0.0, 4.0], [0.0, 5.0]]
-        assert oracle._held_at(self.SINGLE, ["C"], grid, owner, 0.5).tolist() == [True, True, True]
+        assert oracle._held_at(self.SINGLE, grid, owner, 0.5).tolist() == [True, True, True]
         assert ak.mc_point_availability(self.SINGLE, 4.0, ak.SimConfig(trials=3)).mean == 1 / 3
         ft = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Basic("C"))
         assert ak.mc_point_availability(ft, 4.0, ak.SimConfig(trials=3)).mean == 2 / 3
@@ -241,14 +241,14 @@ class TestTrajectory:
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: np.array([rounds[r]]))
         target = 2.0 ** 53
-        grid, owner = oracle._grid(None, None, [("C", 1.0, 1.0)], np.arange(1), target, 64)
+        grid, owner = oracle._grid(None, None, [(1.0, 1.0)], np.arange(1), target)
         assert grid.tolist() == [[0.0] + [target] * 5]
-        assert oracle._held_at(self.SINGLE, ["C"], grid, owner, target).tolist() == [False]  # five changes: down
+        assert oracle._held_at(self.SINGLE, grid, owner, target).tolist() == [False]  # five changes: down
 
     def test_rounds_deterministic_and_long_enough(self):
         def draw(seed):
             bitgen = np.random.Philox(key=seed)
-            return oracle._grid(bitgen, bitgen.state, [("C", 0.1, 0.3)], np.arange(3), 50.0, oracle.STEADY_BLOCK_WORDS)
+            return oracle._grid(bitgen, bitgen.state, [(0.1, 0.3)], np.arange(3), 50.0)
 
         a, owner = draw(3)
         assert np.array_equal(a, draw(3)[0])
@@ -256,7 +256,7 @@ class TestTrajectory:
         assert owner.tolist() == [-1] + [0] * (a.shape[1] - 1)
         assert (a[:, 0] == 0.0).all() and (a[:, -1] <= 50.0).any()  # the last column holds some boundary <= 50
         bitgen = np.random.Philox(key=3)
-        rounds = list(oracle._rounds(bitgen, bitgen.state, np.arange(3), 0, 0.1, 0.3, 50.0, oracle.STEADY_BLOCK_WORDS))
+        rounds = list(oracle._rounds(bitgen, bitgen.state, np.arange(3), 0, 0.1, 0.3, 50.0))
         for trial, row in enumerate(a):
             stream = np.concatenate([bounds[rows.tolist().index(trial)] for rows, _, bounds in rounds if trial in rows])
             assert stream[-1] > 50.0 and (np.diff(stream) > 0).all()  # drawn past the target, positive durations
@@ -569,7 +569,7 @@ class TestBatchedSteady:
         for n in (oracle.TABLE_COMPONENTS, oracle.TABLE_COMPONENTS + 1):
             for model in self.width_models(n):
                 assert len(ak.basic_events(model)) == n
-                assert (oracle._state_table(model, ak.basic_events(model)) is None) == (n > oracle.TABLE_COMPONENTS)
+                assert (oracle._state_table(model) is None) == (n > oracle.TABLE_COMPONENTS)
                 for horizon, trials in ((0.3, 9), (6.0, 4)):
                     cfg = ak.SimConfig(trials=trials, horizon=horizon, seed=2 ** 64 + n)
                     assert ak.mc_steady_availability(model, cfg) == reference_mc_steady(model, cfg), (ak.serialize_model(model), cfg)
@@ -603,8 +603,8 @@ class TestBatchedSteady:
                 for horizon in (0.3, 6.0, 200.0):
                     bitgen = np.random.Philox(key=n)
                     comps = oracle._component_rates(model)
-                    grid, owner = oracle._grid(bitgen, bitgen.state, comps, np.arange(9), horizon, oracle.STEADY_BLOCK_WORDS)
-                    got = oracle._time_held(model, events, grid, owner, horizon, oracle._state_table(model, events))
+                    grid, owner = oracle._grid(bitgen, bitgen.state, comps, np.arange(9), horizon)
+                    got = oracle._time_held(model, grid, owner, horizon, oracle._state_table(model))
                     bound = grid.shape[1] * 2 ** tag * math.ulp(horizon) / horizon
                     for row, times in enumerate(grid):
                         bounds = {e: times[owner == i] for i, e in enumerate(events)}
@@ -625,6 +625,28 @@ class TestBatchedSteady:
             ak.mc_steady_availability(model, ak.SimConfig(trials=30, horizon=20.0, seed=4))
         assert calls["_state_table"] == 2
         assert calls["_grid"] == 2 * 30  # a block of 64 first-round words holds one trial
+
+    def test_one_draw_per_component_and_round(self, monkeypatch):
+        # rounds of 2, 4, 8, ... words in blocks of 8 first-round words: a block holds
+        # several trials, and a later round of their streams needs more than 8 words,
+        # yet each round of a component in a block is one draw
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 8)
+        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
+        blocks, draws = [], []
+        grid, draw = oracle._grid, oracle._draw
+        monkeypatch.setattr(oracle, "_grid", lambda *args: blocks.append(args[3].tolist()) or grid(*args))
+        monkeypatch.setattr(oracle, "_draw", lambda *args: draws.append((len(blocks), args[3], args[4], args[2].size, args[5])) or draw(*args))
+        single = ak.SystemModel("single", {"a": ak.ComponentDef("a", R13)}, ak.Unit("a"))
+        series = ak.SystemModel("series", {c: ak.ComponentDef(c, R13) for c in "ab"}, ak.Series((ak.Unit("a"), ak.Unit("b"))))
+        for model in (single, series):
+            blocks.clear()
+            draws.clear()
+            cfg = ak.SimConfig(trials=12, horizon=50.0, seed=3)
+            assert ak.mc_steady_availability(model, cfg) == reference_mc_steady(model, cfg)
+            assert max(map(len, blocks)) > 1
+            assert any(streams * count > 8 for _, _, _, streams, count in draws)
+            keys = [key[:3] for key in draws]  # (block, component, round)
+            assert len(keys) == len(set(keys)), model.name
 
     def test_peak_memory(self):
         # the boundary grid of a block stays small next to the process (the benchmark bounds peak RSS),
@@ -683,10 +705,10 @@ class TestTimeHeld:
     }
 
     @staticmethod
-    def grid(trials, shuffle):
-        """The trials' boundaries as one grid: a 0.0 column, then each component's columns, +inf past a short row."""
+    def grid(model, trials, shuffle):
+        """The trials' boundaries as one grid: a 0.0 column, then the columns of each of the model's components, +inf past a short row."""
         columns, owner = [np.zeros((len(trials), 1))], [-1]
-        for ci, comp in enumerate("ab"):
+        for ci, comp in enumerate(ak.basic_events(model)):
             width = max(len(t[comp]) for t in trials)
             cols = np.full((len(trials), width), np.inf)
             for row, t in enumerate(trials):
@@ -706,16 +728,16 @@ class TestTimeHeld:
         body = self.BODIES[body_name]
         model = gate_model(body)
         trials, horizon = self.GRIDS[grid_name]
-        grid, owner = self.grid(trials, shuffle)
+        grid, owner = self.grid(model, trials, shuffle)
 
         def holds(up):
             return reference_holds(body, {c: not v for c, v in up.items()} if model.is_fault_tree else up)
 
         # the state table read, and the 64-bit group sweep that models too wide for a table take
-        for table in (oracle._state_table(model, ["a", "b"]), None):
-            got = oracle._time_held(model, ["a", "b"], grid, owner, horizon, table)
+        for table in (oracle._state_table(model), None):
+            got = oracle._time_held(model, grid, owner, horizon, table)
             for row, trial in enumerate(trials):
-                bounds = {c: np.array(trial[c]) for c in "ab"}
+                bounds = {c: np.array(trial[c]) for c in ak.basic_events(model)}
                 assert got[row] == reference_time_held(bounds, horizon, holds), (row, trial, table)
 
 
