@@ -510,7 +510,7 @@ class TestBatchedSteady:
         "block_words, first_round",
         [
             (None, None),  # the module's own sizes
-            (64, None),  # blocks of a few trials, rounds split into single streams
+            (64, None),  # blocks of a few trials split the trial range
             (64, 1),  # rounds of 2, 4, 8, ... words: later rounds and +inf padding
         ],
     )
