@@ -111,13 +111,8 @@ def _parse_times(raw: Optional[str]) -> list[float]:
 
 
 def _sim_config(args: argparse.Namespace, default_horizon: Optional[float] = None) -> SimConfig:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    horizon = args.horizon
-    if horizon is None:
-        horizon = default_horizon
-    elif not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"--horizon must be finite and > 0, got {horizon}")
+    """The flags' SimConfig, unchecked: the oracle checks --trials and --horizon before it draws anything."""
+    horizon = default_horizon if args.horizon is None else args.horizon
     return SimConfig(trials=args.trials, horizon=horizon, seed=args.seed)
 
 

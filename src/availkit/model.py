@@ -356,6 +356,37 @@ def compile_structure(expr: Expr) -> Program:
     return Program(tuple(steps), leaves, tuple(dict.fromkeys(leaves)))
 
 
+def _structure(program: Program, fault_tree: bool, nands: Mapping[int, int]) -> Expr:
+    """The body that compile_structure flattens into program: its inverse, for a parsed model.
+
+    fault_tree picks the node classes (AND is And or Series, OR is Or or
+    Parallel, a leaf Basic or Unit), and nands maps the index of each AND
+    step that was a Nand to how many of its operands are negated: its
+    first ones, each compiled with a NOT after it, which the Nand drops
+    again.  One pass over the steps with an operand stack, so any depth
+    works.
+    """
+    leaf, groups = (Basic, {AND: And, OR: Or, NOR: Nor}) if fault_tree else (Unit, {AND: Series, OR: Parallel})
+    stack: list = []
+    for index, (op, arg) in enumerate(program.steps):
+        if op == LEAF:
+            stack.append(leaf(arg))
+        elif op == NOT:
+            stack[-1] = Not(stack[-1])
+        elif op == XOR:
+            right = stack.pop()
+            stack[-1] = Xor(stack[-1], right)
+        else:
+            items = stack[-arg:]
+            del stack[-arg:]
+            negated = nands.get(index)
+            if negated is None:
+                stack.append(groups[op](items))
+            else:
+                stack.append(Nand(tuple(item.child for item in items[:negated]), items[negated:]))
+    return stack[0]
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     """One validation finding, locating the offending node by path."""
@@ -379,6 +410,13 @@ class SystemModel:
     oracle's truth table are computed once and cached, so neither the
     components nor the body may be mutated after construction.  Models
     compare with == but are unhashable, as the component map is a dict.
+
+    A parsed model (_from_program) starts from its program instead: the
+    parser emits the steps as it reads, and the engines read nothing else.
+    Its body is built from the program on first read (__getattr__), as by
+    cutsets, serialize_model, ==, repr or dataclasses.replace, and kept;
+    it equals the body the text spells out.  A copy or pickle made before
+    that carries the program and builds a body of its own.
     """
 
     name: str
@@ -390,8 +428,27 @@ class SystemModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", dict(self.components))
 
-    @property
+    @classmethod
+    def _from_program(cls, name: str, components: dict, program: Program, fault_tree: bool,
+                      nands: Mapping[int, int]) -> SystemModel:
+        """A model whose body is not built yet: program, is_fault_tree and no findings are stored
+        as the cached properties would store them, and nands is _structure's record of the Nands."""
+        model = object.__new__(cls)
+        model.__dict__.update(name=name, components=components, program=program, is_fault_tree=fault_tree,
+                              _diagnostics=(), _nands=nands)
+        return model
+
+    def __getattr__(self, name: str):
+        """Only for an attribute not in the __dict__: a parsed model's body, built once from its program."""
+        nands = self.__dict__.get("_nands") if name == "body" else None
+        if nands is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
+        body = self.__dict__["body"] = _structure(self.program, self.is_fault_tree, nands)
+        return body
+
+    @cached_property
     def is_fault_tree(self) -> bool:
+        """True for a fault tree body, False for a block diagram; a parsed model's comes from its body keyword."""
         return isinstance(self.body, _GATE_NODES)
 
     @cached_property
@@ -402,7 +459,7 @@ class SystemModel:
 
     @cached_property
     def _diagnostics(self) -> tuple[Diagnostic, ...]:
-        """validate's findings from one walk, cached like program; parse_model stores () unwalked."""
+        """validate's findings from one walk, cached like program; a parsed model stores () unwalked."""
         diags: list[Diagnostic] = []
 
         for cid, comp in self.components.items():

@@ -41,6 +41,9 @@ it.  Only a diagnostic works out offsets, from a finditer of that regex,
 and scans the texts for the first lexical fault, which it reports before
 any other, as lexing the whole text first would.  Component declarations
 are read by strided slices of the list, which also find their faults.
+The body is read straight into its post-order program (model.Program),
+which the parsed model holds; its structure nodes are built from the
+program only when something reads model.body.
 
 The serializer emits the canonical form
 (components in declaration order, two-space indentation, one construct
@@ -59,6 +62,12 @@ from itertools import takewhile
 from typing import NamedTuple, Optional
 
 from .model import (
+    AND,
+    LEAF,
+    NOR,
+    NOT,
+    OR,
+    XOR,
     And,
     Basic,
     ComponentDef,
@@ -68,6 +77,7 @@ from .model import (
     Not,
     Or,
     Parallel,
+    Program,
     RatePair,
     Series,
     SystemModel,
@@ -235,25 +245,30 @@ _DECLARATION = (
 
 
 class _Grammar(NamedTuple):
-    """The nodes of one body kind, by the keyword that starts each, and the texts of its diagnostics."""
+    """The constructs of one body kind, by the token that starts each, and the texts of its diagnostics."""
 
-    nodes: dict  # keyword -> node class
+    ops: dict  # keyword or '{' -> the opcode of the step it compiles to, or _NAND or _BRACE
     identifier: str  # what the identifier after the leaf keyword names
-    expected: str  # what a node may start with
+    expected: str  # what a construct may start with
 
+
+# What body reads past model's opcodes: a nand (an AND over its groups'
+# operands), a bare '{', a nand's 'pos' and 'neg' groups, and the body as a
+# whole; from _NEG on, completing an item does more than count it.
+_NAND, _BRACE, _POS, _NEG, _BODY = range(NOT + 1, NOT + 6)
 
 _BODIES = {
-    "abd": _Grammar({"unit": Unit, "series": Series, "parallel": Parallel}, "component identifier",
+    "abd": _Grammar({"unit": LEAF, "series": AND, "parallel": OR, "{": _BRACE}, "component identifier",
                     "a block ('unit', 'series' or 'parallel')"),
-    "ft": _Grammar({"basic": Basic, "and": And, "or": Or, "nor": Nor, "nand": Nand, "xor": Xor, "not": Not},
-                   "event identifier", "a gate"),
+    "ft": _Grammar({"basic": LEAF, "and": AND, "or": OR, "nor": NOR, "nand": _NAND, "xor": XOR, "not": NOT,
+                    "{": _BRACE}, "event identifier", "a gate"),
 }
 
 
-# The items a construct takes, when that is a fixed number: a bare '{' (None)
-# and not take 1, xor 2, and nand 2, its 'neg' and 'pos' groups.  A group,
-# absent here, takes 1 or more.
-_ARITY = {None: 1, Not: 1, Xor: 2, Nand: 2}
+# The items a construct takes, when that is a fixed number: a bare '{' and
+# not take 1, and xor 2.  A group takes 1 or more, and so do a nand's 'neg'
+# and 'pos' groups, its items.
+_ARITY = {_BRACE: 1, NOT: 1, XOR: 2}
 
 
 class _Parser:
@@ -264,10 +279,12 @@ class _Parser:
     alone tells keywords and symbols apart from every other token, and its
     first character gives its kind, so matching one compares texts only.
     One routine, declarations, reads a run of component declarations, and
-    one loop, body, either body kind from its _Grammar table, with an
-    explicit stack of open constructs, so braces nest to any depth.  The
-    parser reads the rate literals it takes, so a text it accepts has no
-    lexical fault.
+    one loop, body, either body kind from its _Grammar table into the
+    steps of its program, with an explicit stack of open constructs, so
+    braces nest to any depth.  parse_model makes the model from the
+    program and body's record of its nands (SystemModel._from_program),
+    and builds no structure node.  The parser reads the rate literals it
+    takes, so a text it accepts has no lexical fault.
 
     The first diagnostic gives every token its offset, from a finditer
     whose matches are the findall's, and so the split's, and reports the
@@ -337,19 +354,24 @@ class _Parser:
         components = self.declarations()
 
         at = self.advance()
-        if tokens[at] not in _BODIES:
+        keyword = tokens[at]
+        if keyword not in _BODIES:
             raise self.fail(at, "expected 'abd' or 'ft' body")
-        body = self.body(_BODIES[tokens[at]])
+        steps, nands = self.body(_BODIES[keyword])
 
         if tokens[self.pos]:
             raise self.fail(self.pos, f"unexpected trailing input {_quoted(tokens[self.pos])}")
 
-        for index in self.leaf_refs:
-            if tokens[index] not in components:
-                self.note(index, f"unknown component reference {_quoted(tokens[index])}")
+        leaves = tuple(map(tokens.__getitem__, self.leaf_refs))
+        events = dict.fromkeys(leaves)
+        if not components.keys() >= events.keys():
+            for index in self.leaf_refs:
+                if tokens[index] not in components:
+                    self.note(index, f"unknown component reference {_quoted(tokens[index])}")
         if self.diagnostics:
             raise ModelFileError(self.diagnostics)
-        return SystemModel(name=name[1:-1], components=components, body=body)
+        return SystemModel._from_program(name[1:-1], components, Program(tuple(steps), leaves, tuple(events)),
+                                         keyword == "ft", nands)
 
     def declarations(self) -> dict[str, ComponentDef]:
         """The components of the run of declarations at pos, read by strided slices; pos moves past it.
@@ -358,10 +380,11 @@ class _Parser:
         so each of its places is one slice of the run, and a clean run takes
         a few slice comparisons.  A faulty run is cut at its first
         declaration out of shape, found with _DECLARATION.  Each distinct
-        pair of rate literals before the cut is read once, into one shared
-        RatePair.  Then, in declaration order, a duplicate id is noted alone
-        and any other declaration's nonpositive lambda, then mu; last, the
-        cut declaration raises at its first token out of place.
+        rate literal before the cut is read once, and each distinct pair of
+        them makes one shared RatePair.  Then, in declaration order, a
+        duplicate id is noted alone and any other declaration's nonpositive
+        lambda, then mu; last, the cut declaration raises at its first token
+        out of place.
         """
         tokens, at = self.tokens, self.pos
         n = len(list(takewhile("component".__eq__, tokens[at::8])))
@@ -380,12 +403,13 @@ class _Parser:
             end = misplaced - (misplaced - at) % 8
             del ids[(end - at) // 8 :], literals[(end - at) // 8 :]
             pairs = set(literals)
-        shared: dict[tuple[str, str], RatePair] = {}
-        for lam, mu in pairs:
+        values: dict[str, Fraction] = {}
+        for tok in {tok for pair in pairs for tok in pair}:
             try:
-                shared[lam, mu] = RatePair(_number(lam), _number(mu))
+                values[tok] = _number(tok)
             except ValueError as exc:  # a lexical fault, so the first diagnostic reports it or one before it
-                raise self.fail(at + 4 + 8 * literals.index((lam, mu)), str(exc)) from None
+                raise self.fail(tokens.index(tok, at), str(exc)) from None
+        shared = {(lam, mu): RatePair(values[lam], values[mu]) for lam, mu in pairs}
         self.pos = end
         if len(set(ids)) < len(ids) or not all(r.failure_rate > 0 and r.repair_rate > 0 for r in shared.values()):
             seen: set[str] = set()
@@ -402,78 +426,103 @@ class _Parser:
             raise self.unexpected(misplaced, _DECLARATION[(misplaced - at) % 8 - 1][1])
         return dict(zip(ids, map(ComponentDef, ids, map(shared.__getitem__, literals))))  # with a note, never used
 
-    def body(self, grammar: _Grammar) -> Expr:
-        """The body at pos, of the kind grammar reads; pos moves past it.
+    def body(self, grammar: _Grammar) -> tuple[list, dict[int, int]]:
+        """The post-order steps of the body at pos, of the kind grammar reads, and its nands; pos moves past it.
 
-        One loop over a stack of the open constructs, each a node class (None
-        for a bare '{', tuple for a nand's 'neg' or 'pos' group) and its
-        items so far.  It reads an item by opening constructs down to a
-        leaf, then appends the item to the innermost open construct: while
-        the construct may take more, a ';' starts its next item, and a '}'
-        closes it into the item of the construct around it.
+        The steps are those compile_structure gives for the body the text
+        spells out, and nands maps the index of each AND step that is a
+        nand to how many of its operands are negated (model._structure's
+        record).  One loop with an explicit stack: the innermost open
+        construct is (kind, count, arity), an opcode or one of _NAND to
+        _BODY, its items so far and _ARITY's number for it, and saved holds
+        those of the constructs around it.  The loop reads an item by
+        opening constructs down to a leaf, whose step it emits, then
+        completes the innermost construct's item: while the construct may
+        take more, a ';' starts its next item, and a '}' closes it, emits
+        its step and completes an item of the construct around it.  Items
+        complete in post-order.  A nand is its 'neg' group, then its 'pos'
+        group: a NOT follows each 'neg' item, and the AND step follows the
+        'pos' group.
         """
-        tokens, nodes, leaf_refs = self.tokens, grammar.nodes, self.leaf_refs
-        stack: list[tuple[Optional[type], list]] = []
+        tokens, ops, leaf_refs = self.tokens, grammar.ops, self.leaf_refs
+        steps: list[tuple[int, object]] = []
+        emit = steps.append
+        nands: dict[int, int] = {}
+        saved: list[tuple] = []  # (kind, count, arity) of each open construct around the innermost
+        negated: list[int] = []  # the item count of each open nand's 'neg' group
+        kind, count, arity = _BODY, 0, 1
         pos = self.pos
         while True:
-            word = tokens[pos]
-            node = nodes.get(word)
-            if node is None:
-                if word != "{":
-                    raise self.fail(pos, f"expected {grammar.expected}, found {_quoted(word)}")
-                stack.append((None, []))
-                pos += 1
+            op = ops.get(tokens[pos])
+            if op != LEAF:
+                if op is None:
+                    raise self.fail(pos, f"expected {grammar.expected}, found {_quoted(tokens[pos])}")
+                saved.append((kind, count, arity))
+                count = 0
+                if op == _BRACE:
+                    kind, arity = op, 1
+                    pos += 1
+                elif op == _NAND:
+                    pos = self.expect(pos + 1, "{", "neg", "{")
+                    kind, arity = _NEG, None
+                else:
+                    pos = self.expect(pos + 1, "{")
+                    kind, arity = op, _ARITY.get(op)
                 continue
-            if node is Nand:
-                pos = self.expect(pos + 1, "{", "neg", "{")
-                stack += ((Nand, []), (tuple, []))
-                continue
-            if node is not Unit and node is not Basic:
-                pos = self.expect(pos + 1, "{")
-                stack.append((node, []))
-                continue
-            if tokens[pos + 1][:1] not in _IDENT_START:
-                raise self.unexpected(pos + 1, grammar.identifier)
-            leaf_refs.append(pos + 1)
-            item = node(tokens[pos + 1])
-            pos += 2
-            while stack:  # item completes the innermost open construct
-                node, items = stack[-1]
-                items.append(item)
+            pos += 1
+            if tokens[pos][:1] not in _IDENT_START:
+                raise self.unexpected(pos, grammar.identifier)
+            leaf_refs.append(pos)
+            emit((LEAF, tokens[pos]))
+            pos += 1
+            while True:  # an item completes the innermost open construct
+                count += 1
+                if kind >= _NEG:
+                    if kind == _BODY:
+                        self.pos = pos
+                        return steps, nands
+                    emit((NOT, 1))
                 word = tokens[pos]
-                arity = _ARITY.get(node)
-                if arity is None or len(items) < arity:
+                if arity is None or count < arity:
                     if word == ";":
                         pos += 1
-                        if node is Nand:
-                            pos = self.expect(pos, "pos", "{")
-                            stack.append((tuple, []))
                         break
                     if arity is not None:
                         raise self.unexpected(pos, "';'")
-                elif node is Xor and word != "}":
+                elif kind == XOR and word != "}":
                     raise self.fail(pos, "xor takes exactly 2 operands" if word == ";" else f"expected '}}', found {_quoted(word)}")
                 if word != "}":
                     raise self.unexpected(pos, "'}'")
                 pos += 1
-                stack.pop()
-                item = items[0] if node is None else node(*items) if arity else node(items)
-            else:
-                self.pos = pos
-                return item
+                if kind < _NAND:
+                    emit((kind, count))
+                elif kind == _NEG:
+                    pos = self.expect(pos, ";", "pos", "{")
+                    negated.append(count)
+                    kind, count = _POS, 0
+                    break
+                elif kind == _POS:
+                    pos = self.expect(pos, "}")
+                    negated_count = negated.pop()
+                    nands[len(steps)] = negated_count
+                    emit((AND, negated_count + count))
+                kind, count, arity = saved.pop()
 
 
 def parse_model(text: str) -> SystemModel:
-    """Parse model text; raises ModelFileError with all diagnostics on failure."""
-    model = _Parser(text).parse_model()
-    model.__dict__["_diagnostics"] = ()  # valid by construction: the record cached_property would fill
-    return model
+    """Parse model text; raises ModelFileError with all diagnostics on failure.
+
+    The model holds the program its body compiles to, and no findings: it
+    is valid by construction.  Its body is built on first read.
+    """
+    return _Parser(text).parse_model()
 
 
 # --- canonical serialization --------------------------------------------------
 
 
-_KEYWORDS = {node: word for grammar in _BODIES.values() for word, node in grammar.nodes.items()}
+_KEYWORDS = {Unit: "unit", Series: "series", Parallel: "parallel",
+             Basic: "basic", And: "and", Or: "or", Nor: "nor", Nand: "nand", Xor: "xor", Not: "not"}
 
 
 def _body_lines(body: Expr) -> list[str]:

@@ -14,7 +14,7 @@ import numpy as np
 
 import availkit as ak
 from availkit import oracle
-from availkit.modelfile import _IDENT_START, _Parser, _quoted
+from availkit.modelfile import _BODIES, _IDENT_START, _Parser, _quoted
 
 GATE_KINDS = ("and", "or", "nor", "nand", "xor", "not")
 
@@ -361,15 +361,41 @@ def reference_declarations(tokens: list[str]) -> tuple[Optional[dict], list[tupl
 
 
 class ReferenceParser(_Parser):
-    """The parser with the recursive descent its body loop replaced: shallow texts only.
+    """The parser with the recursive descent its body loop replaced, building an eager model: shallow texts only.
 
+    parse_model is the parser's own up to the body, which parse_node reads
+    into structure nodes; the model is built from them with SystemModel,
+    so its body is eager and its program is compiled from the body.
     parse_node and parse_children take about two Python stack frames per
     brace level, so a few hundred levels reach the recursion limit.
     """
 
-    def body(self, grammar):
-        self.grammar = grammar
-        return self.parse_node()
+    NODES = {
+        "abd": {"unit": ak.Unit, "series": ak.Series, "parallel": ak.Parallel},
+        "ft": {"basic": ak.Basic, "and": ak.And, "or": ak.Or, "nor": ak.Nor, "nand": ak.Nand, "xor": ak.Xor, "not": ak.Not},
+    }
+
+    def parse_model(self):
+        tokens = self.tokens
+        self.pos = self.expect(0, "model")
+        at = self.advance()
+        name = tokens[at]
+        if name[:1] != '"' or len(name) < 2:
+            raise self.fail(at, "expected model name string")
+        components = self.declarations()
+        at = self.advance()
+        if tokens[at] not in _BODIES:
+            raise self.fail(at, "expected 'abd' or 'ft' body")
+        self.grammar, self.nodes = _BODIES[tokens[at]], self.NODES[tokens[at]]
+        body = self.parse_node()
+        if tokens[self.pos]:
+            raise self.fail(self.pos, f"unexpected trailing input {_quoted(tokens[self.pos])}")
+        for index in self.leaf_refs:
+            if tokens[index] not in components:
+                self.note(index, f"unknown component reference {_quoted(tokens[index])}")
+        if self.diagnostics:
+            raise ak.ModelFileError(self.diagnostics)
+        return ak.SystemModel(name=name[1:-1], components=components, body=body)
 
     def take(self, word: str) -> None:
         self.pos = self.expect(self.pos, word)
@@ -386,7 +412,7 @@ class ReferenceParser(_Parser):
     def parse_node(self):
         at = self.pos
         word = self.tokens[at]
-        node = self.grammar.nodes.get(word)
+        node = self.nodes.get(word)
         if node is None:
             if word != "{":
                 raise self.fail(at, f"expected {self.grammar.expected}, found {_quoted(word)}")

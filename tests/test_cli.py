@@ -182,6 +182,20 @@ def test_bad_time_stderr_line(abd_file, capsys, argv, line):
     assert capsys.readouterr().err == line + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["simulate", "--horizon", "-3"], "horizon must be finite and > 0, got -3.0"),
+        (["simulate", "--trials", "0", "--horizon", "5"], "trials must be >= 1, got 0"),
+        (["compare", "--trials", "0"], "trials must be >= 1, got 0"),
+    ],
+)
+def test_bad_simulation_flag_stderr_line(abd_file, capsys, argv, line):
+    # --trials and --horizon are checked once, by the oracle, whose message names the rule
+    assert main([argv[0], abd_file, *argv[1:]]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 class TestSimulate:
     def test_deterministic_report(self, abd_file, capsys):
         args = ["simulate", abd_file, "--horizon", "300", "--trials", "30", "--seed", "7", "--json"]
@@ -555,9 +569,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("run", RUNS)
     def test_each_command_compiles_its_model_once(self, abd_file, ft_file, capsys, monkeypatch, run):
-        # analyze --at 10,100,1000 runs the steady and three point evaluations on one compiled program;
-        # cutsets compiles the tree once, in expand_to_cutsets, and nothing on its path reads model.program
-        calls = []
+        # the parse emits the program, so analyze, simulate and compare compile nothing and build
+        # no structure node; cutsets builds the body once, from the program, and compiles it once,
+        # in expand_to_cutsets
+        calls, builds, nodes = [], [], []
         for module in (model, analytic, oracle, cutsets):  # each module's own binding, where it has one
             if not hasattr(module, "compile_structure"):
                 continue
@@ -567,9 +582,25 @@ class TestValidation:
                 return _compile(expr)
 
             monkeypatch.setattr(module, "compile_structure", counting)
+
+        def building(*args, _structure=model._structure):
+            builds.append(args[0])
+            return _structure(*args)
+
+        monkeypatch.setattr(model, "_structure", building)
+        for cls in (model.Unit, model._Group, model.Basic, model.Nand, model.Xor, model.Not):  # each dataclass __init__
+
+            def init(self, *args, _init=cls.__init__):
+                nodes.append(type(self).__name__)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", init)
         argv = [arg.format(abd=abd_file, ft=ft_file) for arg in self.RUNS[run]]
         assert main(argv) == 0
-        assert len(calls) == 1, calls
+        if run == "cutsets":
+            assert len(calls) == 1 and len(builds) == 1 and nodes
+        else:
+            assert calls == [] and builds == [] and nodes == []
 
     @pytest.mark.parametrize(
         "call",

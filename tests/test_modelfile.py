@@ -1,5 +1,8 @@
 """Parser, diagnostics with source positions, and the canonical serializer."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
 import sys
@@ -506,6 +509,15 @@ class TestDeclarations:
         assert comps["c0"].rates == ak.RatePair(Fraction(1, 100), Fraction(1))
         assert len({id(c.rates) for c in comps.values()}) == 15
 
+    def test_each_literal_read_once(self):
+        # 1/2 is in two different pairs, and 3 is both rates of one pair
+        text = 'model "m" component a lambda=1/2 mu=3 component b lambda=1 mu=1/2 component c lambda=3 mu=3 abd unit a'
+        with mock.patch.object(modelfile, "_number", wraps=modelfile._number) as number:
+            comps, _ = self.declarations(text)
+        assert sorted(call.args[0] for call in number.call_args_list) == ["1", "1/2", "3"]
+        assert comps["a"].rates == ak.RatePair(Fraction(1, 2), 3) and comps["b"].rates == ak.RatePair(1, Fraction(1, 2))
+        assert comps["c"].rates == ak.RatePair(3, 3)
+
     @pytest.mark.parametrize(
         "index, line, message",
         [
@@ -606,8 +618,14 @@ class TestBodyLoop:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 2 ** 32))
     def test_equals_recursive_reference(self, seed):
+        # the reference builds its body eagerly; ours is built from the program when == reads it
         text = mutated_model(seed)
-        assert parse_outcome(_Parser, text) == parse_outcome(ReferenceParser, text)
+        ours, reference = parse_outcome(_Parser, text), parse_outcome(ReferenceParser, text)
+        assert ours[0] == reference[0]
+        if ours[0] == "model":
+            assert "body" not in vars(ours[1]) and "body" in vars(reference[1])
+            assert ours[1].program == reference[1].program
+        assert ours == reference
 
     @pytest.mark.parametrize("kind", ["abd", "coherent-ft", "ft"])
     def test_nested_256_round_trips(self, kind):
@@ -617,6 +635,86 @@ class TestBodyLoop:
         again = ak.parse_model(ak.serialize_model(model))
         assert again == model and hash(again.body) == hash(model.body) and repr(again) == repr(model)
 
+
+
+class TestLazyBody:
+    """The parse emits the program; a parsed model builds its body from it on
+    first read, and then is what the eager model built from that body is."""
+
+    TEXT = {
+        "abd": 'model "m" component a lambda=1 mu=2 component b lambda=1/2 mu=3 '
+               "abd series { unit a; { parallel { unit b; unit a } } }",
+        "ft": 'model "m" component a lambda=1 mu=2 component b lambda=1/2 mu=3 component c lambda=1 mu=1 '
+              "ft or { nand { neg { basic a; not { basic b } }; pos { not { basic c }; basic a } }; "
+              "xor { basic b; { nor { basic c } } }; and { basic a; basic c } }",
+    }
+
+    @staticmethod
+    def pair(kind):
+        parsed = ak.parse_model(TestLazyBody.TEXT[kind])
+        eager = ak.SystemModel(parsed.name, parsed.components, ReferenceParser(TestLazyBody.TEXT[kind]).parse_model().body)
+        return parsed, eager
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_two_producers_of_a_program_agree(self, seed):
+        rng = random.Random(seed)
+        model = random_model(rng, rng.choice(["abd", "coherent-ft", "ft"]))
+        parsed = ak.parse_model(ak.serialize_model(model))
+        assert "body" not in vars(parsed)
+        assert parsed.program == model_module.compile_structure(parsed.body)
+        assert parsed == model and parsed.is_fault_tree == model.is_fault_tree
+
+    @pytest.mark.parametrize("kind", ["abd", "ft"])
+    def test_is_fault_tree_from_the_keyword(self, kind):
+        parsed, eager = self.pair(kind)
+        assert parsed.is_fault_tree is eager.is_fault_tree is (kind == "ft")
+        assert "body" not in vars(parsed)
+
+    @pytest.mark.parametrize("kind", ["abd", "ft"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            repr,
+            ak.serialize_model,
+            lambda m: m.body,
+            lambda m: dataclasses.asdict(m),
+            lambda m: dataclasses.replace(m, name="other"),
+            lambda m: copy.copy(m).body,
+            lambda m: copy.deepcopy(m).body,
+            lambda m: pickle.loads(pickle.dumps(m)).body,
+            lambda m: pickle.loads(pickle.dumps(m)),
+        ],
+        ids=["repr", "serialize", "body", "asdict", "replace", "copy", "deepcopy", "pickle-body", "pickle"],
+    )
+    def test_reads_match_the_eager_model(self, kind, read):
+        parsed, eager = self.pair(kind)
+        assert "body" not in vars(parsed)
+        assert read(parsed) == read(eager)
+        assert parsed == eager and repr(parsed) == repr(eager)
+
+    @pytest.mark.parametrize("kind", ["abd", "ft"])
+    def test_body_built_once_and_kept(self, kind):
+        parsed, eager = self.pair(kind)
+        with mock.patch.object(model_module, "_structure", wraps=model_module._structure) as build:
+            assert parsed == eager and parsed.body is parsed.body
+            copied = copy.copy(parsed)
+        assert build.call_count == 1
+        assert copied.body is parsed.body
+
+    def test_unbuilt_copies_build_their_own(self):
+        parsed, eager = self.pair("ft")
+        for other in (copy.copy(parsed), pickle.loads(pickle.dumps(parsed))):
+            assert "body" not in vars(other) and other.program == parsed.program
+            assert other == eager and other.is_fault_tree
+
+    def test_unhashable_and_no_other_attribute(self):
+        parsed, _ = self.pair("abd")
+        with pytest.raises(TypeError, match="^unhashable type: 'SystemModel'$"):
+            hash(parsed)
+        with pytest.raises(AttributeError, match="^'SystemModel' object has no attribute 'bodies'$"):
+            parsed.bodies
+        assert not hasattr(parsed, "__setstate__") and "body" not in vars(parsed)
 
 
 class TestParserIsTheValidityCheck:
