@@ -9,6 +9,12 @@ Values are printed as decimal strings with 12 significant digits,
 correctly rounded from the underlying exact or floating value; exact
 rationals are shown as p/q alongside.
 
+Every --json report starts with the same head, written in one place:
+tool, version, command and model, then seed, trials and horizon for the
+simulating commands (simulate, compare, casestudy).  The command's own
+keys follow.  compare passes a row whose closed form and enumeration
+agree: exactly when both are exact rationals, within 1e-9 otherwise.
+
 The argument parser is built on the first main call and reused by every
 later call in the process; main keeps no other state between calls.
 """
@@ -110,22 +116,26 @@ def _parse_times(raw: Optional[str]) -> list[float]:
     return times
 
 
-def _sim_config(args: argparse.Namespace, default_horizon: Optional[float] = None) -> SimConfig:
-    """The flags' SimConfig, unchecked: the oracle checks --trials and --horizon before it draws anything."""
-    horizon = default_horizon if args.horizon is None else args.horizon
-    return SimConfig(trials=args.trials, horizon=horizon, seed=args.seed)
-
-
 def _quantity(model: SystemModel) -> str:
     return "unavailability" if model.is_fault_tree else "availability"
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
+def _emit(args: argparse.Namespace, model: SystemModel, lines: list[str], cfg: Optional[SimConfig] = None, **keys) -> None:
+    """Print the text lines, or with --json the report, the one place a report is built.
+
+    Every report starts with the same head: tool, version, command and
+    model, then for a simulating command (cfg given) seed, trials and
+    horizon.  The command's own keys follow in the order passed.
+    """
+    if not args.json:
         for line in lines:
             print(line)
+        return
+    report = {"tool": "availkit", "version": __version__, "command": args.command, "model": model.name}
+    if cfg is not None:
+        report.update(seed=cfg.seed, trials=cfg.trials, horizon=fmt12(cfg.horizon))
+    report.update(keys)
+    print(json.dumps(report, indent=2))
 
 
 def _table(rows: list[list[str]]) -> list[str]:
@@ -158,17 +168,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for t in times:
         rows.append(_analysis_row(quantity, evaluate_point(model, t)))
 
-    report = {
-        "tool": "availkit",
-        "version": __version__,
-        "command": "analyze",
-        "model": model.name,
-        "results": rows,
-    }
     table = [["quantity", "time", "value", "exact", "method"]]
     for row in rows:
         table.append([row["quantity"], row["time"], row["value"], row["exact"] or "-", row["method"]])
-    _emit(report, args.json, [f"model: {model.name}"] + _table(table))
+    _emit(args, model, [f"model: {model.name}"] + _table(table), results=rows)
     return EXIT_OK
 
 
@@ -185,35 +188,36 @@ def _estimate_row(quantity: str, time: Optional[float], est: Estimate) -> dict:
     }
 
 
+def _estimates(
+    model: SystemModel, args: argparse.Namespace, default_horizon: Optional[float] = None
+) -> tuple[SimConfig, list[tuple[Optional[float], Estimate]]]:
+    """The flags' SimConfig and its (time, estimate) pairs: steady (time None) if there is a horizon, then each --at time.
+
+    Both simulations run by the names bound here, steady first, before any
+    row is made.  The oracle checks --trials and --horizon before it draws
+    anything.
+    """
+    times = _parse_times(args.at)
+    horizon = default_horizon if args.horizon is None else args.horizon
+    if horizon is None and not times:
+        raise ValueError("nothing to simulate: pass --horizon and/or --at")
+    cfg = SimConfig(trials=args.trials, horizon=horizon, seed=args.seed)
+    estimates = [] if horizon is None else [(None, mc_steady_availability(model, cfg))]
+    if times:
+        estimates += zip(times, mc_point_availability(model, times, cfg))
+    return cfg, estimates
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
-    times = _parse_times(args.at)
-    if args.horizon is None and not times:
-        raise ValueError("nothing to simulate: pass --horizon and/or --at")
-    cfg = _sim_config(args)
-
+    cfg, estimates = _estimates(model, args)
     quantity = _quantity(model)
-    rows = []
-    if cfg.horizon is not None:
-        rows.append(_estimate_row(quantity, None, mc_steady_availability(model, cfg)))
-    if times:
-        rows += [_estimate_row(quantity, t, est) for t, est in zip(times, mc_point_availability(model, times, cfg))]
-
-    report = {
-        "tool": "availkit",
-        "version": __version__,
-        "command": "simulate",
-        "model": model.name,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "horizon": fmt12(cfg.horizon),
-        "results": rows,
-    }
+    rows = [_estimate_row(quantity, t, est) for t, est in estimates]
     table = [["quantity", "time", "mean", "std-error", "trials"]]
     for row in rows:
         table.append([row["quantity"], row["time"], row["mean"], row["std_error"] or "n/a", str(row["trials"])])
     footer = f"seed={cfg.seed} trials={cfg.trials} horizon={fmt12(cfg.horizon) or '-'}"
-    _emit(report, args.json, [f"model: {model.name}"] + _table(table) + [footer])
+    _emit(args, model, [f"model: {model.name}"] + _table(table) + [footer], cfg, results=rows)
     return EXIT_OK
 
 
@@ -232,6 +236,7 @@ def _leaf_probs(model: SystemModel, t: Optional[float]) -> dict:
 def _compare_row(model: SystemModel, t: Optional[float], est: Estimate) -> dict:
     """One row of compare: the closed form and enumeration at t (steady if None) against the estimate est.
 
+    Two exact values agree only when equal; floats agree within 1e-9.
     The estimate passes within 4 standard errors of the reference: its own
     SE in steady state, the binomial SE sqrt(p (1 - p) / trials) at the
     reference value p at a time point.  One trial has no SE and fails.
@@ -256,10 +261,8 @@ def _compare_row(model: SystemModel, t: Optional[float], est: Estimate) -> dict:
     diff_ae = None
     ae_ok = True
     if analytic_value is not None and exhaustive_value is not None:
-        diff = abs(analytic_value - exhaustive_value)
-        diff_ae = diff
-        tol = Fraction(1, 10 ** 12) if isinstance(diff, Fraction) else 1e-9
-        ae_ok = diff <= tol
+        diff_ae = abs(analytic_value - exhaustive_value)
+        ae_ok = diff_ae == 0 if isinstance(diff_ae, Fraction) else diff_ae <= 1e-9
 
     reference = analytic_value if analytic_value is not None else exhaustive_value
     diff_sim = None
@@ -293,14 +296,10 @@ def _compare_row(model: SystemModel, t: Optional[float], est: Estimate) -> dict:
     }
 
 
-def _run_compare(model: SystemModel, args: argparse.Namespace, command: str, extra: Optional[dict] = None) -> int:
-    """compare's rows for model, steady then each --at time; both simulations run first, by the names bound here."""
-    times = _parse_times(args.at)
-    cfg = _sim_config(args, default_horizon=10000.0)
-    steady = mc_steady_availability(model, cfg)
-    points = mc_point_availability(model, times, cfg) if times else []
-    rows = [_compare_row(model, None, steady)]
-    rows += [_compare_row(model, t, est) for t, est in zip(times, points)]
+def _run_compare(model: SystemModel, args: argparse.Namespace, file: Optional[str] = None) -> int:
+    """compare's rows for model, steady then each --at time; casestudy passes the file it wrote."""
+    cfg, estimates = _estimates(model, args, default_horizon=10000.0)
+    rows = [_compare_row(model, t, est) for t, est in estimates]
 
     verdicts = [row["verdict"] for row in rows]
     if "FAIL" in verdicts:
@@ -309,20 +308,6 @@ def _run_compare(model: SystemModel, args: argparse.Namespace, command: str, ext
         overall = "NO-REFERENCE"
     else:
         overall = "PASS"
-
-    report = {
-        "tool": "availkit",
-        "version": __version__,
-        "command": command,
-        "model": model.name,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "horizon": fmt12(cfg.horizon),
-        "results": rows,
-        "verdict": overall,
-    }
-    if extra:
-        report.update(extra)
 
     table = [["time", "analytic", "exact", "exhaustive", "simulation", "std-error", "|diff|", "verdict"]]
     for row in rows:
@@ -339,17 +324,16 @@ def _run_compare(model: SystemModel, args: argparse.Namespace, command: str, ext
             ]
         )
     lines = [f"model: {model.name}  quantity: {_quantity(model)}"]
-    if extra and "file" in extra:
-        lines.insert(0, f"wrote {extra['file']}")
+    if file is not None:
+        lines.insert(0, f"wrote {file}")
     lines += _table(table)
     lines.append(f"overall: {overall}  (seed={cfg.seed} trials={cfg.trials} horizon={fmt12(cfg.horizon)})")
-    _emit(report, args.json, lines)
+    _emit(args, model, lines, cfg, results=rows, verdict=overall, **({} if file is None else {"file": file}))
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    model = _load_model(args.file)
-    return _run_compare(model, args, "compare")
+    return _run_compare(_load_model(args.file), args)
 
 
 # --- cutsets -------------------------------------------------------------------
@@ -364,18 +348,10 @@ def cmd_cutsets(args: argparse.Namespace) -> int:
     if args.minimize:
         collection = minimize(collection)
 
-    report = {
-        "tool": "availkit",
-        "version": __version__,
-        "command": "cutsets",
-        "model": model.name,
-        "minimized": collection.minimized,
-        "count": len(collection),
-        "cutsets": [sorted(cs) for cs in collection.sets],
-    }
     lines = [f"model: {model.name}  cut sets: {len(collection)}" + ("  (minimal)" if collection.minimized else "")]
     lines += ["{" + ", ".join(sorted(cs)) + "}" for cs in collection.sets]
-    _emit(report, args.json, lines)
+    _emit(args, model, lines, minimized=collection.minimized, count=len(collection),
+          cutsets=[sorted(cs) for cs in collection.sets])
     return EXIT_OK
 
 
@@ -396,7 +372,7 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
         raise ValueError(f"cannot write {out}: {exc}") from exc
     # the engines run on the parse of the serialized text, which checks the
     # round trip without reading the file back (it may be a sink such as /dev/null)
-    return _run_compare(parse_model(text), args, "casestudy", extra={"file": str(out)})
+    return _run_compare(parse_model(text), args, file=str(out))
 
 
 # --- argument parsing ------------------------------------------------------------

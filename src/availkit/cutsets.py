@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import AND, LEAF, And, Basic, GateExpr, Or, compile_structure
+from .model import AND, LEAF, And, Basic, GateExpr, Or, _node_children, _path, compile_structure
 
 __all__ = [
     "CutSetCollection",
@@ -59,19 +59,14 @@ class CutSetCollection:
 
 def _incoherence(tree: GateExpr) -> str | None:
     """NonCoherentError's message for the first node in document order that is not AND, OR or basic, or None."""
-    stack: list[tuple] = [(tree, None)]  # (node, link): link is (child index, parent's link), spelled out on failure
+    stack: list[tuple] = [(tree, None)]  # (node, link), as model._path spells it
     while stack:
         node, link = stack.pop()
         if isinstance(node, (And, Or)):
-            children = node.children
-            for i in range(len(children) - 1, -1, -1):
-                stack.append((children[i], (i, link)))
+            for segment, child in reversed(_node_children(node)):
+                stack.append((child, (segment, link)))
         elif not isinstance(node, Basic):
-            segments = []
-            while link is not None:
-                i, link = link
-                segments.append(f".children[{i}]")
-            return f"non-coherent tree: {type(node).__name__} gate at tree{''.join(reversed(segments))}"
+            return f"non-coherent tree: {type(node).__name__} gate at {_path('tree', link)}"
     return None
 
 

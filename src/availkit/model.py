@@ -284,6 +284,19 @@ def _node_children(expr: Expr) -> list[tuple[str, Expr]]:
     return []
 
 
+def _path(root: str, link: tuple | None) -> str:
+    """The path that link spells from root; link is (path segment, parent's link), None at the root.
+
+    A depth-first walk extends a link in constant time per child and
+    spells one out only for a finding.
+    """
+    segments = []
+    while link is not None:
+        segment, link = link
+        segments.append(segment)
+    return root + "".join(reversed(segments))
+
+
 def iter_leaves(expr: Expr) -> Iterator[str]:
     """Component ids at the leaves, in document order (with repeats): compile_structure's leaves."""
     return iter(compile_structure(expr).leaves)
@@ -472,15 +485,11 @@ class SystemModel:
                 diags.append(Diagnostic(f"{problem} at {cid}", path))
 
         def note(message: str, link: tuple | None) -> None:
-            segments = []
-            while link is not None:
-                segment, link = link
-                segments.append(segment)
-            diags.append(Diagnostic(message, "body" + "".join(reversed(segments))))
+            diags.append(Diagnostic(message, _path("body", link)))
 
         want_gate = self.is_fault_tree
-        # explicit, so any nesting depth works; link is (path segment, parent's
-        # link), spelled out only for a finding, so the walk is linear in depth
+        # explicit, so any nesting depth works; a link (see _path) is spelled
+        # out only for a finding, so the walk is linear in depth
         stack: list[tuple[Expr, tuple | None]] = [(self.body, None)]
         while stack:
             expr, link = stack.pop()

@@ -368,6 +368,17 @@ class TestCompare:
         assert row["analytic_exact"] == "40/343"
         assert row["exhaustive"] == "0.116618075802"
 
+    def test_exact_rows_agree_only_when_equal(self, abd_file, capsys, monkeypatch):
+        # two exact values agree only when equal: 10**-15 off fails, which a tolerance would let pass
+        off = analytic.AnalysisResult(analytic.Probability(Fraction(40, 343) + Fraction(1, 10**15)), "patched")
+        monkeypatch.setattr(cli, "evaluate_steady", lambda model: off)
+        args = ["compare", abd_file, "--trials", "60", "--horizon", "2000", "--seed", "7", "--json"]
+        assert main(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        row = report["results"][0]
+        assert row["diff_analytic_exhaustive"] == "1e-15"
+        assert row["verdict"] == report["verdict"] == "FAIL"
+
     def test_coherent_ft_exhaustive_equals_analytic(self, tmp_path, capsys):
         text = (
             'model "ft6" '

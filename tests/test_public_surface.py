@@ -126,12 +126,16 @@ SCHEMA = {
 @pytest.mark.parametrize("run", SCHEMA)
 def test_json_schema(tmp_path, capsys, run):
     # the --json keys are a contract: a new or removed key has to change this table
+    names = {"abd": dfh3_abd().name, "ft": dfh3_ft().name, "dfh3-ft": dfh3_ft().name}
     for name, model in (("abd", dfh3_abd()), ("ft", dfh3_ft())):
         (tmp_path / f"{name}.avm").write_text(availkit.serialize_model(model), encoding="utf-8")
-    argv, top, row = SCHEMA[run]
-    argv = [str(tmp_path / f"{word}.avm") if word in ("abd", "ft", "case") else word for word in argv]
+    words, top, row = SCHEMA[run]
+    argv = [str(tmp_path / f"{word}.avm") if word in ("abd", "ft", "case") else word for word in words]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert list(report) == top
+    assert (report["command"], report["model"]) == (words[0], names[words[1]])
+    if run == "casestudy":
+        assert report["file"] == str(tmp_path / "case.avm")
     if row is not None:
         assert report["results"] and all(list(r) == row for r in report["results"])
