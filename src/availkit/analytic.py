@@ -12,13 +12,14 @@ System level, one loop evaluates a structure in its native polarity:
 series and AND multiply, parallel and OR complement-multiply, and NOR,
 XOR and NOT follow their set definitions.  It runs the structure's
 post-order program (see model.compile_structure, which lowers NAND to an
-AND over NOTs; a SystemModel compiles its body once and keeps the
-program) over an operand stack, so it takes any nesting depth.  Its
-operands are (numerator, denominator) pairs: exact leaves enter as
-reduced integer pairs, multiply without a gcd per step, and the result
-is reduced once; float leaves enter as (x, 1.0), so the float
-operations, and their order, are those of the gate formulas evaluated
-child by child on plain floats.
+AND over NOTs; a parsed SystemModel holds the program the parser emitted,
+and one built from a body compiles it once and keeps it) over an
+operand stack, so it takes any nesting depth.  Its operands are
+(numerator, denominator) pairs: exact leaves enter as reduced integer
+pairs, multiply without a gcd per step, and the result is reduced once;
+float leaves enter as (x, 1.0), so the float operations, and their
+order, are those of the gate formulas evaluated child by child on plain
+floats.
 
 Leaves naming the same component are one event.  Such events are the
 variables of a reduced ordered binary decision diagram (Bryant, 1986;

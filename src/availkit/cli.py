@@ -14,6 +14,10 @@ tool, version, command and model, then seed, trials and horizon for the
 simulating commands (simulate, compare, casestudy).  The command's own
 keys follow.  compare passes a row whose closed form and enumeration
 agree: exactly when both are exact rationals, within 1e-9 otherwise.
+Its simulation must lie within 4 standard errors of the reference p: a
+steady row uses the estimate's own SE, a point row the binomial SE
+sqrt(p (1 - p) / trials), and so does a steady row whose trials all
+agreed (an SE of 0).  One trial has no SE and fails.
 
 The argument parser is built on the first main call and reused by every
 later call in the process; main keeps no other state between calls.
@@ -239,7 +243,8 @@ def _compare_row(model: SystemModel, t: Optional[float], est: Estimate) -> dict:
     Two exact values agree only when equal; floats agree within 1e-9.
     The estimate passes within 4 standard errors of the reference: its own
     SE in steady state, the binomial SE sqrt(p (1 - p) / trials) at the
-    reference value p at a time point.  One trial has no SE and fails.
+    reference value p at a time point, and in steady state too when every
+    trial agreed (an SE of exactly 0).  One trial has no SE and fails.
     """
     quantity = _quantity(model)
     analytic_value = None
@@ -271,8 +276,12 @@ def _compare_row(model: SystemModel, t: Optional[float], est: Estimate) -> dict:
         p = float(reference)
         diff_sim = abs(p - est.mean)
         # a point estimate is a mean of 0/1 trials: judged by the binomial SE at the
-        # reference, as a sample SE of 0 (every trial agreeing) would fail any |diff| > 0
-        se = est.std_error if t is None or est.std_error is None else math.sqrt(max(0.0, p * (1 - p)) / est.trials)
+        # reference, as a sample SE of 0 (every trial agreeing) would fail any |diff| > 0.
+        # A steady estimate keeps its far smaller sample SE unless that is 0; a time
+        # average in [0, 1] has variance at most p (1 - p), so the binomial SE bounds it
+        se = est.std_error
+        if se is not None and (t is not None or se == 0):
+            se = math.sqrt(max(0.0, p * (1 - p)) / est.trials)
         sim_ok = se is not None and diff_sim <= 4.0 * se
 
     if reference is None:

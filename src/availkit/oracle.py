@@ -38,12 +38,14 @@ bitwise identical for a fixed seed regardless of trial ordering or
 blocking.
 
 Both estimators run the same simulation (_simulate): trials in blocks
-sized there alone, each block's streams drawn round by round (_rounds),
-one _draw per round of a component for all its streams still drawing:
-one random_raw call of the C np.random.Philox per run of consecutive
-trials.  Every boundary <= target of every component of a block goes
-into one (trials, columns) grid (_grid); the boundaries a stream drew
-past the target are dropped before either estimator reads them.
+sized there alone, each block drawn by one loop (_grid) over its
+components and their rounds.  A round is one _draw for all of a
+component's streams still drawing: one random_raw call of the C
+np.random.Philox per run of consecutive trials.  The same loop sizes
+each component's columns as its rounds come and puts every boundary <=
+target of the block into one (trials, columns) grid; the boundaries a
+stream drew past the target are dropped before either estimator reads
+them.
 The estimators read that grid in two ways.  A point estimate takes each
 component's state at t as the parity of its boundaries <= t, so a grid
 drawn to the largest time of a group is read at every time of it.  A
@@ -226,7 +228,7 @@ def _draw(bitgen: np.random.Philox, state: dict, trials: np.ndarray, component: 
     once per estimate with an empty buffer (buffer_pos 4).  The generator
     is re-pointed at the first block of each run of consecutive trials,
     and one random_raw call draws the run's blocks.  count is at most
-    STREAM_DRAW_LIMIT (_rounds checks it before the round's first draw),
+    STREAM_DRAW_LIMIT (_grid checks it before the round's first draw),
     which keeps every counter below 2**63.  For a single run the result
     is that call's buffer, reshaped, not copied.
     """
@@ -273,46 +275,20 @@ def _durations(words: np.ndarray, lam: float, mu: float) -> np.ndarray:
     return steps
 
 
-def _rounds(
-    bitgen: np.random.Philox, state: dict, trials: np.ndarray, component: int, lam: float, mu: float, target: float
-) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
-    """Boundaries of one component's renewal stream in each of the given trials, round by round.
-
-    Every stream draws rounds of 2n words, n = _first_round_cycles in the
-    first round and doubled in each later one, until its last boundary
-    passes target.  Each round is one _draw for the trials still drawing;
-    its draw limit is checked before any of its words are drawn.
-    Yields (rows, start, bounds) once a round: bounds[i] are boundaries
-    start .. of the stream of trials[rows[i]], the interleaved cumulative
-    sums T1, T1+D1, T1+D1+T2, ...  A later round's first duration is added
-    to the stream's last boundary before the cumulative sum, so every
-    boundary is the same float as in np.cumsum over all rounds.
-    """
-    n = _first_round_cycles(lam, mu, target)
-    drawn = 0
-    round = 0
-    last = np.zeros(trials.size)  # each stream's latest boundary
-    active = np.arange(trials.size)  # the streams still drawing
-    while active.size:
-        _check_draws(drawn + 2 * n)
-        bounds = _durations(_draw(bitgen, state, trials[active], component, round, 2 * n), lam, mu)
-        bounds[:, 0] += last[active]
-        np.cumsum(bounds, axis=1, out=bounds)
-        last[active] = bounds[:, -1]
-        yield active, drawn, bounds
-        drawn += 2 * n
-        n *= 2
-        round += 1
-        active = active[last[active] <= target]
-
-
 def _grid(
     bitgen: np.random.Philox, state: dict, comps: list[tuple[float, float]], trials: np.ndarray, target: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every boundary of every component in the given trials, as a (trials, columns) grid.
 
-    comps holds each component's (lam, mu).  Each stream is drawn by
-    _rounds until its last boundary passes target, every round kept.
+    comps holds each component's (lam, mu).  One loop draws each
+    component's streams round by round, 2n words a round, n =
+    _first_round_cycles in the first round and doubled in each later one.
+    A round checks its draw limit, makes one _draw for the streams still
+    drawing and turns its words into durations.  Their interleaved
+    cumulative sums T1, T1+D1, T1+D1+T2, ... continue from each stream's
+    last boundary, so every boundary is the same float as in np.cumsum
+    over all rounds.  The round then widens the component's columns and
+    stops each stream whose last boundary passes target.
     Column 0 is 0.0; then each component's boundaries follow in order, in
     as many columns as the most boundaries <= target that any of its
     streams has, and at least one, so the grid holds every boundary <=
@@ -320,23 +296,39 @@ def _grid(
     Also returns each column's component index (-1 for column 0), which
     is nondecreasing.
     """
-    rounds = [list(_rounds(bitgen, state, trials, ci, lam, mu, target)) for ci, (lam, mu) in enumerate(comps)]
-    # every row of bounds is sorted, so its column minima are too, and the
-    # boundaries <= target of any row lie in the columns whose minimum is
-    widths = [
-        max(1, *(start + int(np.searchsorted(bounds.min(axis=0), target, side="right")) for _, start, bounds in comp))
-        for comp in rounds
-    ]
-    owner = np.repeat(np.arange(-1, len(comps)), [1, *widths])
-    grid = np.full((trials.size, owner.size), np.inf)
-    grid[:, 0] = 0.0
+    rounds = []  # (rows, first column, kept boundaries) of each round
+    widths = []
     first = 1  # the component's first column
-    for comp, width in zip(rounds, widths):
-        for rows, start, bounds in comp:
-            if start < width:
-                kept = bounds[:, :width - start]
-                grid[rows, first + start:first + start + kept.shape[1]] = kept
+    for c, (lam, mu) in enumerate(comps):
+        n = _first_round_cycles(lam, mu, target)
+        drawn = 0
+        round = 0
+        width = 1
+        last = np.zeros(trials.size)  # each stream's latest boundary
+        active = np.arange(trials.size)  # the streams still drawing
+        while active.size:
+            _check_draws(drawn + 2 * n)
+            bounds = _durations(_draw(bitgen, state, trials[active], c, round, 2 * n), lam, mu)
+            bounds[:, 0] += last[active]
+            np.cumsum(bounds, axis=1, out=bounds)
+            last[active] = bounds[:, -1]
+            # every row of bounds is sorted, so its column minima are too, and the
+            # boundaries <= target of any row lie in the columns whose minimum is.
+            # A stream that draws on has every boundary so far <= target, so every
+            # round but the last widens to all its words and only the last is cut
+            width = max(width, drawn + int(np.searchsorted(bounds.min(axis=0), target, side="right")))
+            rounds.append((active, first + drawn, bounds[:, :width - drawn]))
+            drawn += 2 * n
+            n *= 2
+            round += 1
+            active = active[last[active] <= target]
+        widths.append(width)
         first += width
+    owner = np.repeat(np.arange(-1, len(comps)), [1, *widths])
+    grid = np.full((trials.size, first), np.inf)
+    grid[:, 0] = 0.0
+    for rows, column, kept in rounds:
+        grid[rows, column:column + kept.shape[1]] = kept
     return grid, owner
 
 

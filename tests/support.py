@@ -615,7 +615,7 @@ def reference_holds(expr, truth: dict[str, bool]) -> bool:
 
 
 def reference_compose(expr, leaf_p: dict):
-    """analytic._run with no shared events, as plain recursion: every leaf independent.
+    """analytic._fold with no shared events, as plain recursion: every leaf independent.
 
     Series is And and Parallel is Or; exact when no component repeats.
     """

@@ -473,6 +473,51 @@ class TestCompare:
         assert point["sim_std_error"] == "1"
         assert point["verdict"] == report["verdict"] == "FAIL"
 
+    RARE = 'model "rare" component a lambda=1/1000000 mu=1 abd unit a'
+    FAIR = 'model "fair" component a lambda=1 mu=1 abd unit a'
+
+    def test_steady_trials_all_agreeing_pass(self, tmp_path, capsys):
+        # every trial is up the whole time, so the sample SE is 0; the binomial SE at the
+        # exact value, sqrt(p (1 - p) / 100) = 1e-4, judges the |diff| of 1e-6
+        path = write_model(tmp_path, "rare.avm", self.RARE)
+        assert main(["compare", path, "--trials", "100", "--horizon", "1000", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (steady,) = report["results"]
+        assert (steady["sim_mean"], steady["sim_std_error"]) == ("1", "0")
+        assert steady["analytic_exact"] == "1000000/1000001"
+        assert steady["verdict"] == report["verdict"] == "PASS"
+
+    @pytest.mark.parametrize(
+        "text, off",
+        [
+            # p = 1/2, SE 0: 10 binomial SEs of 100 trials off is every trial down, or up, the whole time
+            (FAIR, oracle.Estimate(0.0, 0.0, 100)),
+            (FAIR, oracle.Estimate(1.0, 0.0, 100)),
+            # 10 of its own SEs off fails, though it is within one binomial SE (0.032 at 100 trials)
+            (ak.serialize_model(dfh3_abd()), oracle.Estimate(40 / 343 + 0.01, 0.001, 100)),
+        ],
+    )
+    def test_steady_estimate_far_off_fails(self, tmp_path, capsys, monkeypatch, text, off):
+        path = write_model(tmp_path, "m.avm", text)
+        monkeypatch.setattr(cli, "mc_steady_availability", lambda model, cfg: off)
+        assert main(["compare", path, "--trials", "100", "--horizon", "1000", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (steady,) = report["results"]
+        assert float(steady["sim_std_error"]) == off.std_error  # the estimate's own SE is still printed
+        assert steady["verdict"] == report["verdict"] == "FAIL"
+
+    def test_single_trial_rows_fail(self, tmp_path, capsys):
+        # one trial has no SE, so neither rule applies: both rows fail, though each estimate is
+        # within 1e-6 of its reference
+        path = write_model(tmp_path, "rare.avm", self.RARE)
+        assert main(["compare", path, "--at", "2", "--trials", "1", "--horizon", "1000", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(row["sim_mean"], row["sim_std_error"], row["verdict"]) for row in report["results"]] == [
+            ("1", None, "FAIL"),
+            ("1", None, "FAIL"),
+        ]
+        assert report["verdict"] == "FAIL"
+
 
 class TestCutsets:
     def test_or_gate(self, tmp_path, capsys):

@@ -196,16 +196,22 @@ class TestTrajectory:
         assert self.up_time((2.0, 5.0), (1.0, 1.0), 3.0) == 2.0  # second cycle starts
 
     def test_cycle_starts(self, monkeypatch):
-        # rounds of 2 then 4 words whose durations are the words themselves:
-        # cycles start at 0, 3 and 9 across the round boundary, and the last boundary 3 <= 5 asks for a second round
+        # rounds of 2 then 4 words whose durations are the words themselves: cycles start at 0, 3
+        # and 9 across the round boundary, the last boundary 3 <= 9.5 asks for a second round, whose
+        # sum goes on from 3, and its boundaries up to 9.5 land in the grid
         monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         words = np.array([2, 1, 5, 1, 1, 4, 9, 9], dtype=np.uint64)
         starts = {0: 0, 1: 2}  # where each round's words begin
-        monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: words[None, starts[r]:starts[r] + count])
-        rounds = list(oracle._rounds(None, None, np.arange(1), 0, 1.0, 1.0, 5.0))
-        assert [start for _, start, _ in rounds] == [0, 2]
-        assert np.concatenate([bounds[0] for _, _, bounds in rounds]).tolist() == [2.0, 3.0, 8.0, 9.0, 10.0, 14.0]
+        draws = []
+        monkeypatch.setattr(
+            oracle, "_draw",
+            lambda bitgen, state, trials, c, r, count: draws.append((r, count)) or words[None, starts[r]:starts[r] + count],
+        )
+        grid, owner = oracle._grid(None, None, [(1.0, 1.0)], np.arange(1), 9.5)
+        assert draws == [(0, 2), (1, 4)]
+        assert grid.tolist() == [[0.0, 2.0, 3.0, 8.0, 9.0]]
+        assert owner.tolist() == [-1, 0, 0, 0, 0]
 
     def test_point_read_at_boundaries(self, monkeypatch):
         # words are durations, rounds 2 then 4 words; at t = 4 a boundary at 4 is a state change:
@@ -245,7 +251,10 @@ class TestTrajectory:
         assert grid.tolist() == [[0.0] + [target] * 5]
         assert oracle._held_at(self.SINGLE, grid, owner, target).tolist() == [False]  # five changes: down
 
-    def test_rounds_deterministic_and_long_enough(self):
+    def test_rounds_deterministic_and_long_enough(self, monkeypatch):
+        # first rounds of one cycle, so that every stream runs over several rounds
+        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
+
         def draw(seed):
             bitgen = np.random.Philox(key=seed)
             return oracle._grid(bitgen, bitgen.state, [(0.1, 0.3)], np.arange(3), 50.0)
@@ -255,12 +264,28 @@ class TestTrajectory:
         assert not np.array_equal(a, draw(4)[0])
         assert owner.tolist() == [-1] + [0] * (a.shape[1] - 1)
         assert (a[:, 0] == 0.0).all() and (a[:, -1] <= 50.0).any()  # the last column holds some boundary <= 50
-        bitgen = np.random.Philox(key=3)
-        rounds = list(oracle._rounds(bitgen, bitgen.state, np.arange(3), 0, 0.1, 0.3, 50.0))
+        # record each round's trials and durations, and rebuild every stream whole from them
+        rounds = []
+        words, durations = oracle._draw, oracle._durations
+
+        def record(*args):
+            out = durations(*args)
+            rounds[-1].append(out.copy())  # _grid sums the durations in place
+            return out
+
+        monkeypatch.setattr(oracle, "_draw", lambda *args: rounds.append([args[2].tolist()]) or words(*args))
+        monkeypatch.setattr(oracle, "_durations", record)
+        assert np.array_equal(draw(3)[0], a)
         for trial, row in enumerate(a):
-            stream = np.concatenate([bounds[rows.tolist().index(trial)] for rows, _, bounds in rounds if trial in rows])
-            assert stream[-1] > 50.0 and (np.diff(stream) > 0).all()  # drawn past the target, positive durations
-            # the row holds the stream's first boundaries, every one <= 50 among them, then +inf padding
+            drawn = [steps[trials.index(trial)] for trials, steps in rounds if trial in trials]
+            assert len(drawn) > 1
+            assert all((steps > 0).all() for steps in drawn)  # positive durations
+            stream = np.cumsum(np.concatenate(drawn))
+            # each round but the stream's last ends <= 50, and the last one ends past it
+            ends = np.cumsum([steps.size for steps in drawn]) - 1
+            assert (stream[ends[:-1]] <= 50.0).all() and stream[-1] > 50.0
+            # the row holds the stream's first boundaries, every one <= 50 among them, then +inf padding;
+            # the sum across rounds is the same float as one cumsum over them all
             expected = np.full(a.shape[1] - 1, np.inf)
             expected[:stream.size] = stream[:expected.size]
             assert np.array_equal(row[1:], expected)
