@@ -620,16 +620,18 @@ def _evaluate(model: SystemModel, pairs: Mapping[str, tuple], t: Optional[float]
 def _leaf_pairs(model: SystemModel, pair_of: Callable[[RatePair, str], tuple]) -> dict[str, tuple]:
     """Each event's leaf pair, from pair_of(rates, event) called once per rate-pair object.
 
-    Keyed by the pair object's id, not its value: equal pairs give equal
-    leaf pairs anyway, and hashing a pair hashes its Fractions in Python.
-    The parser gives every component declared with the same two literals
-    one pair object, so a large parsed model calls pair_of a few times.
+    The rates come from the model's rate table, so a parsed model builds
+    no ComponentDef.  Keyed by the pair object's id, not its value: equal
+    pairs give equal leaf pairs anyway, and hashing a pair hashes its
+    Fractions in Python.  The parser gives every component declared with
+    the same two literals one pair object, so a large parsed model calls
+    pair_of a few times.
     """
-    components = model.components
+    table = model._rates
     by_rates: dict[int, tuple] = {}
     pairs = {}
     for e in model.program.events:
-        rates = components[e].rates
+        rates = table[e]
         pair = by_rates.get(id(rates))
         if pair is None:
             pair = by_rates[id(rates)] = pair_of(rates, e)

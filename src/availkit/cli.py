@@ -230,11 +230,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _leaf_probs(model: SystemModel, t: Optional[float]) -> dict:
     """Each basic event's steady (t is None) or point probability, in native polarity."""
+    rates = model._rates
     if t is None:
         leaf = steady_unavailability if model.is_fault_tree else steady_availability
-        return {e: leaf(model.components[e].rates) for e in basic_events(model)}
+        return {e: leaf(rates[e]) for e in basic_events(model)}
     leaf = inst_unavailability if model.is_fault_tree else inst_availability
-    return {e: leaf(model.components[e].rates, t) for e in basic_events(model)}
+    return {e: leaf(rates[e], t) for e in basic_events(model)}
 
 
 def _compare_row(model: SystemModel, t: Optional[float], est: Estimate) -> dict:

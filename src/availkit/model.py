@@ -419,17 +419,23 @@ class SystemModel:
     semantics) or a fault tree (unavailability semantics).  The component
     map preserves declaration order, which fixes the order of basic_events.
     The compiled program, the validation findings (none for a parsed
-    model, which is never walked), the analytic decision diagram and the
-    oracle's truth table are computed once and cached, so neither the
-    components nor the body may be mutated after construction.  Models
+    model, which is never walked), the rate table _rates (each component
+    id's RatePair, in declaration order: all the engines read of the
+    components), the analytic decision diagram and the oracle's truth
+    table are computed once and cached.  So a model's components are read
+    once, as its findings and program are: neither the components map nor
+    the body may be mutated after construction, and a change made after
+    the model's first use goes unseen by _rates and validate.  Models
     compare with == but are unhashable, as the component map is a dict.
 
-    A parsed model (_from_program) starts from its program instead: the
-    parser emits the steps as it reads, and the engines read nothing else.
-    Its body is built from the program on first read (__getattr__), as by
-    cutsets, serialize_model, ==, repr or dataclasses.replace, and kept;
-    it equals the body the text spells out.  A copy or pickle made before
-    that carries the program and builds a body of its own.
+    A parsed model (_from_program) starts from its program and its rate
+    table instead: the parser emits the steps as it reads and gives each
+    id its shared RatePair, and the engines read nothing else.  Its body
+    and its components are built from them on first read (__getattr__),
+    as by cutsets, ==, repr or dataclasses.replace, and kept; they equal
+    the body and the components the text spells out.  A copy or pickle
+    made before that carries the program and the table, and builds its
+    own.
     """
 
     name: str
@@ -442,22 +448,28 @@ class SystemModel:
         object.__setattr__(self, "components", dict(self.components))
 
     @classmethod
-    def _from_program(cls, name: str, components: dict, program: Program, fault_tree: bool,
+    def _from_program(cls, name: str, rates: dict, program: Program, fault_tree: bool,
                       nands: Mapping[int, int]) -> SystemModel:
-        """A model whose body is not built yet: program, is_fault_tree and no findings are stored
-        as the cached properties would store them, and nands is _structure's record of the Nands."""
+        """A model whose body and components are not built yet: rates (id -> RatePair), program,
+        is_fault_tree and no findings are stored as the cached properties would store them, and
+        nands is _structure's record of the Nands."""
         model = object.__new__(cls)
-        model.__dict__.update(name=name, components=components, program=program, is_fault_tree=fault_tree,
+        model.__dict__.update(name=name, _rates=rates, program=program, is_fault_tree=fault_tree,
                               _diagnostics=(), _nands=nands)
         return model
 
     def __getattr__(self, name: str):
-        """Only for an attribute not in the __dict__: a parsed model's body, built once from its program."""
-        nands = self.__dict__.get("_nands") if name == "body" else None
-        if nands is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
-        body = self.__dict__["body"] = _structure(self.program, self.is_fault_tree, nands)
-        return body
+        """Only for an attribute not in the __dict__: a parsed model's body, built once from its
+        program, or its components, built once from its rate table."""
+        state = self.__dict__
+        if "_nands" in state:  # parsed
+            if name == "body":
+                body = state["body"] = _structure(self.program, self.is_fault_tree, state["_nands"])
+                return body
+            if name == "components":
+                components = state["components"] = {cid: ComponentDef(cid, rates) for cid, rates in self._rates.items()}
+                return components
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
 
     @cached_property
     def is_fault_tree(self) -> bool:
@@ -469,6 +481,12 @@ class SystemModel:
         """The body compiled once; cached_property stores it in the instance
         __dict__, which the frozen dataclass allows and eq/repr ignore."""
         return compile_structure(self.body)
+
+    @cached_property
+    def _rates(self) -> dict[str, RatePair]:
+        """Each component id's RatePair, in declaration order: what the engines read of the components.
+        Cached like program; a parsed model stores the parser's table."""
+        return {cid: comp.rates for cid, comp in self.components.items()}
 
     @cached_property
     def _diagnostics(self) -> tuple[Diagnostic, ...]:

@@ -40,10 +40,13 @@ as '1e3', an unexpected character) one findall of the token regex gives
 it.  Only a diagnostic works out offsets, from a finditer of that regex,
 and scans the texts for the first lexical fault, which it reports before
 any other, as lexing the whole text first would.  Component declarations
-are read by strided slices of the list, which also find their faults.
-The body is read straight into its post-order program (model.Program),
-which the parsed model holds; its structure nodes are built from the
-program only when something reads model.body.
+are read by strided slices of the list, which also find their faults,
+into one rate table: each id's RatePair, shared by the ids declared with
+the same two literals.  The body is read straight into its post-order
+program (model.Program).  The parsed model holds the program and the
+table, which are all the engines read; its structure nodes are built
+from the program only when something reads model.body, and its
+ComponentDefs from the table only when something reads model.components.
 
 The serializer emits the canonical form
 (components in declaration order, two-space indentation, one construct
@@ -70,7 +73,6 @@ from .model import (
     XOR,
     And,
     Basic,
-    ComponentDef,
     Expr,
     Nand,
     Nor,
@@ -281,10 +283,11 @@ class _Parser:
     One routine, declarations, reads a run of component declarations, and
     one loop, body, either body kind from its _Grammar table into the
     steps of its program, with an explicit stack of open constructs, so
-    braces nest to any depth.  parse_model makes the model from the
-    program and body's record of its nands (SystemModel._from_program),
-    and builds no structure node.  The parser reads the rate literals it
-    takes, so a text it accepts has no lexical fault.
+    braces nest to any depth.  parse_model makes the model from the rate
+    table of declarations, the program and body's record of its nands
+    (SystemModel._from_program), and builds no structure node and no
+    ComponentDef.  The parser reads the rate literals it takes, so a text
+    it accepts has no lexical fault.
 
     The first diagnostic gives every token its offset, from a finditer
     whose matches are the findall's, and so the split's, and reports the
@@ -351,7 +354,7 @@ class _Parser:
         if name[:1] != '"' or len(name) < 2:
             raise self.fail(at, "expected model name string")
 
-        components = self.declarations()
+        rates = self.declarations()
 
         at = self.advance()
         keyword = tokens[at]
@@ -364,27 +367,28 @@ class _Parser:
 
         leaves = tuple(map(tokens.__getitem__, self.leaf_refs))
         events = dict.fromkeys(leaves)
-        if not components.keys() >= events.keys():
+        if not rates.keys() >= events.keys():
             for index in self.leaf_refs:
-                if tokens[index] not in components:
+                if tokens[index] not in rates:
                     self.note(index, f"unknown component reference {_quoted(tokens[index])}")
         if self.diagnostics:
             raise ModelFileError(self.diagnostics)
-        return SystemModel._from_program(name[1:-1], components, Program(tuple(steps), leaves, tuple(events)),
+        return SystemModel._from_program(name[1:-1], rates, Program(tuple(steps), leaves, tuple(events)),
                                          keyword == "ft", nands)
 
-    def declarations(self) -> dict[str, ComponentDef]:
-        """The components of the run of declarations at pos, read by strided slices; pos moves past it.
+    def declarations(self) -> dict[str, RatePair]:
+        """Each id's shared RatePair, in declaration order, of the run of declarations at pos; pos moves past it.
 
-        A declaration is 'component' and the seven tokens of _DECLARATION,
-        so each of its places is one slice of the run, and a clean run takes
-        a few slice comparisons.  A faulty run is cut at its first
-        declaration out of shape, found with _DECLARATION.  Each distinct
-        rate literal before the cut is read once, and each distinct pair of
-        them makes one shared RatePair.  Then, in declaration order, a
-        duplicate id is noted alone and any other declaration's nonpositive
-        lambda, then mu; last, the cut declaration raises at its first token
-        out of place.
+        The run is read by strided slices: a declaration is 'component' and
+        the seven tokens of _DECLARATION, so each of its places is one slice
+        of the run, and a clean run takes a few slice comparisons.  A faulty
+        run is cut at its first declaration out of shape, found with
+        _DECLARATION.  Each distinct rate literal before the cut is read
+        once, and each distinct pair of them makes one RatePair, which every
+        id declared with that pair shares; no ComponentDef is built.  Then,
+        in declaration order, a duplicate id is noted alone and any other
+        declaration's nonpositive lambda, then mu; last, the cut declaration
+        raises at its first token out of place.
         """
         tokens, at = self.tokens, self.pos
         n = len(list(takewhile("component".__eq__, tokens[at::8])))
@@ -424,7 +428,7 @@ class _Parser:
                     self.note(start + 7, f"nonpositive repair rate at {cid}")
         if misplaced is not None:
             raise self.unexpected(misplaced, _DECLARATION[(misplaced - at) % 8 - 1][1])
-        return dict(zip(ids, map(ComponentDef, ids, map(shared.__getitem__, literals))))  # with a note, never used
+        return dict(zip(ids, map(shared.__getitem__, literals)))  # with a note, never used
 
     def body(self, grammar: _Grammar) -> tuple[list, dict[int, int]]:
         """The post-order steps of the body at pos, of the kind grammar reads, and its nands; pos moves past it.
@@ -512,8 +516,9 @@ class _Parser:
 def parse_model(text: str) -> SystemModel:
     """Parse model text; raises ModelFileError with all diagnostics on failure.
 
-    The model holds the program its body compiles to, and no findings: it
-    is valid by construction.  Its body is built on first read.
+    The model holds the program its body compiles to, its rate table and
+    no findings: it is valid by construction.  Its body and its components
+    are built on first read.
     """
     return _Parser(text).parse_model()
 
@@ -570,12 +575,8 @@ def serialize_model(model: SystemModel) -> str:
     if '"' in model.name or "\n" in model.name:
         raise ValueError(f"model name not serializable: {model.name!r}")
     lines = [f'model "{model.name}"']
-    for comp in model.components.values():
-        lines.append(
-            f"component {comp.id} "
-            f"lambda={comp.rates.failure_rate} "
-            f"mu={comp.rates.repair_rate}"
-        )
+    for cid, rates in model._rates.items():
+        lines.append(f"component {cid} lambda={rates.failure_rate} mu={rates.repair_rate}")
     lines.append("ft" if model.is_fault_tree else "abd")
     lines.extend(_body_lines(model.body))
     return "\n".join(lines) + "\n"

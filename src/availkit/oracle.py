@@ -452,7 +452,7 @@ def _signal(program: Program, leaves: Mapping[str, np.ndarray]) -> np.ndarray:
 def _component_rates(model: SystemModel) -> list[tuple[float, float]]:
     out = []
     for comp in model.program.events:
-        lam, mu = _float_rates(model.components[comp].rates, comp)
+        lam, mu = _float_rates(model._rates[comp], comp)
         if not (lam > 0 and mu > 0):  # a positive rate below the float range rounds to 0
             raise ValueError(f"a rate of component {comp!r} is too small for floating point; its durations cannot be drawn")
         out.append((lam, mu))

@@ -364,8 +364,9 @@ class ReferenceParser(_Parser):
     """The parser with the recursive descent its body loop replaced, building an eager model: shallow texts only.
 
     parse_model is the parser's own up to the body, which parse_node reads
-    into structure nodes; the model is built from them with SystemModel,
-    so its body is eager and its program is compiled from the body.
+    into structure nodes; the model is built from them and from a
+    ComponentDef per declared id with SystemModel, so its body and
+    components are eager and its program is compiled from the body.
     parse_node and parse_children take about two Python stack frames per
     brace level, so a few hundred levels reach the recursion limit.
     """
@@ -382,7 +383,7 @@ class ReferenceParser(_Parser):
         name = tokens[at]
         if name[:1] != '"' or len(name) < 2:
             raise self.fail(at, "expected model name string")
-        components = self.declarations()
+        rates = self.declarations()
         at = self.advance()
         if tokens[at] not in _BODIES:
             raise self.fail(at, "expected 'abd' or 'ft' body")
@@ -391,10 +392,11 @@ class ReferenceParser(_Parser):
         if tokens[self.pos]:
             raise self.fail(self.pos, f"unexpected trailing input {_quoted(tokens[self.pos])}")
         for index in self.leaf_refs:
-            if tokens[index] not in components:
+            if tokens[index] not in rates:
                 self.note(index, f"unknown component reference {_quoted(tokens[index])}")
         if self.diagnostics:
             raise ak.ModelFileError(self.diagnostics)
+        components = {cid: ak.ComponentDef(cid, pair) for cid, pair in rates.items()}
         return ak.SystemModel(name=name[1:-1], components=components, body=body)
 
     def take(self, word: str) -> None:

@@ -627,8 +627,9 @@ class TestValidation:
     def test_each_command_compiles_its_model_once(self, abd_file, ft_file, capsys, monkeypatch, run):
         # the parse emits the program, so analyze, simulate and compare compile nothing and build
         # no structure node; cutsets builds the body once, from the program, and compiles it once,
-        # in expand_to_cutsets
-        calls, builds, nodes = [], [], []
+        # in expand_to_cutsets.  The parse also gives each id its RatePair, which is all that any
+        # command reads of the components, so none builds a ComponentDef
+        calls, builds, nodes, defs = [], [], [], []
         for module in (model, analytic, oracle, cutsets):  # each module's own binding, where it has one
             if not hasattr(module, "compile_structure"):
                 continue
@@ -651,12 +652,19 @@ class TestValidation:
                 _init(self, *args)
 
             monkeypatch.setattr(cls, "__init__", init)
+
+        def define(self, *args, _init=model.ComponentDef.__init__):
+            defs.append(args[0])
+            _init(self, *args)
+
+        monkeypatch.setattr(model.ComponentDef, "__init__", define)
         argv = [arg.format(abd=abd_file, ft=ft_file) for arg in self.RUNS[run]]
         assert main(argv) == 0
         if run == "cutsets":
             assert len(calls) == 1 and len(builds) == 1 and nodes
         else:
             assert calls == [] and builds == [] and nodes == []
+        assert defs == []
 
     @pytest.mark.parametrize(
         "call",

@@ -157,6 +157,30 @@ class TestEquality:
         assert model != ak.parse_model(text.replace("mu=1", "mu=2"))
 
 
+class TestReadOnce:
+    """A model's components are read once, as its findings and program are:
+    the engines' rate table and validate keep what the first use read, so
+    the components must not be mutated after it."""
+
+    @pytest.mark.parametrize("parsed", [False, True], ids=["api", "parsed"])
+    def test_components_read_at_first_use(self, parsed):
+        model = dfh3_abd()
+        if parsed:
+            model = ak.parse_model(ak.serialize_model(model))
+        assert ak.evaluate_steady(model).probability.value == Fraction(40, 343)
+        rates = model._rates
+        assert rates == {cid: comp.rates for cid, comp in model.components.items()}
+        model.components["ED1"] = ak.ComponentDef("ED1", ak.RatePair(0, 1))  # what the rule forbids
+        assert model._rates is rates and rates["ED1"] != ak.RatePair(0, 1)
+        assert ak.validate(model) == [] and ak.evaluate_steady(model).probability.value == Fraction(40, 343)
+
+    def test_unused_model_reads_its_components_then(self):
+        model = one_component_model()
+        model.components["A"] = ak.ComponentDef("A", ak.RatePair(0, 1))
+        assert [d.message for d in ak.validate(model)] == ["nonpositive failure rate at A"]
+        assert model._rates == {"A": ak.RatePair(0, 1)}
+
+
 class TestLeavesDistinct:
     def test_distinct(self):
         assert dfh3_abd().leaves_distinct is True

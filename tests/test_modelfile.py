@@ -501,22 +501,21 @@ class TestDeclarations:
 
     def test_clean_run_shares_one_pair_per_literal_pair(self):
         text = "\n".join(series_lines()) + "\n"
-        comps, pos = self.declarations(text)
+        rates, pos = self.declarations(text)
         assert pos == 2 + 8 * 3000
-        assert comps == ak.parse_model(text).components
-        assert list(comps) == [f"c{i}" for i in range(3000)]
-        assert comps["c0"].rates is comps["c15"].rates is comps["c2985"].rates
-        assert comps["c0"].rates == ak.RatePair(Fraction(1, 100), Fraction(1))
-        assert len({id(c.rates) for c in comps.values()}) == 15
+        assert rates == {cid: comp.rates for cid, comp in ak.parse_model(text).components.items()}
+        assert list(rates) == [f"c{i}" for i in range(3000)]
+        assert rates["c0"] is rates["c15"] is rates["c2985"]
+        assert rates["c0"] == ak.RatePair(Fraction(1, 100), Fraction(1))
+        assert len(set(map(id, rates.values()))) == 15
 
     def test_each_literal_read_once(self):
         # 1/2 is in two different pairs, and 3 is both rates of one pair
         text = 'model "m" component a lambda=1/2 mu=3 component b lambda=1 mu=1/2 component c lambda=3 mu=3 abd unit a'
         with mock.patch.object(modelfile, "_number", wraps=modelfile._number) as number:
-            comps, _ = self.declarations(text)
+            rates, _ = self.declarations(text)
         assert sorted(call.args[0] for call in number.call_args_list) == ["1", "1/2", "3"]
-        assert comps["a"].rates == ak.RatePair(Fraction(1, 2), 3) and comps["b"].rates == ak.RatePair(1, Fraction(1, 2))
-        assert comps["c"].rates == ak.RatePair(3, 3)
+        assert rates == {"a": ak.RatePair(Fraction(1, 2), 3), "b": ak.RatePair(1, Fraction(1, 2)), "c": ak.RatePair(3, 3)}
 
     @pytest.mark.parametrize(
         "index, line, message",
@@ -543,8 +542,8 @@ class TestDeclarations:
         lines = series_lines()
         lines[7] = f"component {name} lambda=1/100 mu=2"
         text = "\n".join(lines) + "\n"
-        comps, _ = self.declarations(text)
-        assert comps[name].rates is comps["c21"].rates  # c6 declared the same literals
+        rates, _ = self.declarations(text)
+        assert rates[name] is rates["c21"]  # c6 declared the same literals
         assert lexed(ak.parse_model, text) == "3002:73: unknown component reference 'c6'"
 
     @settings(max_examples=300, deadline=None)
@@ -561,16 +560,16 @@ class TestDeclarations:
                 parser.declarations()
             assert str(err.value).splitlines() == expected
             return
-        comps = parser.declarations()
+        rates = parser.declarations()
         assert [str(d) for d in parser.diagnostics] == expected
         assert parser.pos == 2 + end
         if not diagnostics:  # with a diagnostic the model is never built
-            assert list(comps) == list(components)
+            assert list(rates) == list(components)
             first: dict = {}
             for cid, (lam, mu) in components.items():
-                assert comps[cid].rates == ak.RatePair(Fraction(lam), Fraction(mu))
-                assert comps[cid].rates is comps[first.setdefault((lam, mu), cid)].rates
-            assert len({id(c.rates) for c in comps.values()}) == len(first)
+                assert rates[cid] == ak.RatePair(Fraction(lam), Fraction(mu))
+                assert rates[cid] is rates[first.setdefault((lam, mu), cid)]
+            assert len(set(map(id, rates.values()))) == len(first)
 
 
 # Tokens a mutation inserts or writes over another: every keyword and symbol
@@ -715,6 +714,86 @@ class TestLazyBody:
         with pytest.raises(AttributeError, match="^'SystemModel' object has no attribute 'bodies'$"):
             parsed.bodies
         assert not hasattr(parsed, "__setstate__") and "body" not in vars(parsed)
+
+
+class TestLazyComponents:
+    """The parse gives each id its shared RatePair, in one rate table; a parsed
+    model builds its components from that table on first read, and then is
+    what the eager model built from those components is."""
+
+    @staticmethod
+    def pair(kind):
+        text = TestLazyBody.TEXT[kind]
+        return ak.parse_model(text), ReferenceParser(text).parse_model()
+
+    @staticmethod
+    def unbuilt(model):
+        return "components" not in vars(model) and "body" not in vars(model)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_table_then_components_once_in_order(self, seed):
+        rng = random.Random(seed)
+        model = random_model(rng, rng.choice(["abd", "coherent-ft", "ft"]))
+        parsed = ak.parse_model(ak.serialize_model(model))
+        assert self.unbuilt(parsed)
+        assert parsed._rates == {cid: comp.rates for cid, comp in model.components.items()}
+        assert list(parsed._rates) == list(model.components)
+        with mock.patch.object(model_module, "ComponentDef", wraps=model_module.ComponentDef) as build:
+            components = parsed.components
+            assert parsed.components is components and build.call_count == len(model.components)
+        assert components == model.components and list(components) == list(model.components)
+        assert all(components[cid].rates is rates for cid, rates in parsed._rates.items())
+        literals: dict = {}  # one RatePair object per literal pair
+        for cid, comp in model.components.items():
+            literals.setdefault((str(comp.rates.failure_rate), str(comp.rates.repair_rate)), set()).add(id(components[cid].rates))
+        assert all(len(ids) == 1 for ids in literals.values())
+        assert len(set(map(id, parsed._rates.values()))) == len(literals)
+
+    @pytest.mark.parametrize("kind", ["abd", "ft"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda m: m,
+            repr,
+            ak.serialize_model,
+            lambda m: dataclasses.replace(m, name="other"),
+            lambda m: dataclasses.asdict(m),
+            lambda m: copy.copy(m).components,
+            lambda m: copy.deepcopy(m).components,
+            lambda m: pickle.loads(pickle.dumps(m)).components,
+            lambda m: pickle.loads(pickle.dumps(m)),
+        ],
+        ids=["eq", "repr", "serialize", "replace", "asdict", "copy", "deepcopy", "pickle-components", "pickle"],
+    )
+    def test_reads_match_the_eager_model(self, kind, read):
+        parsed, eager = self.pair(kind)
+        assert self.unbuilt(parsed)
+        assert read(parsed) == read(eager)
+        assert parsed == eager and repr(parsed) == repr(eager)
+
+    def test_engines_read_the_table_alone(self):
+        parsed, eager = self.pair("ft")
+        assert ak.evaluate_steady(parsed) == ak.evaluate_steady(eager)
+        assert ak.evaluate_point(parsed, 0.5) == ak.evaluate_point(eager, 0.5)
+        cfg = ak.SimConfig(trials=20, horizon=5.0, seed=3)
+        assert ak.mc_steady_availability(parsed, cfg) == ak.mc_steady_availability(eager, cfg)
+        assert ak.mc_point_availability(parsed, 0.5, cfg) == ak.mc_point_availability(eager, 0.5, cfg)
+        assert "components" not in vars(parsed)
+
+    def test_unbuilt_copies_build_their_own(self):
+        parsed, eager = self.pair("abd")
+        for other in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+            assert self.unbuilt(other) and other._rates == parsed._rates
+            assert other.components == eager.components and other.components is not parsed.components
+        assert copy.copy(parsed).components is parsed.components  # a copy made after the build shares it
+
+    def test_no_other_attribute(self):
+        parsed, _ = self.pair("abd")
+        for name in ("component", "rates", "_components"):
+            with pytest.raises(AttributeError, match=f"^'SystemModel' object has no attribute '{name}'$"):
+                getattr(parsed, name)
+        assert self.unbuilt(parsed)
 
 
 class TestParserIsTheValidityCheck:
