@@ -233,7 +233,10 @@ def _draw(bitgen: np.random.Philox, state: dict, trials: np.ndarray, component: 
     is that call's buffer, reshaped, not copied.
     """
     blocks = (count + 3) // 4  # B_r: counter blocks per trial in this round
-    cuts = [0, *(np.flatnonzero(np.diff(trials) != 1) + 1).tolist(), trials.size]
+    if trials[-1] - trials[0] == trials.size - 1:  # sorted and distinct, so one run
+        cuts = [0, trials.size]
+    else:
+        cuts = [0, *(np.flatnonzero(np.diff(trials) != 1) + 1).tolist(), trials.size]
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
         state["state"]["counter"] = [int(trials[lo]) * blocks, round, 0, component]
@@ -304,14 +307,15 @@ def _grid(
         drawn = 0
         round = 0
         width = 1
-        last = np.zeros(trials.size)  # each stream's latest boundary
-        active = np.arange(trials.size)  # the streams still drawing
-        while active.size:
+        # the streams still drawing, as row indices, and their latest boundaries;
+        # in round 0 every stream draws and starts from 0.0
+        active = slice(None)
+        while True:
             _check_draws(drawn + 2 * n)
             bounds = _durations(_draw(bitgen, state, trials[active], c, round, 2 * n), lam, mu)
-            bounds[:, 0] += last[active]
+            if round:
+                bounds[:, 0] += last
             np.cumsum(bounds, axis=1, out=bounds)
-            last[active] = bounds[:, -1]
             # every row of bounds is sorted, so its column minima are too, and the
             # boundaries <= target of any row lie in the columns whose minimum is.
             # A stream that draws on has every boundary so far <= target, so every
@@ -321,7 +325,11 @@ def _grid(
             drawn += 2 * n
             n *= 2
             round += 1
-            active = active[last[active] <= target]
+            going = bounds[:, -1] <= target
+            if not going.any():
+                break
+            last = bounds[going, -1]
+            active = np.flatnonzero(going) if round == 1 else active[going]
         widths.append(width)
         first += width
     owner = np.repeat(np.arange(-1, len(comps)), [1, *widths])
