@@ -18,13 +18,15 @@ Two independent routes:
 
 Random number contract: each estimate keys one Philox-4x64-10
 counter-based generator (Salmon et al., SC'11) with (seed mod 2**64, 0).
-Every (trial, component) stream is drawn in rounds of 2n words, n =
-int(1.2 * target / mean cycle) + 8 in the first round and doubled in
-each later one, for as long as its last boundary is <= target (the
-largest time of a group of time points, or the horizon).  n depends only
-on the rates and the target, so every stream of a component has the
-same round sizes, and round r of every trial sits in one contiguous
-counter range: word j (j = 0 .. 2n_r - 1) of round r of trial i of component c
+Every (trial, component) stream is drawn in rounds of 2n words, for as
+long as its last boundary is <= target (the largest time of a group of
+time points, or the horizon).  In the first round n is the least count
+whose Chernoff bound on P(S_n <= target) is at most 1e-6, S_n being the
+sum of the stream's first n up and n down durations (_first_round_cycles),
+so at most one stream in a million needs a second round; n doubles in
+each later round.  n depends only on the rates and the target, so every
+stream of a component has the same round sizes, and round r of every
+trial sits in one contiguous counter range: word j (j = 0 .. 2n_r - 1) of round r of trial i of component c
 is lane j mod 4 of the block at counter (i * B_r + j div 4 + 1, r, 0, c),
 with B_r = ceil(2n_r / 4).  That is what np.random.Philox(key=seed mod
 2**64, counter=[i * B_r, r, 0, c]) yields first, because numpy's Philox
@@ -100,7 +102,8 @@ __all__ = [
 
 EXHAUSTIVE_EVENT_LIMIT = 20
 # random words one renewal stream may draw (32 MiB of them); the largest
-# stream in the tests and benchmark workloads draws 18016
+# stream in the tests draws 7928 (a DFH-3 HB stream at horizon 10000),
+# and in seeds 1-20 of the benchmark workloads 2494
 STREAM_DRAW_LIMIT = 1 << 22
 # trials one estimate may run.  A steady-state estimate keeps 8 bytes per
 # trial; a point estimate keeps one byte per trial and time of a group, at
@@ -115,12 +118,17 @@ TRIAL_LIMIT = 10 ** 7
 # 60 ms of CPU time at 2**16, against 76 ms at 2**15 and 65 ms at 2**17
 # (best of 5 on a 2-vCPU Xeon with AVX-512), and peaked at 1.8 MiB of
 # traced memory, against 0.9 and 3.9 MiB.  At horizon 10000 a block of
-# 2**15 or 2**16 words holds one trial.
+# 2**15 or 2**16 words holds one trial.  These figures predate the Chernoff
+# first round (_first_round_cycles); with it, the steady-state estimate
+# above took 47-49 ms at 2**16 and 2**17 and 52-53 ms at 2**15 (best of 5).
 POINT_BLOCK_WORDS = 1 << 18
 STEADY_BLOCK_WORDS = 1 << 16
 # models of up to this many components read their structure function from
 # one table over all 2**k state codes, the truth table kept with the model
 TABLE_COMPONENTS = 16
+# the Chernoff bound on the chance that a stream needs a second round, which
+# sizes its first (_first_round_cycles)
+_SECOND_ROUND = 1e-6
 
 _WORD_SHIFT = np.uint64(11)
 _U_SCALE = 2.0 ** -53
@@ -247,16 +255,48 @@ def _draw(bitgen: np.random.Philox, state: dict, trials: np.ndarray, component: 
 
 
 def _first_round_cycles(lam: float, mu: float, target: float) -> int:
-    """Cycles in a stream's first round: 1.2 times the expected count, plus 8."""
-    cycles = target / (1.0 / lam + 1.0 / mu) * 1.2
-    if cycles == math.inf:  # more cycles than a float counts, far past the limit
-        _check_draws(cycles)
-    return int(cycles) + 8
+    """Cycles in a stream's first round: the least n whose Chernoff bound on a second round is <= _SECOND_ROUND.
+
+    A stream draws a second round exactly when S_n <= target, S_n being
+    the sum of its first n up and n down durations.  For every theta > 0,
+    P(S_n <= t) <= e^(theta t) (lam / (lam + theta))^n (mu / (mu + theta))^n
+    (Chernoff, Ann. Math. Stat. 23, 1952).  The infimum over theta is at
+    the positive root of t theta^2 + (t (lam + mu) - 2n) theta + t lam mu
+    - n (lam + mu) = 0; when t lam mu >= n (lam + mu), that is when n is
+    at most the expected cycle count, there is none and the bound is 1.
+    The bound falls as n grows, so doubling then bisection finds n.  A
+    stream whose expected cycles alone take more than STREAM_DRAW_LIMIT
+    words is refused first.
+    """
+    expected = target / (1.0 / lam + 1.0 / mu)  # t lam mu / (lam + mu), without overflow
+    _check_draws(2 * expected)
+    p, q = lam * target, mu * target
+    if p == 0 or q == 0:  # no time to the target, or less than a float resolves: the bound is 0 for n = 1
+        return 1
+    log_limit = math.log(_SECOND_ROUND)
+
+    def holds(n: int) -> bool:
+        if n <= expected:
+            return False
+        # in x = theta t the root solves x^2 + bx + c = 0, b = p + q - 2n and
+        # c = pq - n (p + q) < 0, whose discriminant is (p - q)^2 + 4n^2
+        b, root = p + q - 2 * n, math.hypot(p - q, 2 * n)
+        x = (root - b) / 2 if b <= 0 else 2 * (p + q) * (n - expected) / (b + root)
+        return x - n * (math.log1p(x / p) + math.log1p(x / q)) <= log_limit
+
+    lo, step = int(expected), 1  # lo fails (every n <= expected does), or is 0
+    while not holds(lo + step):
+        lo, step = lo + step, step * 2
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def _check_draws(drawn: float) -> None:
     if drawn > STREAM_DRAW_LIMIT:
-        # an int past the float range cannot be formatted with .3g (OverflowError)
+        # the expected words of a stream past the float range are inf, which .3g prints as such
         count = f"{drawn:.3g}" if drawn <= sys.float_info.max else f"more than {sys.float_info.max:.2g}"
         raise ValueError(
             f"simulation refused: a renewal stream would draw {count} random words, "
@@ -279,13 +319,13 @@ def _durations(words: np.ndarray, lam: float, mu: float) -> np.ndarray:
 
 
 def _grid(
-    bitgen: np.random.Philox, state: dict, comps: list[tuple[float, float]], trials: np.ndarray, target: float
+    bitgen: np.random.Philox, state: dict, comps: list[tuple[float, float, int]], trials: np.ndarray, target: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every boundary of every component in the given trials, as a (trials, columns) grid.
 
-    comps holds each component's (lam, mu).  One loop draws each
-    component's streams round by round, 2n words a round, n =
-    _first_round_cycles in the first round and doubled in each later one.
+    comps holds each component's (lam, mu, n), n being its first round's
+    cycles.  One loop draws each component's streams round by round, 2n
+    words a round, n doubled in each later round.
     A round checks its draw limit, makes one _draw for the streams still
     drawing and turns its words into durations.  Their interleaved
     cumulative sums T1, T1+D1, T1+D1+T2, ... continue from each stream's
@@ -302,8 +342,7 @@ def _grid(
     rounds = []  # (rows, first column, kept boundaries) of each round
     widths = []
     first = 1  # the component's first column
-    for c, (lam, mu) in enumerate(comps):
-        n = _first_round_cycles(lam, mu, target)
+    for c, (lam, mu, n) in enumerate(comps):
         drawn = 0
         round = 0
         width = 1
@@ -484,12 +523,13 @@ def _check_trials(cfg: SimConfig) -> None:
 def _simulate(model: SystemModel, cfg: SimConfig, target: float, block_words: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The trials in blocks, each as (its slice of the trial range, its _grid and owner) drawn to target.
 
-    A block's first rounds draw at most block_words words, or one trial's,
-    and nothing else bounds a block: _grid keeps every round whole.  The
-    grids do not depend on the blocking.
+    Each component's first round is sized once, here.  A block's first
+    rounds draw at most block_words words, or one trial's, and nothing
+    else bounds a block: _grid keeps every round whole.  The grids do not
+    depend on the blocking.
     """
-    comps = _component_rates(model)
-    first_rounds = sum(2 * _first_round_cycles(lam, mu, target) for lam, mu in comps)
+    comps = [(lam, mu, _first_round_cycles(lam, mu, target)) for lam, mu in _component_rates(model)]
+    first_rounds = sum(2 * n for _, _, n in comps)
     step = max(1, block_words // first_rounds)  # trials whose first rounds fill a block
     bitgen = np.random.Philox(key=cfg.seed & _MASK64)
     state = bitgen.state

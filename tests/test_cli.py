@@ -898,17 +898,21 @@ class TestInputLimits:
 
     @pytest.mark.parametrize(
         "argv, count",
-        [(["compare"], "1.2e+304"), (["simulate", "--horizon", "1e10"], "more than 1.8e+308")],
+        [(["compare"], "1e+304"), (["simulate", "--horizon", "1e10"], "more than 1.8e+308")],
         ids=["compare", "past-float-range"],
     )
-    def test_stream_refusal_prints_a_short_count(self, tmp_path, capsys, argv, count):
-        # the word count is a 305-digit int for compare's default horizon, and inf at 1e10
+    def test_stream_refusal_prints_a_short_count(self, tmp_path, capsys, monkeypatch, argv, count):
+        # the words of the expected cycles alone, 2 * 10000 / (2 * 10**-300) for compare's
+        # default horizon and inf at 1e10, refused before the first round is sized or drawn
         path = write_model(tmp_path, "m.avm", f'model "m" component A lambda={10 ** 300} mu={10 ** 300} abd unit A')
+        draws = []
+        monkeypatch.setattr(oracle, "_draw", lambda *args: draws.append(args))
         name, *rest = argv
         assert main([name, path, *rest]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and len(err[0]) < 200
         assert f"would draw {count} random words" in err[0] and f"limit of {oracle.STREAM_DRAW_LIMIT}" in err[0]
+        assert draws == []
 
     def test_rate_past_float_range_stays_exact(self, tmp_path, capsys):
         big = 10 ** 400 - 1

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize, stats
 
 import availkit as ak
 from availkit import oracle
@@ -199,7 +200,6 @@ class TestTrajectory:
         # rounds of 2 then 4 words whose durations are the words themselves: cycles start at 0, 3
         # and 9 across the round boundary, the last boundary 3 <= 9.5 asks for a second round, whose
         # sum goes on from 3, and its boundaries up to 9.5 land in the grid
-        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         words = np.array([2, 1, 5, 1, 1, 4, 9, 9], dtype=np.uint64)
         starts = {0: 0, 1: 2}  # where each round's words begin
@@ -208,7 +208,7 @@ class TestTrajectory:
             oracle, "_draw",
             lambda bitgen, state, trials, c, r, count: draws.append((r, count)) or words[None, starts[r]:starts[r] + count],
         )
-        grid, owner = oracle._grid(None, None, [(1.0, 1.0)], np.arange(1), 9.5)
+        grid, owner = oracle._grid(None, None, [(1.0, 1.0, 1)], np.arange(1), 9.5)
         assert draws == [(0, 2), (1, 4)]
         assert grid.tolist() == [[0.0, 2.0, 3.0, 8.0, 9.0]]
         assert owner.tolist() == [-1, 0, 0, 0, 0]
@@ -222,7 +222,7 @@ class TestTrajectory:
         monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: np.array([rounds[i][r] for i in trials]))
-        grid, owner = oracle._grid(None, None, [(1.0, 1.0)], np.arange(3), 4.0)
+        grid, owner = oracle._grid(None, None, [(1.0, 1.0, 1)], np.arange(3), 4.0)
         assert grid.tolist() == [
             [0.0, 1.0, 2.0, 4.0],
             [0.0, 4.0, 7.0, math.inf],
@@ -231,7 +231,7 @@ class TestTrajectory:
         assert owner.tolist() == [-1, 0, 0, 0]
         assert oracle._held_at(self.SINGLE, grid, owner, 4.0).tolist() == [False, False, True]
         # with no boundary <= 0.5 in any stream, the component keeps one column, which the read needs
-        grid, owner = oracle._grid(None, None, [(1.0, 1.0)], np.arange(3), 0.5)
+        grid, owner = oracle._grid(None, None, [(1.0, 1.0, 1)], np.arange(3), 0.5)
         assert grid.tolist() == [[0.0, 1.0], [0.0, 4.0], [0.0, 5.0]]
         assert oracle._held_at(self.SINGLE, grid, owner, 0.5).tolist() == [True, True, True]
         assert ak.mc_point_availability(self.SINGLE, 4.0, ak.SimConfig(trials=3)).mean == 1 / 3
@@ -243,21 +243,18 @@ class TestTrajectory:
         # all round to 2**53, so round 1 is drawn, and its first boundary is a fifth at 2**53.
         # Stopping on a separate sum of the durations, 2**53 + 2 when taken pairwise, would miss it
         rounds = ([2 ** 53, 1, 1, 1], [1, 5, 5, 5, 5, 5, 5, 5])
-        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 2)
         monkeypatch.setattr(oracle, "_durations", lambda words, lam, mu: words * 1.0)
         monkeypatch.setattr(oracle, "_draw", lambda bitgen, state, trials, c, r, count: np.array([rounds[r]]))
         target = 2.0 ** 53
-        grid, owner = oracle._grid(None, None, [(1.0, 1.0)], np.arange(1), target)
+        grid, owner = oracle._grid(None, None, [(1.0, 1.0, 2)], np.arange(1), target)
         assert grid.tolist() == [[0.0] + [target] * 5]
         assert oracle._held_at(self.SINGLE, grid, owner, target).tolist() == [False]  # five changes: down
 
     def test_rounds_deterministic_and_long_enough(self, monkeypatch):
         # first rounds of one cycle, so that every stream runs over several rounds
-        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 1)
-
         def draw(seed):
             bitgen = np.random.Philox(key=seed)
-            return oracle._grid(bitgen, bitgen.state, [(0.1, 0.3)], np.arange(3), 50.0)
+            return oracle._grid(bitgen, bitgen.state, [(0.1, 0.3, 1)], np.arange(3), 50.0)
 
         a, owner = draw(3)
         assert np.array_equal(a, draw(3)[0])
@@ -627,7 +624,7 @@ class TestBatchedSteady:
 
                 for horizon in (0.3, 6.0, 200.0):
                     bitgen = np.random.Philox(key=n)
-                    comps = oracle._component_rates(model)
+                    comps = [(lam, mu, oracle._first_round_cycles(lam, mu, horizon)) for lam, mu in oracle._component_rates(model)]
                     grid, owner = oracle._grid(bitgen, bitgen.state, comps, np.arange(9), horizon)
                     got = oracle._time_held(model, grid, owner, horizon, oracle._state_table(model))
                     bound = grid.shape[1] * 2 ** tag * math.ulp(horizon) / horizon
@@ -788,14 +785,14 @@ class TestSimulationInputs:
         assert got.mean == 1.0
 
     def test_stream_draw_budget(self, monkeypatch):
-        # R13's mean cycle is 40/3: t = 1000 asks for 2 * 98 words up front
+        # R13's mean cycle is 40/3: t = 1000 asks for 2 * 114 words up front
         monkeypatch.setattr(oracle, "STREAM_DRAW_LIMIT", 150)
         cfg = ak.SimConfig(trials=3, horizon=1000.0, seed=1)
         with pytest.raises(ValueError, match="limit of 150"):
             ak.mc_point_availability(self.SINGLE, 1000.0, cfg)
         with pytest.raises(ValueError, match="limit of 150"):
             ak.mc_steady_availability(self.SINGLE, cfg)
-        assert ak.mc_point_availability(self.SINGLE, 100.0, cfg).trials == 3  # 2 * 17 words
+        assert ak.mc_point_availability(self.SINGLE, 100.0, cfg).trials == 3  # 2 * 21 words
 
     def test_stream_past_float_range_refused(self):
         # the first round's cycle count overflows a float, so it cannot become an int
@@ -829,3 +826,69 @@ class TestSimulationInputs:
             ak.mc_point_availability(self.SINGLE, 800.0, cfg)
         with pytest.raises(ValueError, match="limit of 56"):
             ak.mc_steady_availability(self.SINGLE, cfg)
+
+
+class TestFirstRound:
+    """The first round is the least n whose Chernoff bound on a second round is at most the module's epsilon.
+
+    The bound is recomputed here by a numerical minimisation over theta, not
+    by the oracle's root formula, and the exact chance of a second round,
+    P(S_n <= t) with S_n the sum of a Gamma(n, lam) up time and a
+    Gamma(n, mu) down time, by quadrature.
+    """
+
+    DFH3 = [(0.1, 0.3), (0.2, 0.5), (0.3, 0.4), (0.7, 0.8), (0.5, 0.5)]
+    SHARED = [(0.4, 4.0), (0.8, 8.0), (0.8, 4.0), (1.2, 8.0), (0.4, 8.0), (1.2, 12.0), (2.0, 12.0), (0.8, 12.0)]
+    LARGE = [(lam / 1000, lam * b / 1000) for lam in (1, 2, 5) for b in (1, 2, 3, 4, 9)]
+    CASES = (
+        [(lam, mu, t) for lam, mu in DFH3 for t in (0.25, 0.5, 1.0, 2.0, 4.0, 3000.0)]
+        + [(lam, mu, 100.0) for lam, mu in SHARED]
+        + [(lam, mu, t) for lam, mu in LARGE for t in (10.0, 100.0, 1000.0)]
+    )
+
+    @staticmethod
+    def bound(lam, mu, t, n):
+        """inf over theta > 0 of e^(theta t) (lam / (lam + theta))^n (mu / (mu + theta))^n, searched over log theta."""
+        def log_bound(s):
+            theta = math.exp(s)
+            return theta * t - n * (math.log1p(theta / lam) + math.log1p(theta / mu))
+
+        hi = math.log(4 * n / t + lam + mu)  # past the minimiser, near 2n / t for small t
+        best = optimize.minimize_scalar(log_bound, bounds=(-60.0, hi), method="bounded", options={"xatol": 1e-12})
+        return math.exp(min(best.fun, 0.0))
+
+    @staticmethod
+    def second_round(lam, mu, t, n):
+        """P(S_n <= t): the Gamma(n, lam) density against the Gamma(n, mu) distribution function."""
+        def integrand(u):
+            return stats.gamma.pdf(u, n, scale=1 / lam) * stats.gamma.cdf(t - u, n, scale=1 / mu)
+
+        peak = min((n - 1) / lam, t)  # the density's mode, where the mass lies
+        value, _ = integrate.quad(integrand, 0.0, t, points=[peak], epsabs=0.0, epsrel=1e-10, limit=500)
+        return value
+
+    @pytest.mark.parametrize("lam, mu, t", CASES)
+    def test_least_n_whose_bound_is_at_most_epsilon(self, lam, mu, t):
+        n = oracle._first_round_cycles(lam, mu, t)
+        eps = oracle._SECOND_ROUND
+        assert self.bound(lam, mu, t, n) <= eps * (1 + 1e-9)
+        assert n == 1 or self.bound(lam, mu, t, n - 1) > eps
+        assert self.second_round(lam, mu, t, n) <= self.bound(lam, mu, t, n)
+
+    def test_rates_and_sizes_of_the_workloads(self):
+        sizes = {(0.1, 0.3, 0.5): 3, (0.7, 0.8, 4.0): 8, (0.1, 0.3, 3000.0): 290, (0.7, 0.8, 3000.0): 1247, (0.4, 4.0, 100.0): 69, (2.0, 12.0, 100.0): 234}
+        assert {key: oracle._first_round_cycles(*key) for key in sizes} == sizes
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 5e-324])
+    def test_no_time_to_the_target_is_one_cycle(self, t):
+        # one up duration passes t = 0 surely; at the smallest float the bound at n = 1 is 0
+        assert oracle._first_round_cycles(0.1, 0.3, t) == 1
+        assert oracle._first_round_cycles(1e300, 1e-300, t) == 1
+
+    @pytest.mark.parametrize(
+        "t, count", [(1e4, "1e+304"), (1e10, "more than 1.8e+308")], ids=["over-the-limit", "past-float-range"]
+    )
+    def test_expected_cycles_past_the_limit_refused(self, t, count):
+        # 10**300 rates: the expected cycles alone are over the limit, or past the float range
+        with pytest.raises(ValueError, match=f"would draw {re.escape(count)} random words"):
+            oracle._first_round_cycles(1e300, 1e300, t)
