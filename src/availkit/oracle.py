@@ -26,11 +26,12 @@ sum of the stream's first n up and n down durations (_first_round_cycles),
 so at most one stream in a million needs a second round; n doubles in
 each later round.  n depends only on the rates and the target, so every
 stream of a component has the same round sizes, and round r of every
-trial sits in one contiguous counter range: word j (j = 0 .. 2n_r - 1) of round r of trial i of component c
-is lane j mod 4 of the block at counter (i * B_r + j div 4 + 1, r, 0, c),
-with B_r = ceil(2n_r / 4).  That is what np.random.Philox(key=seed mod
-2**64, counter=[i * B_r, r, 0, c]) yields first, because numpy's Philox
-increments the counter before it generates a block.  A word w becomes
+trial sits in one contiguous counter range: word j (j = 0 .. 2n_r - 1)
+of round r of trial i of component c is lane j mod 4 of the block at
+counter (i * B_r + j div 4 + 1, r, 0, c), with B_r = ceil(2n_r / 4).
+That is what np.random.Philox(key=seed mod 2**64, counter=[i * B_r, r,
+0, c]) yields first, because numpy's Philox increments the counter
+before it generates a block.  A word w becomes
 the open-interval uniform u = ((w >> 11) + 0.5) * 2**-53 and a duration
 -ln(u) / rate; within a round the words alternate up duration, down
 duration.  Streams never overlap, and counter word 0 stays below
@@ -270,7 +271,10 @@ def _first_round_cycles(lam: float, mu: float, target: float) -> int:
     """
     expected = target / (1.0 / lam + 1.0 / mu)  # t lam mu / (lam + mu), without overflow
     _check_draws(2 * expected)
-    p, q = lam * target, mu * target
+    # a product past the float range is capped: the other one is then at most
+    # about 2 * expected, so p + q stays finite, and the capped rate's factor
+    # is 1 to within n * 2n / p, far below a float's resolution of the bound
+    p, q = min(lam * target, sys.float_info.max), min(mu * target, sys.float_info.max)
     if p == 0 or q == 0:  # no time to the target, or less than a float resolves: the bound is 0 for n = 1
         return 1
     log_limit = math.log(_SECOND_ROUND)
@@ -279,9 +283,12 @@ def _first_round_cycles(lam: float, mu: float, target: float) -> int:
         if n <= expected:
             return False
         # in x = theta t the root solves x^2 + bx + c = 0, b = p + q - 2n and
-        # c = pq - n (p + q) < 0, whose discriminant is (p - q)^2 + 4n^2
-        b, root = p + q - 2 * n, math.hypot(p - q, 2 * n)
-        x = (root - b) / 2 if b <= 0 else 2 * (p + q) * (n - expected) / (b + root)
+        # c = pq - n (p + q) < 0, whose discriminant is (p - q)^2 + 4n^2.  For
+        # b > 0 the root is -2c / (b + root), with b and root taken over p + q
+        # so that nothing overflows
+        s = p + q
+        b, root = s - 2 * n, math.hypot(p - q, 2 * n)
+        x = (root - b) / 2 if b <= 0 else 2 * (n - expected) / (b / s + root / s)
         return x - n * (math.log1p(x / p) + math.log1p(x / q)) <= log_limit
 
     lo, step = int(expected), 1  # lo fails (every n <= expected does), or is 0
@@ -296,7 +303,7 @@ def _first_round_cycles(lam: float, mu: float, target: float) -> int:
 
 def _check_draws(drawn: float) -> None:
     if drawn > STREAM_DRAW_LIMIT:
-        # the expected words of a stream past the float range are inf, which .3g prints as such
+        # the expected words of a stream past the float range are inf, which .3g would print as 'inf'
         count = f"{drawn:.3g}" if drawn <= sys.float_info.max else f"more than {sys.float_info.max:.2g}"
         raise ValueError(
             f"simulation refused: a renewal stream would draw {count} random words, "

@@ -795,7 +795,7 @@ class TestSimulationInputs:
         assert ak.mc_point_availability(self.SINGLE, 100.0, cfg).trials == 3  # 2 * 21 words
 
     def test_stream_past_float_range_refused(self):
-        # the first round's cycle count overflows a float, so it cannot become an int
+        # the expected cycle count overflows a float, so the stream is refused before its first round is sized
         huge = ak.SystemModel("m", {"A": ak.ComponentDef("A", ak.RatePair(10**300, 10**300))}, ak.Unit("A"))
         cfg = ak.SimConfig(trials=3, horizon=1e10, seed=1)
         with pytest.raises(ValueError, match="per-stream limit"):
@@ -884,6 +884,25 @@ class TestFirstRound:
         # one up duration passes t = 0 surely; at the smallest float the bound at n = 1 is 0
         assert oracle._first_round_cycles(0.1, 0.3, t) == 1
         assert oracle._first_round_cycles(1e300, 1e-300, t) == 1
+
+    @pytest.mark.parametrize(
+        "lam, mu, t", [(1e300, 1e-300, 1e10), (1e-300, 1e300, 1e10), (1e308, 1.0, 1e5), (1.0, 1e305, 1e4)]
+    )
+    def test_rate_times_target_past_the_float_range(self, lam, mu, t):
+        # the fast rate's durations are nothing to t, and its product with t overflows, or its
+        # product with n would: the bound is the slow rate's alone, e^(n - rt) (rt / n)^n for n > rt
+        rt = min(lam, mu) * t
+
+        def log_bound(n):
+            return n - rt - n * math.log1p((n - rt) / rt) if n > rt else 0.0
+
+        n = oracle._first_round_cycles(lam, mu, t)
+        assert log_bound(n) <= math.log(oracle._SECOND_ROUND)
+        assert n == 1 or log_bound(n - 1) > math.log(oracle._SECOND_ROUND)
+
+    def test_estimate_with_a_rate_times_target_past_the_float_range(self):
+        model = ak.SystemModel("m", {"A": ak.ComponentDef("A", ak.RatePair(10**300, Fraction(1, 10**300)))}, ak.Unit("A"))
+        assert ak.mc_steady_availability(model, ak.SimConfig(trials=3, horizon=1e10, seed=1)).trials == 3
 
     @pytest.mark.parametrize(
         "t, count", [(1e4, "1e+304"), (1e10, "more than 1.8e+308")], ids=["over-the-limit", "past-float-range"]
