@@ -49,6 +49,8 @@ each component's columns as its rounds come and puts every boundary <=
 target of the block into one (trials, columns) grid; the boundaries a
 stream drew past the target are dropped before either estimator reads
 them.
+Only the calling thread draws: it alone touches the generator and its
+state dict.
 The estimators read that grid in two ways.  A point estimate takes each
 component's state at t as the parity of its boundaries <= t, so a grid
 drawn to the largest time of a group is read at every time of it.  A
@@ -59,17 +61,24 @@ by less than 2**(tag - 52) relative, 2**-47 for up to 16 components and
 2**-40 for 3000.  It integrates the structure function over the changes
 up to the horizon, each component's state at a change being the parity
 of its changes so far; a trial's held time is one running sum, left to
-right along its row.  Models of up to TABLE_COMPONENTS components read
-the structure from a table over all 2^k state codes, the model's truth
-table; wider models evaluate it on leaf arrays swept in 64-bit groups.
+right along its row.  It integrates each block on one worker thread
+(_Worker) while the calling thread draws the next, unless the process
+may run on one CPU only, and a block's values depend on its grid alone,
+so they are the same whether or not a second CPU is free.  The point estimator runs on the calling thread alone.
+Models of up to TABLE_COMPONENTS components read the structure from a
+table over all 2^k state codes, the model's truth table; wider models
+evaluate it on leaf arrays swept in 64-bit groups.
 Every stream may draw at most STREAM_DRAW_LIMIT words.  Components are
 indexed in the order of model.program.events.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -115,13 +124,17 @@ TRIAL_LIMIT = 10 ** 7
 # random words the first rounds of one block of trials draw, bounding the
 # block's boundary grid.  Point grids are short: at 2**15 a DFH-3 point
 # estimate of 300 trials made 30 _draw calls instead of 11.5.  A DFH-3
-# block-diagram steady-state estimate of 100 trials at horizon 3000 took
-# 60 ms of CPU time at 2**16, against 76 ms at 2**15 and 65 ms at 2**17
-# (best of 5 on a 2-vCPU Xeon with AVX-512), and peaked at 1.8 MiB of
-# traced memory, against 0.9 and 3.9 MiB.  At horizon 10000 a block of
-# 2**15 or 2**16 words holds one trial.  These figures predate the Chernoff
-# first round (_first_round_cycles); with it, the steady-state estimate
-# above took 47-49 ms at 2**16 and 2**17 and 52-53 ms at 2**15 (best of 5).
+# block-diagram steady-state estimate of 100 trials at horizon 3000 takes
+# 20 blocks at 2**16 and peaks at 2.9-3.3 MiB of traced memory, one block
+# being drawn while the one before it is integrated (2.4 MiB when each
+# block was integrated before the next was drawn).  Its wall time, with
+# each block integrated on the worker thread while the next is drawn, was
+# 31-35 ms at 2**16, against 32-38 ms at 2**17, 45-49 ms at 2**15 and
+# 69-70 ms at 2**14 (best of 9, interleaved, on a 2-vCPU Xeon with
+# AVX-512); the tree's estimate was 22-23 ms at 2**16 and 2**17.  Smaller
+# blocks overlap more of the two stages but make more rounds, each a
+# few Python calls.  At horizon 10000 a block of 2**15 or 2**16 words
+# holds one trial.
 POINT_BLOCK_WORDS = 1 << 18
 STEADY_BLOCK_WORDS = 1 << 16
 # models of up to this many components read their structure function from
@@ -546,6 +559,78 @@ def _simulate(model: SystemModel, cfg: SimConfig, target: float, block_words: in
         yield slice(lo, lo + step), *_grid(bitgen, state, comps, trials, target)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Worker:
+    """One thread that runs the jobs handed to it one at a time, while the caller goes on.
+
+    submit waits for the job handed over before, so at most one job is
+    outstanding, and raises on the calling thread whatever that job raised.
+    Leaving the with block waits for the last job, stops the thread and
+    joins it, on every exit path, so the thread never outlives the block.
+    An error of the block's body is raised unchanged; else the last job's
+    error is raised.  A job's memory writes are seen by the caller once the
+    wait for it returns.
+    """
+
+    def __init__(self) -> None:
+        self._job: Optional[functools.partial] = None  # the job handed over, or None to stop
+        self._error: Optional[BaseException] = None
+        self._outstanding = False  # read and written by the caller only
+        self._handed = threading.Semaphore(0)
+        self._finished = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._run, name="availkit-worker")
+
+    def _run(self) -> None:
+        while True:
+            self._handed.acquire()
+            job = self._job
+            if job is None:
+                return
+            try:
+                job()
+            except BaseException as error:  # handed to the caller, which raises it
+                self._error = error
+            self._finished.release()
+
+    def _wait(self) -> Optional[BaseException]:
+        """Wait for the outstanding job, if any, and return what it raised."""
+        if not self._outstanding:
+            return None
+        self._finished.acquire()
+        self._outstanding = False
+        error, self._error = self._error, None
+        return error
+
+    def submit(self, fn, *args) -> None:
+        """Wait for the job handed over before, then hand over fn(*args)."""
+        error = self._wait()
+        if error is not None:
+            raise error
+        self._job = functools.partial(fn, *args)
+        self._outstanding = True
+        self._handed.release()
+
+    def __enter__(self) -> "_Worker":
+        self._thread.start()
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        try:
+            error = self._wait()
+        finally:
+            self._job = None
+            self._handed.release()
+            self._thread.join()
+        if kind is None and error is not None:
+            raise error
+
+
 def mc_point_availability(
     model: SystemModel, t: Union[float, Sequence[float]], cfg: SimConfig
 ) -> Union[Estimate, list[Estimate]]:
@@ -595,6 +680,16 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     rounded as _time_held says.  A model of up to TABLE_COMPONENTS
     components reads its structure function from its truth table, taken
     once, before the first block.
+
+    The calling thread draws every block, and one worker thread
+    integrates each block while the caller draws the next; the two
+    threads overlap in _time_held's numpy calls, which release the GIL.
+    So at most two blocks are alive at once, the one being integrated and
+    the one being drawn.  Each block's values depend only on its grid,
+    so the estimate is bitwise that of integrating the blocks one after
+    another, as the caller does itself when the process may run on one
+    CPU only.  An error on either thread is raised unchanged, and the
+    worker is joined before the estimate returns or raises.
     """
     _require_valid(model)
     _check_trials(cfg)
@@ -603,6 +698,16 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     horizon = float(cfg.horizon)
     table = _state_table(model)
     values = np.empty(cfg.trials, dtype=np.float64)
-    for block, grid, owner in _simulate(model, cfg, horizon, STEADY_BLOCK_WORDS):
+
+    def integrate(block: slice, grid: np.ndarray, owner: np.ndarray) -> None:
         values[block] = _time_held(model, grid, owner, horizon, table)
+
+    blocks = _simulate(model, cfg, horizon, STEADY_BLOCK_WORDS)
+    if _cpus() == 1:  # the worker could not run beside the caller, and each handover costs switches
+        for block in blocks:
+            integrate(*block)
+    else:
+        with _Worker() as worker:
+            for block in blocks:
+                worker.submit(integrate, *block)
     return _estimate(values)

@@ -3,6 +3,8 @@
 import math
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -310,7 +312,8 @@ class TestMonteCarlo:
         assert point == ak.mc_point_availability(dfh3_abd(), 4.0, cfg)
 
     def test_point_thread_invariance(self):
-        # the estimators run no threads: the invariance left to pin is one config, one estimate, bitwise
+        # the point estimator runs on the calling thread alone (TestSteadyWorker checks that it
+        # starts none), so the invariance left to pin is one config, one estimate, bitwise
         cfg = ak.SimConfig(trials=120, seed=9)
         assert ak.mc_point_availability(dfh3_abd(), 4.0, cfg) == ak.mc_point_availability(dfh3_abd(), 4.0, cfg)
 
@@ -326,7 +329,9 @@ class TestMonteCarlo:
         assert abs(est.mean - 0.5) <= 4 * est.std_error
 
     def test_steady_determinism_and_threads(self):
-        # as test_point_thread_invariance: the same config twice gives the same estimate
+        # the steady-state estimator integrates its blocks on a worker thread where a second
+        # CPU may run it (TestSteadyWorker); however the two threads interleave, the same
+        # config twice gives the same estimate
         cfg = ak.SimConfig(trials=50, horizon=500.0, seed=77)
         assert ak.mc_steady_availability(dfh3_abd(), cfg) == ak.mc_steady_availability(dfh3_abd(), cfg)
 
@@ -682,6 +687,136 @@ class TestBatchedSteady:
                 finally:
                     tracemalloc.stop()
                 assert peak <= 8 * 2 ** 20, (model.name, horizon, peak)
+
+
+def serial_steady(model, cfg):
+    """mc_steady_availability with every block drawn and then integrated on the calling thread."""
+    horizon = float(cfg.horizon)
+    table = oracle._state_table(model)
+    values = np.empty(cfg.trials, dtype=np.float64)
+    for block, grid, owner in oracle._simulate(model, cfg, horizon, oracle.STEADY_BLOCK_WORDS):
+        values[block] = oracle._time_held(model, grid, owner, horizon, table)
+    return oracle._estimate(values)
+
+
+class TestSteadyWorker:
+    """The steady-state estimator integrates each block on one worker thread while the calling thread draws the next."""
+
+    SINGLE = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Unit("C"))
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # the worker runs only where the process may use a second CPU; here it always may
+        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+
+    def test_equals_serial_blocks(self, monkeypatch):
+        # blocks of 64 first-round words hold one trial each, so dozens of blocks overlap;
+        # the 17-component tree takes the 64-bit group sweep in place of the state table
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
+        wide = TestBatchedSteady.width_models(oracle.TABLE_COMPONENTS + 1)[1]
+        assert oracle._state_table(wide) is None
+        for model, horizon in ((dfh3_abd(), 300.0), (dfh3_ft(), 300.0), (wide, 6.0)):
+            cfg = ak.SimConfig(trials=40, horizon=horizon, seed=2 ** 64 + 5)
+            assert sum(1 for _ in oracle._simulate(model, cfg, horizon, oracle.STEADY_BLOCK_WORDS)) == 40
+            assert ak.mc_steady_availability(model, cfg) == serial_steady(model, cfg), model.name
+
+    def test_draws_stay_on_the_calling_thread(self, monkeypatch):
+        # only the caller touches the generator; every block is integrated on one other thread
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
+        threads = {"_draw": set(), "_time_held": set()}
+        for name in threads:
+            def recorded(*args, _name=name, _real=getattr(oracle, name)):
+                threads[_name].add(threading.get_ident())
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, recorded)
+        ak.mc_steady_availability(dfh3_abd(), ak.SimConfig(trials=10, horizon=100.0, seed=3))
+        assert threads["_draw"] == {threading.get_ident()}
+        assert len(threads["_time_held"]) == 1 and threading.get_ident() not in threads["_time_held"]
+
+    def test_integration_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
+        held, real = [], oracle._time_held
+
+        def failing(*args):
+            held.append(args[1].shape[0])
+            if len(held) == 3:
+                raise RuntimeError("integration failed on block 3")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_time_held", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"^integration failed on block 3$"):
+            ak.mc_steady_availability(dfh3_abd(), ak.SimConfig(trials=20, horizon=300.0, seed=1))
+        assert threading.active_count() == before
+        assert len(held) == 3  # the failure is raised before a fourth block is handed over
+
+    def test_draw_refusal_propagates(self, monkeypatch):
+        # rounds of 8, 16, 32 and 64 words in blocks of one trial: at horizon 700 and seed 7,
+        # trial 6 is the first whose stream needs a fifth round, over the limit of 120 words
+        monkeypatch.setattr(oracle, "_first_round_cycles", lambda lam, mu, target: 4)
+        monkeypatch.setattr(oracle, "STREAM_DRAW_LIMIT", 8 + 16 + 32 + 64)
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 8)
+        calls = {"_grid": 0, "_time_held": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(oracle, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        before = threading.active_count()
+        message = "simulation refused: a renewal stream would draw 248 random words, over the per-stream limit of 120; shorten the time or horizon"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ak.mc_steady_availability(self.SINGLE, ak.SimConfig(trials=12, horizon=700.0, seed=7))
+        assert threading.active_count() == before
+        # the six blocks drawn before the refusal were all integrated before it was raised
+        assert calls == {"_grid": 7, "_time_held": 6}
+
+    def test_point_estimate_starts_no_thread(self, monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread))
+        before = threading.active_count()
+        for times in (4.0, [0.5, 1.0, 4.0]):
+            ak.mc_point_availability(dfh3_abd(), times, ak.SimConfig(trials=300, seed=3))
+        assert started == []
+        # the probe sees the one worker of a steady-state estimate, joined when it returns
+        ak.mc_steady_availability(dfh3_abd(), ak.SimConfig(trials=10, horizon=50.0, seed=3))
+        assert len(started) == 1 and threading.active_count() == before
+
+    def test_one_cpu_integrates_on_the_calling_thread(self, monkeypatch):
+        # pinned to one CPU the worker could only take turns with the caller, so none starts
+        monkeypatch.setattr(oracle, "_cpus", lambda: 1)
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread))
+        for model in (dfh3_abd(), dfh3_ft()):
+            cfg = ak.SimConfig(trials=20, horizon=300.0, seed=6)
+            assert ak.mc_steady_availability(model, cfg) == serial_steady(model, cfg), model.name
+        assert started == []
+
+    def test_concurrent_estimates(self, monkeypatch):
+        # four callers, each with its own worker, on short switch intervals: eight threads
+        # hand blocks over at once, and every estimate still equals its serial loop
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
+        cases = [(model, ak.SimConfig(trials=24, horizon=200.0, seed=seed)) for seed in (1, 2) for model in (dfh3_abd(), dfh3_ft())]
+        expected = [serial_steady(model, cfg) for model, cfg in cases]
+        got = [None] * len(cases)
+
+        def run(i):
+            got[i] = ak.mc_steady_availability(*cases[i])
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == expected
 
 
 # two floats past 8.0, in the middle of 8.0's bucket of 2**tag = 4 floats for two components
