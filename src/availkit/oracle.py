@@ -64,7 +64,8 @@ of its changes so far; a trial's held time is one running sum, left to
 right along its row.  It integrates each block on one worker thread
 (_Worker) while the calling thread draws the next, unless the process
 may run on one CPU only, and a block's values depend on its grid alone,
-so they are the same whether or not a second CPU is free.  The point estimator runs on the calling thread alone.
+so they are the same whether or not a second CPU is free.  The point
+estimator runs on the calling thread alone.
 Models of up to TABLE_COMPONENTS components read the structure from a
 table over all 2^k state codes, the model's truth table; wider models
 evaluate it on leaf arrays swept in 64-bit groups.
