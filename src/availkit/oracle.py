@@ -62,10 +62,9 @@ by less than 2**(tag - 52) relative, 2**-47 for up to 16 components and
 up to the horizon, each component's state at a change being the parity
 of its changes so far; a trial's held time is one running sum, left to
 right along its row.  It integrates each block on one worker thread
-(_Worker) while the calling thread draws the next, unless the process
-may run on one CPU only, and a block's values depend on its grid alone,
-so they are the same whether or not a second CPU is free.  The point
-estimator runs on the calling thread alone.
+(_Worker) while the calling thread draws the next, and a block's values
+depend on its grid alone, so they are the same whether or not a second
+CPU is free.  The point estimator runs on the calling thread alone.
 Models of up to TABLE_COMPONENTS components read the structure from a
 table over all 2^k state codes, the model's truth table; wider models
 evaluate it on leaf arrays swept in 64-bit groups.
@@ -77,7 +76,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -560,13 +558,6 @@ def _simulate(model: SystemModel, cfg: SimConfig, target: float, block_words: in
         yield slice(lo, lo + step), *_grid(bitgen, state, comps, trials, target)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _Worker:
     """One thread that runs the jobs handed to it one at a time, while the caller goes on.
 
@@ -576,7 +567,12 @@ class _Worker:
     joins it, on every exit path, so the thread never outlives the block.
     An error of the block's body is raised unchanged; else the last job's
     error is raised.  A job's memory writes are seen by the caller once the
-    wait for it returns.
+    wait for it returns.  The caller owes a wait only from a handover to
+    the start of the wait for it, so a KeyboardInterrupt anywhere in
+    submit never leaves the exit waiting for a job that was not handed
+    over, or waiting twice for one.  The thread is a daemon: an interrupt
+    between its start and the with block, which then never joins it,
+    cannot hold the interpreter at exit.
     """
 
     def __init__(self) -> None:
@@ -585,7 +581,7 @@ class _Worker:
         self._outstanding = False  # read and written by the caller only
         self._handed = threading.Semaphore(0)
         self._finished = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._run, name="availkit-worker")
+        self._thread = threading.Thread(target=self._run, name="availkit-worker", daemon=True)
 
     def _run(self) -> None:
         while True:
@@ -603,8 +599,8 @@ class _Worker:
         """Wait for the outstanding job, if any, and return what it raised."""
         if not self._outstanding:
             return None
+        self._outstanding = False  # before the wait, so an interrupt in it leaves no wait owed
         self._finished.acquire()
-        self._outstanding = False
         error, self._error = self._error, None
         return error
 
@@ -614,8 +610,8 @@ class _Worker:
         if error is not None:
             raise error
         self._job = functools.partial(fn, *args)
-        self._outstanding = True
         self._handed.release()
+        self._outstanding = True  # after the handover, so an interrupt before it leaves no wait owed
 
     def __enter__(self) -> "_Worker":
         self._thread.start()
@@ -688,9 +684,9 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     So at most two blocks are alive at once, the one being integrated and
     the one being drawn.  Each block's values depend only on its grid,
     so the estimate is bitwise that of integrating the blocks one after
-    another, as the caller does itself when the process may run on one
-    CPU only.  An error on either thread is raised unchanged, and the
-    worker is joined before the estimate returns or raises.
+    another on one thread.  An error on either thread is raised
+    unchanged, and the worker is joined before the estimate returns or
+    raises.
     """
     _require_valid(model)
     _check_trials(cfg)
@@ -703,12 +699,7 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     def integrate(block: slice, grid: np.ndarray, owner: np.ndarray) -> None:
         values[block] = _time_held(model, grid, owner, horizon, table)
 
-    blocks = _simulate(model, cfg, horizon, STEADY_BLOCK_WORDS)
-    if _cpus() == 1:  # the worker could not run beside the caller, and each handover costs switches
-        for block in blocks:
-            integrate(*block)
-    else:
-        with _Worker() as worker:
-            for block in blocks:
-                worker.submit(integrate, *block)
+    with _Worker() as worker:
+        for block in _simulate(model, cfg, horizon, STEADY_BLOCK_WORDS):
+            worker.submit(integrate, *block)
     return _estimate(values)

@@ -329,9 +329,8 @@ class TestMonteCarlo:
         assert abs(est.mean - 0.5) <= 4 * est.std_error
 
     def test_steady_determinism_and_threads(self):
-        # the steady-state estimator integrates its blocks on a worker thread where a second
-        # CPU may run it (TestSteadyWorker); however the two threads interleave, the same
-        # config twice gives the same estimate
+        # the steady-state estimator integrates its blocks on a worker thread (TestSteadyWorker);
+        # however the two threads interleave, the same config twice gives the same estimate
         cfg = ak.SimConfig(trials=50, horizon=500.0, seed=77)
         assert ak.mc_steady_availability(dfh3_abd(), cfg) == ak.mc_steady_availability(dfh3_abd(), cfg)
 
@@ -704,10 +703,24 @@ class TestSteadyWorker:
 
     SINGLE = ak.SystemModel("m", {"C": ak.ComponentDef("C", R13)}, ak.Unit("C"))
 
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        # the worker runs only where the process may use a second CPU; here it always may
-        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+    @staticmethod
+    def raised_on_a_daemon(fn):
+        """Run fn on a daemon thread and return what it raised, or None; a hang fails, not blocks, the test."""
+        raised = []
+
+        def run():
+            try:
+                fn()
+            except BaseException as error:
+                raised.append(error)
+            else:
+                raised.append(None)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the estimate did not return"
+        return raised[0]
 
     def test_equals_serial_blocks(self, monkeypatch):
         # blocks of 64 first-round words hold one trial each, so dozens of blocks overlap;
@@ -783,16 +796,58 @@ class TestSteadyWorker:
         ak.mc_steady_availability(dfh3_abd(), ak.SimConfig(trials=10, horizon=50.0, seed=3))
         assert len(started) == 1 and threading.active_count() == before
 
-    def test_one_cpu_integrates_on_the_calling_thread(self, monkeypatch):
-        # pinned to one CPU the worker could only take turns with the caller, so none starts
-        monkeypatch.setattr(oracle, "_cpus", lambda: 1)
+    @pytest.mark.parametrize("stage", ["_grid", "_time_held"])
+    def test_interrupt_in_a_stage(self, monkeypatch, stage):
+        # Ctrl-C while the caller draws block 3, or while the worker integrates it: the
+        # interrupt reaches the caller and the worker is joined
         monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
-        started, start = [], threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread))
-        for model in (dfh3_abd(), dfh3_ft()):
-            cfg = ak.SimConfig(trials=20, horizon=300.0, seed=6)
-            assert ak.mc_steady_availability(model, cfg) == serial_steady(model, cfg), model.name
-        assert started == []
+        calls, real = [], getattr(oracle, stage)
+
+        def interrupted(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(oracle, stage, interrupted)
+        before = threading.active_count()
+        cfg = ak.SimConfig(trials=20, horizon=300.0, seed=1)
+        assert type(self.raised_on_a_daemon(lambda: ak.mc_steady_availability(dfh3_abd(), cfg))) is KeyboardInterrupt
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("semaphore, method, done", [
+        ("_handed", "release", False),  # after the job is set, before it is handed over
+        ("_handed", "release", True),  # after the handover, before the caller owes a wait
+        ("_finished", "acquire", False),  # in the wait for a job
+        ("_finished", "acquire", True),  # after the wait, before the caller records it
+    ])
+    def test_interrupt_in_a_handover(self, monkeypatch, semaphore, method, done):
+        # Ctrl-C lands in the handover of block 3, before or after the semaphore call does
+        # its work: the exit must wait for no job that was never handed over, nor wait
+        # twice for one that was, and the estimate still returns with the worker joined
+        monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
+        init = oracle._Worker.__init__
+
+        def interrupting_init(worker):
+            init(worker)
+            target = getattr(worker, semaphore)
+            calls, real = [], getattr(target, method)
+
+            def interrupted(*args):
+                calls.append(None)
+                if len(calls) != 3:
+                    return real(*args)
+                if done:
+                    real(*args)
+                raise KeyboardInterrupt
+
+            setattr(target, method, interrupted)
+
+        monkeypatch.setattr(oracle._Worker, "__init__", interrupting_init)
+        before = threading.active_count()
+        cfg = ak.SimConfig(trials=20, horizon=300.0, seed=1)
+        assert type(self.raised_on_a_daemon(lambda: ak.mc_steady_availability(dfh3_abd(), cfg))) is KeyboardInterrupt
+        assert threading.active_count() == before
 
     def test_concurrent_estimates(self, monkeypatch):
         # four callers, each with its own worker, on short switch intervals: eight threads
@@ -805,7 +860,8 @@ class TestSteadyWorker:
         def run(i):
             got[i] = ak.mc_steady_availability(*cases[i])
 
-        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        # daemons, so that a deadlocked handover fails the assertion below instead of holding pytest at exit
+        callers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(cases))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
