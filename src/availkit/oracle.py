@@ -61,10 +61,11 @@ by less than 2**(tag - 52) relative, 2**-47 for up to 16 components and
 2**-40 for 3000.  It integrates the structure function over the changes
 up to the horizon, each component's state at a change being the parity
 of its changes so far; a trial's held time is one running sum, left to
-right along its row.  It integrates each block on one worker thread
-(_Worker) while the calling thread draws the next, and a block's values
-depend on its grid alone, so they are the same whether or not a second
-CPU is free.  The point estimator runs on the calling thread alone.
+right along its row.  It integrates each block on the one thread of a
+concurrent.futures.ThreadPoolExecutor while the calling thread draws the
+next, and a block's values depend on its grid alone, so they are the
+same whether or not a second CPU is free.  The point estimator runs on
+the calling thread alone.
 Models of up to TABLE_COMPONENTS components read the structure from a
 table over all 2^k state codes, the model's truth table; wider models
 evaluate it on leaf arrays swept in 64-bit groups.
@@ -74,10 +75,8 @@ indexed in the order of model.program.events.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -558,76 +557,6 @@ def _simulate(model: SystemModel, cfg: SimConfig, target: float, block_words: in
         yield slice(lo, lo + step), *_grid(bitgen, state, comps, trials, target)
 
 
-class _Worker:
-    """One thread that runs the jobs handed to it one at a time, while the caller goes on.
-
-    submit waits for the job handed over before, so at most one job is
-    outstanding, and raises on the calling thread whatever that job raised.
-    Leaving the with block waits for the last job, stops the thread and
-    joins it, on every exit path, so the thread never outlives the block.
-    An error of the block's body is raised unchanged; else the last job's
-    error is raised.  A job's memory writes are seen by the caller once the
-    wait for it returns.  The caller owes a wait only from a handover to
-    the start of the wait for it, so a KeyboardInterrupt anywhere in
-    submit never leaves the exit waiting for a job that was not handed
-    over, or waiting twice for one.  The thread is a daemon: an interrupt
-    between its start and the with block, which then never joins it,
-    cannot hold the interpreter at exit.
-    """
-
-    def __init__(self) -> None:
-        self._job: Optional[functools.partial] = None  # the job handed over, or None to stop
-        self._error: Optional[BaseException] = None
-        self._outstanding = False  # read and written by the caller only
-        self._handed = threading.Semaphore(0)
-        self._finished = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._run, name="availkit-worker", daemon=True)
-
-    def _run(self) -> None:
-        while True:
-            self._handed.acquire()
-            job = self._job
-            if job is None:
-                return
-            try:
-                job()
-            except BaseException as error:  # handed to the caller, which raises it
-                self._error = error
-            self._finished.release()
-
-    def _wait(self) -> Optional[BaseException]:
-        """Wait for the outstanding job, if any, and return what it raised."""
-        if not self._outstanding:
-            return None
-        self._outstanding = False  # before the wait, so an interrupt in it leaves no wait owed
-        self._finished.acquire()
-        error, self._error = self._error, None
-        return error
-
-    def submit(self, fn, *args) -> None:
-        """Wait for the job handed over before, then hand over fn(*args)."""
-        error = self._wait()
-        if error is not None:
-            raise error
-        self._job = functools.partial(fn, *args)
-        self._handed.release()
-        self._outstanding = True  # after the handover, so an interrupt before it leaves no wait owed
-
-    def __enter__(self) -> "_Worker":
-        self._thread.start()
-        return self
-
-    def __exit__(self, kind, value, traceback) -> None:
-        try:
-            error = self._wait()
-        finally:
-            self._job = None
-            self._handed.release()
-            self._thread.join()
-        if kind is None and error is not None:
-            raise error
-
-
 def mc_point_availability(
     model: SystemModel, t: Union[float, Sequence[float]], cfg: SimConfig
 ) -> Union[Estimate, list[Estimate]]:
@@ -678,15 +607,16 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     components reads its structure function from its truth table, taken
     once, before the first block.
 
-    The calling thread draws every block, and one worker thread
-    integrates each block while the caller draws the next; the two
-    threads overlap in _time_held's numpy calls, which release the GIL.
-    So at most two blocks are alive at once, the one being integrated and
-    the one being drawn.  Each block's values depend only on its grid,
-    so the estimate is bitwise that of integrating the blocks one after
-    another on one thread.  An error on either thread is raised
-    unchanged, and the worker is joined before the estimate returns or
-    raises.
+    The calling thread draws every block, and the one thread of a
+    ThreadPoolExecutor integrates each block while the caller draws the
+    next; the two threads overlap in _time_held's numpy calls, which
+    release the GIL.  The caller waits for block k's future before it
+    hands over block k + 1, so at most two blocks are alive at once, the
+    one being integrated and the one being drawn.  Each block's values
+    depend only on its grid, so the estimate is bitwise that of
+    integrating the blocks one after another on one thread.  An error on
+    either thread is raised unchanged, and leaving the executor's with
+    block joins its thread before the estimate returns or raises.
     """
     _require_valid(model)
     _check_trials(cfg)
@@ -699,7 +629,13 @@ def mc_steady_availability(model: SystemModel, cfg: SimConfig) -> Estimate:
     def integrate(block: slice, grid: np.ndarray, owner: np.ndarray) -> None:
         values[block] = _time_held(model, grid, owner, horizon, table)
 
-    with _Worker() as worker:
-        for block in _simulate(model, cfg, horizon, STEADY_BLOCK_WORDS):
-            worker.submit(integrate, *block)
+    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: it loads logging, which no other path needs
+
+    with ThreadPoolExecutor(1) as pool:
+        blocks = _simulate(model, cfg, horizon, STEADY_BLOCK_WORDS)
+        job = pool.submit(integrate, *next(blocks))  # _check_trials leaves at least one block
+        for block in blocks:
+            job.result()  # the block before is integrated, or its error raised, before this one is handed over
+            job = pool.submit(integrate, *block)
+        job.result()
     return _estimate(values)

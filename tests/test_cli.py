@@ -52,6 +52,12 @@ def ft_file(tmp_path):
     return str(path)
 
 
+def source_env():
+    """The environment with this checkout's availkit first on PYTHONPATH, for a child process."""
+    src = str(Path(ak.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def write_model(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -346,15 +352,31 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     names = [f"e{i}" for i in range(4000)]
     text = 'model "wide"\n' + "".join(f"component {c} lambda=1 mu=1\n" for c in names)
     path = write_model(tmp_path, "wide.avm", text + "ft or { " + "; ".join(f"basic {c}" for c in names) + " }\n")
-    src = str(Path(ak.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "availkit", "cutsets", path, "--json"]
-    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env()) as proc:
         assert proc.stdout.read(10) == b'{\n  "tool"'
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 0, err.decode()
     assert err == b""
+
+
+def test_only_steady_simulation_imports_the_executor(abd_file, tmp_path):
+    # concurrent.futures loads logging, so the steady-state estimate alone imports it; in a
+    # fresh process, since pytest or hypothesis may have imported it into this one
+    ft_file = write_model(tmp_path, "ft.avm", ak.serialize_model(dfh3_ft()))
+    script = '''
+import sys
+from availkit.cli import main
+abd, ft = sys.argv[1:]
+for argv in (["analyze", abd, "--at", "1,4"], ["simulate", abd, "--at", "1,4", "--trials", "50"], ["cutsets", ft, "--minimize"]):
+    assert main(argv) == 0, argv
+    assert "concurrent.futures" not in sys.modules, argv
+assert main(["simulate", abd, "--horizon", "100", "--trials", "10"]) == 0
+assert "concurrent.futures" in sys.modules
+'''
+    done = subprocess.run([sys.executable, "-c", script, abd_file, ft_file], capture_output=True, env=source_env(), timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 class TestCompare:

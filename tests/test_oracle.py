@@ -1,5 +1,6 @@
 """Exhaustive enumeration and renewal-process simulation oracles."""
 
+import concurrent.futures
 import math
 import random
 import re
@@ -329,7 +330,7 @@ class TestMonteCarlo:
         assert abs(est.mean - 0.5) <= 4 * est.std_error
 
     def test_steady_determinism_and_threads(self):
-        # the steady-state estimator integrates its blocks on a worker thread (TestSteadyWorker);
+        # the steady-state estimator integrates its blocks on an executor's thread (TestSteadyWorker);
         # however the two threads interleave, the same config twice gives the same estimate
         cfg = ak.SimConfig(trials=50, horizon=500.0, seed=77)
         assert ak.mc_steady_availability(dfh3_abd(), cfg) == ak.mc_steady_availability(dfh3_abd(), cfg)
@@ -815,38 +816,31 @@ class TestSteadyWorker:
         assert type(self.raised_on_a_daemon(lambda: ak.mc_steady_availability(dfh3_abd(), cfg))) is KeyboardInterrupt
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("semaphore, method, done", [
-        ("_handed", "release", False),  # after the job is set, before it is handed over
-        ("_handed", "release", True),  # after the handover, before the caller owes a wait
-        ("_finished", "acquire", False),  # in the wait for a job
-        ("_finished", "acquire", True),  # after the wait, before the caller records it
-    ])
-    def test_interrupt_in_a_handover(self, monkeypatch, semaphore, method, done):
-        # Ctrl-C lands in the handover of block 3, before or after the semaphore call does
-        # its work: the exit must wait for no job that was never handed over, nor wait
-        # twice for one that was, and the estimate still returns with the worker joined
+    @pytest.mark.parametrize("done", [False, True], ids=["before", "after"])
+    @pytest.mark.parametrize("owner, name", [
+        (concurrent.futures.ThreadPoolExecutor, "submit"),  # the handover of block 3
+        (concurrent.futures.Future, "result"),  # the wait for block 3, once block 4 is drawn
+    ], ids=["submit", "result"])
+    def test_interrupt_in_a_handover(self, monkeypatch, owner, name, done):
+        # Ctrl-C lands in the handover of block 3 or in the wait for it, before or after the
+        # executor's call does its work: the interrupt reaches the caller, and leaving the
+        # executor still joins its thread, whether or not block 3 was handed over or waited for
         monkeypatch.setattr(oracle, "STEADY_BLOCK_WORDS", 64)
-        init = oracle._Worker.__init__
+        calls, real = [], getattr(owner, name)
 
-        def interrupting_init(worker):
-            init(worker)
-            target = getattr(worker, semaphore)
-            calls, real = [], getattr(target, method)
+        def interrupted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) != 3:
+                return real(*args, **kwargs)
+            if done:
+                real(*args, **kwargs)
+            raise KeyboardInterrupt
 
-            def interrupted(*args):
-                calls.append(None)
-                if len(calls) != 3:
-                    return real(*args)
-                if done:
-                    real(*args)
-                raise KeyboardInterrupt
-
-            setattr(target, method, interrupted)
-
-        monkeypatch.setattr(oracle._Worker, "__init__", interrupting_init)
+        monkeypatch.setattr(owner, name, interrupted)
         before = threading.active_count()
         cfg = ak.SimConfig(trials=20, horizon=300.0, seed=1)
         assert type(self.raised_on_a_daemon(lambda: ak.mc_steady_availability(dfh3_abd(), cfg))) is KeyboardInterrupt
+        assert len(calls) == 3
         assert threading.active_count() == before
 
     def test_concurrent_estimates(self, monkeypatch):
